@@ -3,7 +3,8 @@
 Subcommands: gen, series, reconstruct, equiv, roundtrip, oracle-check,
 fig2.  Exit codes: 0 success, 1 semantic negative (e.g. graphs not
 equivalent), 2 bad input or infeasible parameters, 3 a self-verification
-or round-trip check failed.  All output is deterministic for fixed flags.
+or round-trip check failed, 4 an internal error (a defect in planevals,
+reported on one line).  All output is deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .reconstruct import (DecodeError, VerificationError, reconstruct_curve,
 from .series import (FactoredSeries, SeriesError, TruncatedSeries, expand,
                      factorize, series_from_text, series_to_text)
 
-OK, DIFFERENT, BAD_INPUT, VERIFY_FAILED = 0, 1, 2, 3
+OK, DIFFERENT, BAD_INPUT, VERIFY_FAILED, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 _MODES = {"div": "divisorial", "curve": "curve"}
 _DEFAULT_R = {"divisorial": 3, "curve": 4}
@@ -109,7 +110,7 @@ def _cmd_roundtrip(args) -> int:
                     else reconstruct_curve(p))
             if not equivalent(back, graph):
                 status = "FAIL"
-        except (SeriesError, GraphError, DecodeError, VerificationError):
+        except Exception:  # a failed trial, whatever the cause
             status = "FAIL"
         if status == "FAIL":
             failures += 1
@@ -231,6 +232,11 @@ def main(argv=None) -> int:
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except Exception as exc:  # never a traceback, and never exit 1
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -197,7 +197,7 @@ def blowup(graph: DualGraph, kind) -> Tuple[DualGraph, int]:
         new_parents = graph.parents + ((s,),)
     elif isinstance(kind, tuple) and len(kind) == 3 and kind[0] == "satellite":
         s, d = sorted((int(kind[1]), int(kind[2])))
-        if not 1 <= s <= graph.n and 1 <= d <= graph.n:
+        if not (1 <= s <= graph.n and 1 <= d <= graph.n):
             raise GraphError(f"satellite blowup: bad pair {s},{d}")
         if d not in graph._adj.get(s, ()):
             raise GraphError(f"satellite blowup: {s} and {d} not adjacent")

@@ -3,8 +3,17 @@
 Two representations are used throughout the package: a factored form
 ``prod (1 - t^m)^k`` with integer exponent vectors ``m`` and integer powers
 ``k``, and a dense truncated expansion on the grid ``[0, bound]^nvars``.
-All coefficients are Python ints; numpy arrays with ``dtype=object`` serve
-as exact containers, so there is no floating point and no overflow.
+
+Storage contract of the dense grid: coefficients are held in an ``int64``
+numpy array whenever a bound proves that every value fits, and in a
+``dtype=object`` array of Python ints otherwise.  Every operation measures
+the magnitude of its operands from the arrays themselves (never from a
+stored figure, since callers may write into ``coeffs`` directly) and runs
+in ``int64`` only when that measurement certifies the result below
+``2^63``; otherwise it promotes to ``object`` first.  No fixed-width
+operation runs unchecked, so there is no floating point and no overflow,
+and every coefficient handed out is a Python int.  A grid may have at most
+``MAX_CELLS`` cells; larger ones are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "SeriesError",
+    "MAX_CELLS",
     "glex_key",
     "FactoredSeries",
     "TruncatedSeries",
@@ -28,6 +38,20 @@ __all__ = [
     "series_to_text",
     "series_from_text",
 ]
+
+# Largest dense grid, in cells ((bound + 1) ** nvars), that any function
+# here allocates: 128 MiB of int64.  Larger requests raise SeriesError.
+MAX_CELLS = 2 ** 24
+# numpy 1.x allows at most 32 axes; with bound 0 the cell count alone would
+# admit any number of them
+_MAX_AXES = 32
+
+_INT64 = np.dtype(np.int64)
+_OBJECT = np.dtype(object)
+# int64 holds every |c| < 2^63; a shift-add pass on values below 2^62
+# stays below 2^63
+_INT64_LIMIT = 2 ** 63
+_PASS_LIMIT = 2 ** 62
 
 
 class SeriesError(ValueError):
@@ -48,6 +72,17 @@ def _check_exponent(m, nvars: int) -> tuple:
     if not any(m):
         raise SeriesError("zero exponent vector is not allowed in a factor")
     return m
+
+
+def _check_grid(nvars: int, bound: int) -> None:
+    """Refuse a grid that is malformed or larger than ``MAX_CELLS``."""
+    if nvars < 1 or bound < 0:
+        raise SeriesError("need nvars >= 1 and bound >= 0")
+    # the first two tests keep the power small enough to compute
+    if (bound >= MAX_CELLS or nvars > _MAX_AXES
+            or (bound + 1) ** nvars > MAX_CELLS):
+        raise SeriesError(f"grid of {nvars} variables at bound {bound} "
+                          f"exceeds the limit of {MAX_CELLS} cells")
 
 
 class FactoredSeries:
@@ -130,10 +165,10 @@ class FactoredSeries:
 
     def expand(self, bound: int) -> "TruncatedSeries":
         """Dense expansion on ``[0, bound]^nvars``, exact within the grid."""
-        out = TruncatedSeries.one(self.nvars, bound)
+        kernel = _Kernel(TruncatedSeries.one(self.nvars, bound).coeffs)
         for m, k in self.items():
-            out = out.mul_one_minus_power(m, k)
-        return out
+            kernel.power(m, k)
+        return TruncatedSeries(self.nvars, bound, kernel.arr)
 
 
 def _views(shape, m):
@@ -144,20 +179,105 @@ def _views(shape, m):
     return src, dst
 
 
+def _magnitude(arr: np.ndarray) -> int:
+    """``max |c|`` over the array, as a Python int.
+
+    Taken from ``max`` and ``min``, never from ``abs``: ``abs`` maps
+    ``INT64_MIN`` to itself.
+    """
+    return max(int(arr.max()), -int(arr.min()))
+
+
+def _certified(result_bound: int, *arrays) -> tuple:
+    """The operands of an operation whose result is at most
+    ``result_bound`` in magnitude: unchanged if they are all int64 and the
+    bound fits int64, else converted to ``object``."""
+    if (result_bound < _INT64_LIMIT
+            and all(a.dtype == _INT64 for a in arrays)):
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def _nonzero_cells(arr: np.ndarray) -> tuple:
+    """Flat indices, exponents (one index array per axis) and total
+    degrees of the nonzero cells, in row-major order, which is lex order."""
+    idx = np.flatnonzero(arr)
+    coords = np.unravel_index(idx, arr.shape)
+    return idx, coords, np.sum(coords, axis=0)
+
+
+class _Kernel:
+    """Shift-add passes in place on one coefficient buffer.
+
+    While the buffer is int64, ``mag`` is a certified upper bound on its
+    ``max |c|``, measured from the buffer itself on entry.  A pass adds or
+    subtracts a shifted copy of the buffer, so it at most doubles
+    ``max |c|``.  Before a pass the bound could not certify, the buffer is
+    measured again, and if its values really are that large it is
+    promoted to ``object``; ``arr`` may therefore be replaced by a new
+    array.
+    """
+
+    __slots__ = ("arr", "mag")
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+        self.mag = _magnitude(arr) if arr.dtype == _INT64 else None
+
+    def _shift_add(self, m, sign: int) -> None:
+        if self.mag is not None:
+            if self.mag >= _PASS_LIMIT:
+                self.mag = _magnitude(self.arr)
+            if self.mag >= _PASS_LIMIT:
+                self.arr = self.arr.astype(object)
+                self.mag = None
+            else:
+                self.mag *= 2
+        src, dst = _views(self.arr.shape, m)
+        if sign > 0:
+            self.arr[dst] += self.arr[src]
+        else:
+            self.arr[dst] -= self.arr[src]
+
+    def power(self, m, k: int) -> None:
+        """Multiply by ``(1 - t^m)^k`` for any integer ``k``.
+
+        A negative power multiplies by ``1/(1 - t^m) = sum_j t^{jm}`` once
+        per unit, by the doubling trick: adding a copy of the partial sum
+        shifted by ``2^i * m`` doubles the number of geometric terms
+        accumulated, so only O(log bound) passes are needed.
+        """
+        bound = self.arr.shape[0] - 1
+        if any(e > bound for e in m):
+            return
+        for _ in range(abs(k)):
+            if k > 0:
+                self._shift_add(m, -1)
+            else:
+                step = m
+                while all(s <= bound for s in step):
+                    self._shift_add(step, 1)
+                    step = tuple(2 * s for s in step)
+
+
 class TruncatedSeries:
     """Dense series truncated to the grid ``[0, bound]^nvars``.
 
-    Coefficients live in a numpy object array holding Python ints.  All
-    operations return new instances and are exact on the grid.
+    ``coeffs`` is an int64 array when a bound proves every coefficient
+    fits, and a ``dtype=object`` array of Python ints otherwise (see the
+    module docstring); ``zeros`` starts in int64.  Direct writes into
+    ``coeffs`` are allowed as long as the value fits the array's dtype,
+    because every operation re-measures its operands.  Indexing and
+    ``nonzero_terms`` always return Python ints.  All operations return
+    new instances and are exact on the grid.
     """
 
     __slots__ = ("nvars", "bound", "coeffs")
 
     def __init__(self, nvars: int, bound: int, coeffs: np.ndarray):
-        if nvars < 1 or bound < 0:
-            raise SeriesError("need nvars >= 1 and bound >= 0")
+        _check_grid(nvars, bound)
         shape = (bound + 1,) * nvars
-        if coeffs.shape != shape or coeffs.dtype != np.dtype(object):
+        if coeffs.shape != shape or coeffs.dtype not in (_INT64, _OBJECT):
             raise SeriesError("coefficient array has wrong shape or dtype")
         self.nvars = nvars
         self.bound = bound
@@ -165,7 +285,8 @@ class TruncatedSeries:
 
     @classmethod
     def zeros(cls, nvars: int, bound: int) -> "TruncatedSeries":
-        arr = np.zeros((bound + 1,) * nvars, dtype=object)
+        _check_grid(nvars, bound)
+        arr = np.zeros((bound + 1,) * nvars, dtype=np.int64)
         return cls(nvars, bound, arr)
 
     @classmethod
@@ -178,7 +299,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.nvars, self.bound, self.coeffs.copy())
 
     def __getitem__(self, m) -> int:
-        return self.coeffs[tuple(m)]
+        return int(self.coeffs[tuple(m)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -194,11 +315,15 @@ class TruncatedSeries:
                 f"{{{shown}{more}}})")
 
     def nonzero_terms(self) -> Iterator:
-        """Yield ``(exponent, coefficient)`` in glex order."""
-        idx = np.nonzero(self.coeffs)
-        terms = sorted(zip(*(ax.tolist() for ax in idx)), key=glex_key)
-        for m in terms:
-            yield m, self.coeffs[m]
+        """Yield ``(exponent, coefficient)`` in glex order.
+
+        Row-major flat order is lex order, so a stable sort of the nonzero
+        cells by total degree gives glex order.
+        """
+        idx, coords, deg = _nonzero_cells(self.coeffs)
+        order = np.argsort(deg, kind="stable")
+        exps = zip(*(ax[order].tolist() for ax in coords))
+        return zip(exps, self.coeffs.reshape(-1)[idx[order]].tolist())
 
     def is_one(self) -> bool:
         nz = np.nonzero(self.coeffs)
@@ -208,52 +333,41 @@ class TruncatedSeries:
         return all(int(ax[0]) == 0 for ax in nz) and self.coeffs[origin] == 1
 
     def neg(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.bound, -self.coeffs)
+        (arr,) = _certified(_magnitude(self.coeffs), self.coeffs)
+        return TruncatedSeries(self.nvars, self.bound, -arr)
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compat(other)
-        return TruncatedSeries(self.nvars, self.bound,
-                               self.coeffs + other.coeffs)
+        a, b = self._operands(other)
+        return TruncatedSeries(self.nvars, self.bound, a + b)
 
     def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compat(other)
-        return TruncatedSeries(self.nvars, self.bound,
-                               self.coeffs - other.coeffs)
+        a, b = self._operands(other)
+        return TruncatedSeries(self.nvars, self.bound, a - b)
 
     def _compat(self, other: "TruncatedSeries") -> None:
         if self.nvars != other.nvars or self.bound != other.bound:
             raise SeriesError("mismatched series grids")
 
+    def _operands(self, other: "TruncatedSeries") -> tuple:
+        self._compat(other)
+        return _certified(
+            _magnitude(self.coeffs) + _magnitude(other.coeffs),
+            self.coeffs, other.coeffs)
+
     def mul_one_minus(self, m) -> "TruncatedSeries":
         """Multiply by ``(1 - t^m)``."""
-        m = _check_exponent(m, self.nvars)
-        out = self.coeffs.copy()
-        src, dst = _views(out.shape, m)
-        out[dst] -= self.coeffs[src]
-        return TruncatedSeries(self.nvars, self.bound, out)
+        return self.mul_one_minus_power(m, 1)
 
     def div_one_minus(self, m) -> "TruncatedSeries":
-        """Multiply by ``1/(1 - t^m) = sum_j t^{jm}``.
-
-        Doubling trick: adding a copy of the partial sum shifted by
-        ``2^i * m`` doubles the number of geometric terms accumulated, so
-        only O(log bound) passes are needed.
-        """
-        m = _check_exponent(m, self.nvars)
-        out = self.coeffs.copy()
-        step = m
-        while all(s <= self.bound for s in step):
-            src, dst = _views(out.shape, step)
-            out[dst] += out[src]
-            step = tuple(2 * s for s in step)
-        return TruncatedSeries(self.nvars, self.bound, out)
+        """Multiply by ``1/(1 - t^m) = sum_j t^{jm}``."""
+        return self.mul_one_minus_power(m, -1)
 
     def mul_one_minus_power(self, m, k: int) -> "TruncatedSeries":
         """Multiply by ``(1 - t^m)^k`` for any integer ``k``."""
-        out = self
-        for _ in range(abs(int(k))):
-            out = out.mul_one_minus(m) if k > 0 else out.div_one_minus(m)
-        return out
+        m = _check_exponent(m, self.nvars)
+        kernel = _Kernel(self.coeffs.copy())
+        kernel.power(m, int(k))
+        return TruncatedSeries(self.nvars, self.bound, kernel.arr)
 
     def substitute_ones(self, axis: int) -> "TruncatedSeries":
         """Sum coefficients along ``axis`` (substitute ``t_axis = 1``).
@@ -266,35 +380,37 @@ class TruncatedSeries:
             raise SeriesError("cannot drop the last variable")
         if not 0 <= axis < self.nvars:
             raise SeriesError(f"no variable index {axis}")
-        arr = self.coeffs.sum(axis=axis)
-        return TruncatedSeries(self.nvars - 1, self.bound, arr)
+        (arr,) = _certified((self.bound + 1) * _magnitude(self.coeffs),
+                            self.coeffs)
+        return TruncatedSeries(self.nvars - 1, self.bound, arr.sum(axis=axis))
 
     def factorize(self) -> FactoredSeries:
         """Write the series as ``prod (1 - t^m)^{k_m}``, exactly on the grid.
 
-        Peels the glex-least nonconstant term repeatedly: if it is
-        ``c * t^m`` the factor ``(1 - t^m)^{-c}`` accounts for it and
-        multiplying by ``(1 - t^m)^{c}`` clears it without disturbing any
-        glex-smaller coefficient, so the procedure terminates.  Requires
-        constant term 1.  Factors supported beyond the grid are invisible;
-        the result reproduces the input exactly within the bound.
+        Sweeps the total degree upwards.  Once every nonconstant term of
+        degree below ``d`` is cleared, each remaining term ``c * t^m`` of
+        degree ``d`` is accounted for by the factor ``(1 - t^m)^{-c}``, and
+        multiplying by ``(1 - t^m)^c`` clears it while changing only cells
+        of degree above ``d``; so all terms of degree ``d`` are peeled in
+        one batch.  Requires constant term 1.  Factors supported beyond
+        the grid are invisible; the result reproduces the input exactly
+        within the bound.
         """
-        origin = (0,) * self.nvars
-        if self.coeffs[origin] != 1:
+        if self.coeffs[(0,) * self.nvars] != 1:
             raise SeriesError("factorization needs constant term 1")
-        work = self
+        kernel = _Kernel(self.coeffs.copy())
         factors: dict = {}
         while True:
-            lead = None
-            for m, c in work.nonzero_terms():
-                if m != origin:
-                    lead = (m, c)
-                    break
-            if lead is None:
+            # the origin comes first, and peeling keeps it at 1
+            idx, coords, deg = _nonzero_cells(kernel.arr)
+            if idx.size == 1:
                 break
-            m, c = lead
-            factors[m] = factors.get(m, 0) - c
-            work = work.mul_one_minus_power(m, c)
+            batch = deg == deg[1:].min()
+            exps = zip(*(ax[batch].tolist() for ax in coords))
+            values = kernel.arr.reshape(-1)[idx[batch]].tolist()
+            for m, c in zip(exps, values):
+                factors[m] = -c
+                kernel.power(m, c)
         return FactoredSeries(self.nvars, factors)
 
 
@@ -323,32 +439,44 @@ def project(f: FactoredSeries, keep) -> FactoredSeries:
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Exact product, truncated to the common grid."""
     a._compat(b)
-    if len(np.nonzero(b.coeffs)[0]) > len(np.nonzero(a.coeffs)[0]):
+    if np.count_nonzero(b.coeffs) > np.count_nonzero(a.coeffs):
         a, b = b, a
-    out = TruncatedSeries.zeros(a.nvars, a.bound)
-    for m, c in b.nonzero_terms():
-        src, dst = _views(out.coeffs.shape, m)
-        out.coeffs[dst] += c * a.coeffs[src]
-    return out
+    terms = list(b.nonzero_terms())
+    # |sum_m c_m a[w - m]| <= sum |c_m| * max |a|; the max(1, ...) keeps
+    # each c_m itself under the bound too
+    weight = sum(abs(c) for _, c in terms)
+    (arr,) = _certified(weight * max(1, _magnitude(a.coeffs)), a.coeffs)
+    out = np.zeros_like(arr)
+    for m, c in terms:
+        src, dst = _views(out.shape, m)
+        out[dst] += c * arr[src]
+    return TruncatedSeries(a.nvars, a.bound, out)
 
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact quotient on the grid; ``b`` must have constant term 1 or -1."""
+    """Exact quotient on the grid; ``b`` must have constant term 1 or -1.
+
+    The quotient has no bound known in advance, so it is computed in
+    Python ints and stored as int64 only if it fits.
+    """
     a._compat(b)
     origin = (0,) * a.nvars
-    b0 = b.coeffs[origin]
+    b0 = b[origin]
     if b0 not in (1, -1):
         raise SeriesError("divisor needs constant term 1 or -1")
     terms = [(m, c) for m, c in b.nonzero_terms() if m != origin]
-    q = TruncatedSeries.zeros(a.nvars, a.bound)
+    num = a.coeffs.astype(object)
+    q = np.zeros(num.shape, dtype=object)
     for w in itertools.product(range(a.bound + 1), repeat=a.nvars):
-        acc = a.coeffs[w]
+        acc = num[w]
         for m, c in terms:
             u = tuple(w[i] - m[i] for i in range(a.nvars))
             if all(e >= 0 for e in u):
-                acc -= c * q.coeffs[u]
-        q.coeffs[w] = acc * b0
-    return q
+                acc -= c * q[u]
+        q[w] = acc * b0
+    if _magnitude(q) < _INT64_LIMIT:
+        q = q.astype(np.int64)
+    return TruncatedSeries(a.nvars, a.bound, q)
 
 
 def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
@@ -378,19 +506,22 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
     lines = []
     if isinstance(series, FactoredSeries):
         lines.append(f"vars {series.nvars} mode factored bound 0")
-        for m, k in series.items():
-            lines.append(" ".join([str(k)] + [str(e) for e in m]))
+        terms = series.items()
     elif isinstance(series, TruncatedSeries):
         lines.append(f"vars {series.nvars} mode expanded bound {series.bound}")
-        for m, c in series.nonzero_terms():
-            lines.append(" ".join([str(c)] + [str(e) for e in m]))
+        terms = series.nonzero_terms()
     else:
         raise SeriesError(f"not a series: {series!r}")
+    lines.extend(" ".join(map(str, (c, *m))) for m, c in terms)
     return "\n".join(lines) + "\n"
 
 
 def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
-    """Parse the format produced by :func:`series_to_text`."""
+    """Parse the format produced by :func:`series_to_text`.
+
+    An expanded series whose header declares a grid above ``MAX_CELLS``
+    is refused before any term line is read.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -409,6 +540,8 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
         raise SeriesError(f"unknown mode {mode!r}")
     if nvars < 1 or bound < 0:
         raise SeriesError("need vars >= 1 and bound >= 0")
+    if mode == "expanded":
+        _check_grid(nvars, bound)
 
     entries = []
     for ln in lines[1:]:
@@ -433,7 +566,6 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
                 raise SeriesError(f"zero power at {m}")
         return FactoredSeries(nvars, entries)
 
-    out = TruncatedSeries.zeros(nvars, bound)
     seen = set()
     for m, c in entries:
         if any(e < 0 or e > bound for e in m):
@@ -441,5 +573,9 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
         if m in seen:
             raise SeriesError(f"duplicate exponent {m}")
         seen.add(m)
-        out.coeffs[m] = c
-    return out
+    top = max((abs(c) for _, c in entries), default=0)
+    arr = np.zeros((bound + 1,) * nvars,
+                   dtype=np.int64 if top < _INT64_LIMIT else object)
+    for m, c in entries:
+        arr[m] = c
+    return TruncatedSeries(nvars, bound, arr)

@@ -2,8 +2,9 @@
 
 import json
 
-from planevals import equivalent, graph_from_json, series_from_text
+from planevals import cli, equivalent, graph_from_json, series_from_text
 from planevals.cli import main
+from planevals.series import MAX_CELLS
 
 from conftest import CUSP_DIV, CUSP_PAIR, TACNODE, series_of
 from planevals import FactoredSeries, graph_to_json, series_to_text
@@ -160,3 +161,42 @@ def test_reconstruct_verifies_expansion_bound(tmp_path, capsys):
     assert main(["series", gpath, "--out", spath]) == 0
     assert main(["reconstruct", spath, "--mode", "curve",
                  "--bound", "9"]) == 0
+
+
+def test_oversized_grids_are_input_errors(tmp_path, capsys):
+    # refused from the header alone, before a grid is allocated
+    path = write(tmp_path, "p.txt", "vars 30 mode expanded bound 5\n")
+    assert main(["reconstruct", path, "--mode", "div"]) == 2
+    assert "cells" in capsys.readouterr().err
+    g = write(tmp_path, "g.json", graph_to_json(CUSP_DIV))
+    assert main(["series", g, "--expand", "--bound", str(MAX_CELLS)]) == 2
+    assert "cells" in capsys.readouterr().err
+    p = write(tmp_path, "f.txt", series_to_text(series_of(CUSP_DIV)))
+    assert main(["reconstruct", p, "--mode", "div",
+                 "--bound", str(MAX_CELLS)]) == 2
+    assert "cells" in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys,
+                                                monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_equiv", broken)
+    path = write(tmp_path, "g.json", graph_to_json(CUSP_DIV))
+    assert main(["equiv", path, path]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_roundtrip_counts_any_exception_as_failure(capsys, monkeypatch):
+    def broken(series):
+        raise RecursionError("too deep")
+
+    monkeypatch.setattr(cli, "reconstruct_curve", broken)
+    assert main(["roundtrip", "--mode", "curve", "--trials", "2",
+                 "--seed", "11", "--max-vertices", "12"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [dict(kv.split("=") for kv in ln.split())["status"]
+            for ln in lines[:2]] == ["FAIL", "FAIL"]
+    assert lines[2] == "total=2 failures=2"

@@ -55,6 +55,14 @@ def test_blowup_rejections():
         blowup(g, ("weird",))
 
 
+def test_satellite_pair_out_of_range():
+    g = DualGraph(((), (1,)), (), ())
+    with pytest.raises(GraphError, match="bad pair"):
+        blowup(g, ("satellite", 1, g.n + 3))
+    with pytest.raises(GraphError, match="bad pair"):
+        blowup(g, ("satellite", 0, 1))
+
+
 def test_parent_validation():
     with pytest.raises(GraphError):
         DualGraph(((), (3,)), (), ())

@@ -1,5 +1,8 @@
 """Series arithmetic: factored products, truncated expansions, text format."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from planevals import (FactoredSeries, SeriesError, TruncatedSeries, div,
                        divide_torus, expand, factorize, mul, project,
                        series_from_text, series_to_text)
+from planevals.series import MAX_CELLS, glex_key
 
 
 def exponents(nvars, max_coord=6):
@@ -246,3 +250,152 @@ def test_coefficients_are_python_ints():
     assert isinstance(s[(40,)], int) and not isinstance(s[(40,)], np.integer)
     # binomial(42, 2), large enough to matter if dtype were fixed width
     assert s[(40,)] == 861
+
+
+# -- int64 storage and promotion -------------------------------------------
+
+
+def cells(s):
+    """All coefficients of a truncated series, as Python ints."""
+    return {w: s[w] for w in itertools.product(range(s.bound + 1),
+                                               repeat=s.nvars)}
+
+
+def reference_expand(f, bound):
+    """Pure-Python expansion: binomial series of each factor, convolved."""
+    grid = list(itertools.product(range(bound + 1), repeat=f.nvars))
+    acc = {w: int(not any(w)) for w in grid}
+    for m, k in f.items():
+        # (1 - t^m)^k = sum_j a_j t^{jm} with a_j = (-1)^j C(k, j) for
+        # k > 0 and a_j = C(-k + j - 1, j) for k < 0
+        series = {}
+        for j in range(bound + 1):
+            jm = tuple(j * e for e in m)
+            if max(jm) > bound:
+                break
+            series[jm] = ((-1) ** j * math.comb(k, j) if k > 0
+                          else math.comb(-k + j - 1, j))
+        acc = {w: sum(c * acc[tuple(a - b for a, b in zip(w, u))]
+                      for u, c in series.items()
+                      if all(a >= b for a, b in zip(w, u)))
+               for w in grid}
+    return acc
+
+
+def reference_text(f, bound):
+    acc = reference_expand(f, bound)
+    lines = [f"vars {f.nvars} mode expanded bound {bound}"]
+    for w in sorted((w for w, c in acc.items() if c), key=glex_key):
+        lines.append(" ".join(map(str, (acc[w],) + w)))
+    return "\n".join(lines) + "\n"
+
+
+def test_zeros_start_in_int64():
+    assert TruncatedSeries.zeros(3, 4).coeffs.dtype == np.int64
+
+
+def test_binomial_growth_promotes_to_python_ints():
+    # (1 - t)^-40 has coefficients C(n + 39, 39); C(99, 39) > 2^63
+    f = FactoredSeries(1, {(1,): -40})
+    s = expand(f, 60)
+    assert s[(60,)] > 2 ** 63
+    assert s.coeffs.dtype == object
+    for n in range(61):
+        assert s[(n,)] == math.comb(n + 39, 39)
+    assert factorize(s) == f
+
+
+def test_promotion_partway_through_a_product():
+    s = expand(FactoredSeries(1, {(1,): -3}), 60)
+    assert s.coeffs.dtype == np.int64
+    t = s.mul_one_minus_power((1,), -40)
+    assert t.coeffs.dtype == object
+    assert all(t[(n,)] == math.comb(n + 42, 42) for n in range(61))
+    # the input is left as it was
+    assert s.coeffs.dtype == np.int64 and s[(60,)] == math.comb(62, 2)
+    back = t.mul_one_minus_power((1,), 40)
+    assert cells(back) == cells(s)
+
+
+@pytest.mark.parametrize("top", [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1,
+                                 2 ** 63 - 1])
+def test_direct_write_near_int64_limit(top):
+    # a value written into coeffs after construction must be measured,
+    # not assumed small
+    s = TruncatedSeries.zeros(1, 3)
+    s.coeffs[(0,)] = top
+    s.coeffs[(1,)] = -top
+    t = s.mul_one_minus((1,))
+    assert cells(t) == {(0,): top, (1,): -2 * top, (2,): top, (3,): 0}
+    u = s.div_one_minus((1,))
+    assert cells(u) == {(0,): top, (1,): 0, (2,): 0, (3,): 0}
+
+
+def test_int64_min_is_measured_without_wrapping():
+    s = TruncatedSeries.zeros(1, 2)
+    s.coeffs[(0,)] = -2 ** 63
+    assert s.neg()[(0,)] == 2 ** 63
+    assert s.mul_one_minus((1,))[(1,)] == 2 ** 63
+    assert s.sub(s.neg())[(0,)] == -2 ** 64
+
+
+def test_elementwise_ops_promote_near_the_limit():
+    big = 2 ** 62 + 7
+    a = TruncatedSeries.zeros(2, 2)
+    a.coeffs[(0, 0)] = 1
+    a.coeffs[(1, 1)] = big
+    a.coeffs[(2, 1)] = -big
+    a.coeffs[(1, 2)] = big
+    ref = cells(a)
+    assert cells(a.add(a)) == {w: 2 * c for w, c in ref.items()}
+    assert cells(a.sub(a.neg())) == {w: 2 * c for w, c in ref.items()}
+    assert cells(a.neg().neg()) == ref
+    t = a.substitute_ones(0)
+    assert [t[(j,)] for j in range(3)] == [1, 0, big]
+    t = a.substitute_ones(1)
+    assert [t[(j,)] for j in range(3)] == [1, 2 * big, -big]
+    b = expand(FactoredSeries(2, {(1, 0): -1}), 2)
+    prod = mul(a, b)
+    assert cells(prod) == {w: sum(ref[(i, w[1])] for i in range(w[0] + 1))
+                           for w in ref}
+    # 3 * max|a| cannot be certified below 2^63; the quotient, built in
+    # Python ints, is measured and fits
+    assert prod.coeffs.dtype == object
+    q = div(prod, b)
+    assert q == a and q.coeffs.dtype == np.int64
+
+
+@given(factored(2, max_coord=4, max_factors=3), st.integers(0, 8))
+def test_expansion_text_matches_pure_python(f, bound):
+    assert series_to_text(expand(f, bound)) == reference_text(f, bound)
+
+
+@given(st.dictionaries(exponents(1, 3), st.integers(-60, 2), max_size=3),
+       st.integers(0, 40))
+def test_large_powers_match_pure_python(factors, bound):
+    # powers down to -60 push coefficients far past 2^63
+    f = FactoredSeries(1, factors)
+    s = expand(f, bound)
+    assert series_to_text(s) == reference_text(f, bound)
+    assert series_from_text(series_to_text(s)) == s
+
+
+# -- grid-size guard --------------------------------------------------------
+
+
+@pytest.mark.parametrize("nvars,bound", [(30, 5), (2, 4096), (1, MAX_CELLS),
+                                         (40, 0), (2, 10 ** 40)])
+def test_oversized_grids_are_refused(nvars, bound):
+    with pytest.raises(SeriesError, match="cells"):
+        TruncatedSeries.zeros(nvars, bound)
+    with pytest.raises(SeriesError, match="cells"):
+        expand(FactoredSeries(nvars, {}), bound)
+    # refused from the header, before the malformed line is read
+    with pytest.raises(SeriesError, match="cells"):
+        series_from_text(f"vars {nvars} mode expanded bound {bound}\njunk\n")
+
+
+def test_largest_used_grid_is_admitted():
+    assert MAX_CELLS >= 26 ** 4
+    s = expand(FactoredSeries(4, {(1, 1, 1, 1): -1}), 25)
+    assert s[(25, 25, 25, 25)] == 1
