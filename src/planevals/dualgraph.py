@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
     "GraphError",
@@ -384,34 +384,6 @@ def minimize_curve_resolution(graph: DualGraph) -> DualGraph:
 # -- combinatorial equivalence -------------------------------------------
 
 
-def _vertex_code(graph: DualGraph, v: int, memo: dict) -> str:
-    if v in memo:
-        return memo[v]
-    ps = graph.parents[v - 1]
-    if not ps:
-        tag = "R"
-    elif len(ps) == 1:
-        tag = "F"
-    else:
-        other, tree_parent = ps
-        pp = graph.parents[tree_parent - 1]
-        if other not in pp:
-            raise GraphError("satellite parents out of order")
-        if len(pp) == 1:
-            tag = "S1"
-        else:
-            tag = "SL" if other == min(pp) else "SH"
-    marks = ",".join(str(i + 1)
-                     for i, w in enumerate(graph.marked_divisors) if w == v)
-    arrs = ",".join(str(b) for b in graph.arrows_at(v))
-    kids = sorted(_vertex_code(graph, c, memo)
-                  for c in graph.vertex_ids()
-                  if graph.parents[c - 1] and max(graph.parents[c - 1]) == v)
-    code = f"({tag};{marks};{arrs}|{''.join(kids)})"
-    memo[v] = code
-    return code
-
-
 def canonical_code(graph: DualGraph) -> str:
     """Creation-order-independent encoding of (graph, order, decorations).
 
@@ -419,12 +391,43 @@ def canonical_code(graph: DualGraph) -> str:
     its largest parent); a tag records whether the vertex is free or which
     of the tree-parent's own parents the satellite point involved.  Child
     codes are sorted, so any relabeling that preserves parent structure and
-    decorations yields the same string.
+    decorations yields the same string.  A child's id is larger than its
+    parent's, so codes are built in decreasing id order, without
+    recursion, and each child's code is dropped once its parent's is built.
     """
-    if graph.n == 0:
+    n = graph.n
+    if n == 0:
         return "()"
-    memo: dict = {}
-    return _vertex_code(graph, 1, memo)
+    kids: List[List[int]] = [[] for _ in range(n + 1)]
+    for c in range(2, n + 1):
+        kids[max(graph.parents[c - 1])].append(c)
+    marks: List[List[str]] = [[] for _ in range(n + 1)]
+    for i, w in enumerate(graph.marked_divisors):
+        marks[w].append(str(i + 1))
+    arrs: List[List[str]] = [[] for _ in range(n + 1)]
+    for w, b in graph.arrows:
+        arrs[w].append(str(b))
+    codes: List[Optional[str]] = [None] * (n + 1)
+    for v in range(n, 0, -1):
+        ps = graph.parents[v - 1]
+        if not ps:
+            tag = "R"
+        elif len(ps) == 1:
+            tag = "F"
+        else:
+            other, tree_parent = ps
+            pp = graph.parents[tree_parent - 1]
+            if other not in pp:
+                raise GraphError("satellite parents out of order")
+            if len(pp) == 1:
+                tag = "S1"
+            else:
+                tag = "SL" if other == min(pp) else "SH"
+        body = "".join(sorted(codes[c] for c in kids[v]))
+        for c in kids[v]:
+            codes[c] = None
+        codes[v] = f"({tag};{','.join(marks[v])};{','.join(arrs[v])}|{body})"
+    return codes[1]
 
 
 def equivalent(g1: DualGraph, g2: DualGraph) -> bool:

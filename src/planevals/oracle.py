@@ -7,18 +7,19 @@ series is then assembled straight from its definition (L, then the two
 algebraic steps).  Nothing here reuses the closed formulas, so agreement
 with the poincare module is meaningful evidence.
 
-All arithmetic is exact: integer polynomial dictionaries, rational
-elimination.  Divisorial valuations use a single symbolic-generic
+All arithmetic is exact: integer polynomial dictionaries, fraction-free
+integer elimination.  Divisorial valuations use a single symbolic-generic
 curvette (an indeterminate lambda), never random sampling.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .dualgraph import DualGraph, multiplicity_matrix
 from .poincare import Branch, Divisorial, ValuationSpec
@@ -305,50 +306,62 @@ def _lead(p: Poly, level: int) -> Tuple[int, ...]:
     return tuple(row)
 
 
-def _dependency(rows: List[Tuple[int, ...]]) -> Optional[List[Fraction]]:
-    """Coefficients of a vanishing combination of the rows, if any."""
+def _dependency(rows: List[Tuple[int, ...]]) -> Optional[List[int]]:
+    """Integer coefficients of a vanishing combination of the rows, if any.
+
+    Fraction-free elimination: every reduced row carries the integer
+    combination of input rows it stands for, and the two are divided by
+    their common gcd after each row.  The first row that reduces to zero
+    closes the combination; the rows before it are independent, so the
+    combination is unique up to a scalar.  It is returned primitive, with
+    a positive coefficient on that row.  Rows of unequal length are padded
+    with zeros.
+    """
     width = max((len(r) for r in rows), default=0)
-    ech: List[Tuple[List[Fraction], Dict[int, Fraction]]] = []
+    n = len(rows)
+    ech: List[Tuple[int, List[int]]] = []
     for idx, raw in enumerate(rows):
-        vec = [Fraction(raw[i]) if i < len(raw) else Fraction(0)
-               for i in range(width)]
-        expr = {idx: Fraction(1)}
-        for evec, eexpr in ech:
-            piv = next(i for i, x in enumerate(evec) if x)
-            if vec[piv]:
-                f = vec[piv] / evec[piv]
-                for i in range(width):
-                    vec[i] -= f * evec[i]
-                for k, x in eexpr.items():
-                    expr[k] = expr.get(k, Fraction(0)) - f * x
-        if any(vec):
-            ech.append((vec, expr))
-        else:
-            out = [Fraction(0)] * len(rows)
-            for k, x in expr.items():
-                out[k] = x
-            return out
+        # the row itself, then its coefficients over the input rows
+        row = list(raw) + [0] * (width - len(raw) + n)
+        row[width + idx] = 1
+        for piv, erow in ech:
+            a = row[piv]
+            if a:
+                b = erow[piv]
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+                row = [b * x - a * y for x, y in zip(row, erow)]
+        piv = next((i for i in range(width) if row[i]), None)
+        if piv is None:
+            dep = row[width:]
+            g = math.gcd(*dep)
+            return [c // g if dep[idx] > 0 else -c // g for c in dep]
+        g = math.gcd(*row)
+        ech.append((piv, row if g == 1 else [x // g for x in row]))
     return None
-
-
-_BASIS_CACHE: Dict[tuple, tuple] = {}
 
 
 def _adapted_profiles(graph: DualGraph, spec, W: int, cap: int):
     """Value profiles of a jet basis adapted to all valuations at once.
 
-    Basis of the monomials of degree <= W, repeatedly corrected: whenever
-    several elements share a finite leading level along one valuation and
-    their leading data are linearly dependent, the combination (which
-    sinks deeper) replaces the participant whose profile along the other
-    valuation is smallest.  For one or two valuations this terminates
-    and yields a basis whose profile counts compute dim of every needed
-    J(w) intersection; more valuations are refused.
+    Starts from the monomials of degree <= W and sweeps the valuations in
+    turn.  A sweep along valuation k buckets the basis by its level (the
+    order along k, below ``cap``) and walks the levels upwards.  Whenever
+    the leading data of a level's elements are linearly dependent, the
+    combination, which sinks deeper along k, replaces the participant
+    whose profile along the other valuation is smallest, and moves to the
+    bucket of its new level, which the same sweep visits later.  Each
+    replacement raises the profile along k and lowers none, so the sweeps
+    end; they stop once the last sweep of every valuation made no
+    correction.
+
+    At the end, along every valuation and at every finite level, the
+    leading data are independent, so the basis is adapted to each
+    filtration.  A basis adapted to each of two filtrations is adapted to
+    their intersections, so the profile counts compute the dimension of
+    every needed J(w) intersection, whatever order the corrections came
+    in.  More than two valuations are refused.
     """
-    key = (graph, tuple(spec), W, cap)
-    got = _BASIS_CACHE.get(key)
-    if got is not None:
-        return got
     r = len(spec)
     if r > 2:
         raise OracleError("adapted-basis elimination is certified for at "
@@ -369,82 +382,81 @@ def _adapted_profiles(graph: DualGraph, spec, W: int, cap: int):
                           for k in range(r)])
 
     def profile(ps: List[Poly]) -> Tuple[int, ...]:
-        return tuple(min(cap, _order(p)) if _order(p) is not None else cap
-                     for p in ps)
+        return tuple(min(cap, _order(p) if p else cap) for p in ps)
 
     profs = [profile(ps) for ps in pulls]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(r):
-            levels: Dict[int, List[int]] = {}
-            for idx, pr in enumerate(profs):
-                if pr[k] < cap:
-                    levels.setdefault(pr[k], []).append(idx)
-            for level, members in sorted(levels.items()):
-                if len(members) < 2:
-                    continue
-                rows = [_lead(pulls[m][k], level) for m in members]
+
+    def sweep(k: int) -> bool:
+        """Make every finite level along k independent; True if any
+        element was replaced."""
+        buckets: Dict[int, List[int]] = {}
+        for idx, pr in enumerate(profs):
+            if pr[k] < cap:
+                buckets.setdefault(pr[k], []).append(idx)
+        heap = list(buckets)
+        heapq.heapify(heap)
+        corrected = False
+        while heap:
+            level = heapq.heappop(heap)
+            members = sorted(buckets.pop(level))
+            rows = [_lead(pulls[m][k], level) for m in members]
+            while len(members) > 1:
                 dep = _dependency(rows)
                 if dep is None:
-                    continue
-                denom = 1
-                for f in dep:
-                    denom = denom * f.denominator // math.gcd(
-                        denom, f.denominator)
-                coefs = [int(f * denom) for f in dep]
-                participants = [m for m, c in zip(members, coefs) if c]
+                    break
+                participants = [m for m, c in zip(members, dep) if c]
                 if r == 2:
                     victim = min(participants,
                                  key=lambda m: profs[m][1 - k])
                 else:
                     victim = participants[0]
                 combo = [dict() for _ in range(r)]
-                for m, c in zip(members, coefs):
+                for m, c in zip(members, dep):
                     if c:
                         for kk in range(r):
                             _padd_scaled(combo[kk], pulls[m][kk], c)
                 pulls[victim] = combo
                 profs[victim] = profile(combo)
-                changed = True
-                break
-            if changed:
-                break
-    result = (tuple(profs), len(pulls))
-    _BASIS_CACHE[key] = result
-    return result
+                pos = members.index(victim)
+                del members[pos], rows[pos]
+                deeper = profs[victim][k]
+                if deeper < cap:
+                    if deeper not in buckets:
+                        buckets[deeper] = []
+                        heapq.heappush(heap, deeper)
+                    buckets[deeper].append(victim)
+                corrected = True
+        return corrected
+
+    # clean counts the valuations whose last sweep left them adapted with
+    # nothing replaced since
+    clean, k = 0, 0
+    while clean < r:
+        clean = 1 if sweep(k) else clean + 1
+        k = (k + 1) % r
+    return profs
 
 
-def _profile_counts(profs, cap: int, r: int):
-    """counts[w] = number of basis profiles >= w, on the grid [0, cap]^r."""
-    size = cap + 1
-    if r == 1:
-        counts = [0] * size
-        for (a,) in profs:
-            counts[min(a, cap)] += 1
-        for i in range(size - 2, -1, -1):
-            counts[i] += counts[i + 1]
-        return counts
-    counts = [[0] * size for _ in range(size)]
-    for a, b in profs:
-        counts[min(a, cap)][min(b, cap)] += 1
-    for i in range(size - 1, -1, -1):
-        for j in range(size - 2, -1, -1):
-            counts[i][j] += counts[i][j + 1]
-    for i in range(size - 2, -1, -1):
-        for j in range(size):
-            counts[i][j] += counts[i + 1][j]
+def _profile_counts(profs, cap: int, r: int) -> np.ndarray:
+    """counts[w] = number of basis profiles >= w, on the grid [0, cap]^r.
+
+    A count is at most the basis size (W+1)(W+2)/2, at most 4000 for
+    definitional_poincare, so int64 cannot overflow here or in the
+    differences taken from it.
+    """
+    counts = np.zeros((cap + 1,) * r, dtype=np.int64)
+    np.add.at(counts, tuple(np.array(profs, dtype=np.int64).T), 1)
+    for axis in range(r):
+        counts = np.flip(np.cumsum(np.flip(counts, axis), axis=axis), axis)
     return counts
 
 
-def _jdim(counts, w: Sequence[int], cap: int, r: int) -> int:
-    idx = [max(0, min(x, cap)) for x in w]
+def _jdim(counts: np.ndarray, w: Sequence[int], cap: int) -> int:
+    """dim of J(w) on the jets; a coordinate below 0 reads index 0."""
     if any(x > cap for x in w):
         # a coordinate beyond the cap is outside the certified window
         raise OracleError("query beyond the jet-space window")
-    if r == 1:
-        return counts[idx[0]]
-    return counts[idx[0]][idx[1]]
+    return int(counts[tuple(max(0, x) for x in w)])
 
 
 def ideal_dim(graph: DualGraph, spec: ValuationSpec, v: Sequence[int]) -> int:
@@ -460,10 +472,9 @@ def ideal_dim(graph: DualGraph, spec: ValuationSpec, v: Sequence[int]) -> int:
     top = max(v) + 1 if v else 1
     cap = top + 1
     W = top + 2
-    profs, _ = _adapted_profiles(graph, spec, W, cap)
-    counts = _profile_counts(profs, cap, r)
+    counts = _profile_counts(_adapted_profiles(graph, spec, W, cap), cap, r)
     up = tuple(x + 1 for x in v)
-    return _jdim(counts, v, cap, r) - _jdim(counts, up, cap, r)
+    return _jdim(counts, v, cap) - _jdim(counts, up, cap)
 
 
 def definitional_poincare(graph: DualGraph, spec: ValuationSpec,
@@ -484,24 +495,18 @@ def definitional_poincare(graph: DualGraph, spec: ValuationSpec,
     if (W + 1) * (W + 2) // 2 > 4000:
         raise OracleError(f"bound {bound} is beyond oracle feasibility")
     cap = bound + 2
-    profs, _ = _adapted_profiles(graph, spec, W, cap)
-    counts = _profile_counts(profs, cap, r)
-
-    def L(v: Sequence[int]) -> int:
-        lo = _jdim(counts, v, cap, r)
-        hi = _jdim(counts, [x + 1 for x in v], cap, r)
-        return lo - hi
-
-    shape = (bound + 1,) * r
-    prime = TruncatedSeries.zeros(r, bound)
-    arr = prime.coeffs
-    for w in itertools.product(range(bound + 1), repeat=r):
-        total = 0
-        for tset in itertools.product((0, 1), repeat=r):
-            sign = (-1) ** (r - sum(tset))
-            total += sign * L([w[i] - tset[i] for i in range(r)])
-        arr[w] = total
-    return divide_torus(prime)
+    counts = _profile_counts(_adapted_profiles(graph, spec, W, cap), cap, r)
+    # dims[i] = dim J(i - 1) for i in [0, bound + 2]^r: index -1 reads 0
+    idx = np.concatenate(([0], np.arange(bound + 2)))
+    dims = counts[np.ix_(*([idx] * r))]
+    # L(v) = dim J(v) - dim J(v + (1, .., 1)) for v in [-1, bound]^r
+    ell = dims[(slice(0, -1),) * r] - dims[(slice(1, None),) * r]
+    # prime(w) = sum over T of (-1)^(r - |T|) L(w - T): one difference
+    # L(w - e_i) - L(w) per axis
+    prime = ell
+    for axis in range(r):
+        prime = -np.diff(prime, axis=axis)
+    return divide_torus(TruncatedSeries(r, bound, prime))
 
 
 def semigroup_series(generators: Sequence[int], bound: int) -> TruncatedSeries:

@@ -239,16 +239,55 @@ class _Kernel:
         else:
             self.arr[dst] -= self.arr[src]
 
+    def _binomial(self, m, coefs) -> None:
+        """Multiply by ``sum_j coefs[j] * t^{jm}`` (``coefs[0] == 1``),
+        one scaled pass per term, each from a copy of the buffer.
+
+        The result is at most ``sum_j |coefs[j]|`` times the old
+        ``max |c|``, and so is every partial sum and every scaled term.
+        """
+        if self.mag == 0:
+            return
+        if self.mag is not None:
+            total = sum(abs(c) for c in coefs)
+            if self.mag * total >= _INT64_LIMIT:
+                self.mag = _magnitude(self.arr)
+            if self.mag * total >= _INT64_LIMIT:
+                self.arr = self.arr.astype(object)
+                self.mag = None
+            else:
+                self.mag *= total
+        orig = self.arr.copy()
+        for j, c in enumerate(coefs):
+            if j and c:
+                src, dst = _views(self.arr.shape, tuple(j * e for e in m))
+                self.arr[dst] += c * orig[src]
+
     def power(self, m, k: int) -> None:
         """Multiply by ``(1 - t^m)^k`` for any integer ``k``.
 
-        A negative power multiplies by ``1/(1 - t^m) = sum_j t^{jm}`` once
-        per unit, by the doubling trick: adding a copy of the partial sum
-        shifted by ``2^i * m`` doubles the number of geometric terms
-        accumulated, so only O(log bound) passes are needed.
+        Two schedules.  Unit by unit, a positive power subtracts one
+        shifted copy per unit, and a negative power multiplies by
+        ``1/(1 - t^m) = sum_j t^{jm}`` once per unit by the doubling
+        trick: adding a copy of the partial sum shifted by ``2^i * m``
+        doubles the number of geometric terms accumulated, so a unit takes
+        O(log bound) passes.  Binomially, only the terms
+        ``j <= bound // max(m)`` of ``sum_j binom(k, j) (-t^m)^j`` reach
+        the grid, so that many scaled passes do any ``k``, however large;
+        they read from a copy of the whole grid, so this schedule runs
+        only where it takes at most half the passes of the other.
         """
         bound = self.arr.shape[0] - 1
-        if any(e > bound for e in m):
+        top = max(m)
+        if top > bound or k == 0:
+            return
+        reach = bound // top
+        unit = 1 if k > 0 else reach.bit_length()
+        if 2 * (reach + 1) <= abs(k) * unit:
+            coefs = [1]
+            for j in range(1, reach + 1):
+                coefs.append(-coefs[-1] * (k - j + 1) // j)
+            self._binomial(m, coefs)
             return
         for _ in range(abs(k)):
             if k > 0:

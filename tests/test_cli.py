@@ -1,13 +1,16 @@
 """Command-line surface: flags, files, exit codes, report formats."""
 
 import json
+import time
 
 from planevals import cli, equivalent, graph_from_json, series_from_text
 from planevals.cli import main
 from planevals.series import MAX_CELLS
 
 from conftest import CUSP_DIV, CUSP_PAIR, TACNODE, series_of
-from planevals import FactoredSeries, graph_to_json, series_to_text
+from planevals import (FactoredSeries, expand, factorize, graph_to_json,
+                       series_to_text)
+from planevals.reconstruct import BranchData, graph_from_branch
 
 
 def write(tmp_path, name, text):
@@ -200,3 +203,25 @@ def test_roundtrip_counts_any_exception_as_failure(capsys, monkeypatch):
     assert [dict(kv.split("=") for kv in ln.split())["status"]
             for ln in lines[:2]] == ["FAIL", "FAIL"]
     assert lines[2] == "total=2 failures=2"
+
+
+def test_equiv_on_a_deep_chain(tmp_path, capsys):
+    # gens (2, 1199) resolve to a 601-vertex chain, deeper than the
+    # interpreter's recursion limit allows a recursive canonical code
+    b = BranchData.from_generators((2, 1199), 0)
+    g = graph_from_branch(b, "curve")
+    assert g.n == 601
+    path = write(tmp_path, "deep.json", graph_to_json(g))
+    assert main(["equiv", path, path]) == 0
+    assert capsys.readouterr().out.startswith("equivalent\n")
+
+
+def test_huge_coefficient_factorizes_promptly(tmp_path, capsys):
+    # peeling 10000 * t costs a bounded number of passes, not 10000
+    text = "vars 1 mode expanded bound 2\n1 0\n10000 1\n"
+    start = time.perf_counter()
+    f = factorize(series_from_text(text))
+    assert time.perf_counter() - start < 1.0
+    assert series_to_text(expand(f, 2)) == text
+    path = write(tmp_path, "p.txt", text)
+    assert main(["reconstruct", path, "--mode", "curve"]) == 2

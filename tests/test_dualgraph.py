@@ -227,6 +227,47 @@ def test_equivalence_sees_decorations():
                           DualGraph(base, (), ((2, 1),)))
 
 
+def recursive_code(graph, v=1):
+    """The recursive definition of canonical_code, for small graphs."""
+    if graph.n == 0:
+        return "()"
+    ps = graph.parents[v - 1]
+    if not ps:
+        tag = "R"
+    elif len(ps) == 1:
+        tag = "F"
+    else:
+        other, tree_parent = ps
+        pp = graph.parents[tree_parent - 1]
+        tag = ("S1" if len(pp) == 1
+               else "SL" if other == min(pp) else "SH")
+    marks = ",".join(str(i + 1)
+                     for i, w in enumerate(graph.marked_divisors) if w == v)
+    arrs = ",".join(str(b) for b in graph.arrows_at(v))
+    kids = sorted(recursive_code(graph, c) for c in graph.vertex_ids()
+                  if graph.parents[c - 1] and max(graph.parents[c - 1]) == v)
+    return f"({tag};{marks};{arrs}|{''.join(kids)})"
+
+
+def test_canonical_code_matches_recursive_definition():
+    graphs = small_corpus() + [DualGraph((), (), ())]
+    graphs += [random_instance(seed, 30, 1 + seed % 4,
+                               ("divisorial", "curve")[seed % 2])
+               for seed in range(40)]
+    for g in graphs:
+        assert canonical_code(g) == recursive_code(g)
+
+
+def test_canonical_code_of_deep_chain():
+    # far deeper than the interpreter's recursion limit
+    n = 1500
+    g = DualGraph(((),) + tuple((v - 1,) for v in range(2, n + 1)),
+                  (n,), ((n, 1),))
+    code = canonical_code(g)
+    assert code == "(R;;|" + "(F;;|" * (n - 2) + "(F;1;1|)" + ")" * (n - 1)
+    assert equivalent(g, g)
+
+
 # -- random instances --------------------------------------------------------
 
 

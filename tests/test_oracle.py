@@ -8,13 +8,16 @@ not circularity.
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planevals import (Branch, Divisorial, DualGraph, OracleError,
                        branch_parametrization, curvette_parametrization,
                        default_spec, definitional_poincare, expand, ideal_dim,
                        multiplicity_matrix, multiplicity_sequence,
-                       noether_contact, poincare_series, semigroup_series,
-                       valuation)
+                       noether_contact, poincare_series, random_instance,
+                       semigroup_series, valuation)
+from planevals.oracle import _dependency
 
 from conftest import (CUSP_CURVE, CUSP_DIV, NODE, SMOOTH, TACNODE,
                       TRANSVERSAL_CUSPS, ladder_graph, series_of,
@@ -171,6 +174,67 @@ def test_mixed_spec_accepted():
     for a in range(7):
         for b in range(7):
             assert p[(a, b)] == q[(a, b)]
+
+
+def test_dependency_returns_a_vanishing_integer_combination():
+    rows = [(2, 4, 0), (1, 0, 3), (0, 4, -6)]
+    dep = _dependency(rows)
+    assert all(isinstance(c, int) for c in dep)
+    assert dep == [-1, 2, 1]
+    assert all(sum(c * r[i] for c, r in zip(dep, rows)) == 0
+               for i in range(3))
+
+
+def test_dependency_is_primitive_and_positive_on_the_closing_row():
+    dep = _dependency([(4, 6), (6, 9)])
+    assert dep == [-3, 2]
+    # only the first dependent prefix counts; the last row is unused
+    assert _dependency([(1, 0), (3, 0), (0, 1)]) == [-3, 1, 0]
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), max_size=4), min_size=1,
+                max_size=5))
+def test_dependency_vanishes_and_is_primitive(rows):
+    dep = _dependency(rows)
+    if dep is None:
+        return
+    last = max(i for i, c in enumerate(dep) if c)
+    assert dep[last] > 0 and math.gcd(*dep) == 1
+    width = max(len(r) for r in rows)
+    for i in range(width):
+        assert sum(c * (r[i] if i < len(r) else 0)
+                   for c, r in zip(dep, rows)) == 0
+
+
+def test_dependency_none_for_independent_rows():
+    assert _dependency([(1, 0, 0), (0, 1), (1, 1, 1)]) is None
+    assert _dependency([(5,)]) is None
+    assert _dependency([]) is None
+
+
+def test_dependency_pads_rows_of_unequal_length():
+    rows = [(1,), (0, 2), (3, 4, 0, 0)]
+    dep = _dependency(rows)
+    assert dep == [-3, -2, 1]
+    assert _dependency([(0, 0, 1), (0, 0, 0, 0)]) == [0, 1]
+
+
+def test_definitional_poincare_random_two_divisorial():
+    bound = 20
+    box = bound - 2 + 1
+    checked = 0
+    for seed in range(40):
+        g = random_instance(300 + seed, 12, 2, "divisorial")
+        spec = default_spec(g)
+        if len(spec) != 2:
+            continue
+        p = expand(poincare_series(g, spec), bound)
+        q = definitional_poincare(g, spec, bound)
+        assert (p.coeffs[:box, :box] == q.coeffs[:box, :box]).all(), seed
+        checked += 1
+        if checked == 10:
+            break
+    assert checked == 10
 
 
 # -- numerical semigroups ------------------------------------------------------

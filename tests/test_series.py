@@ -365,6 +365,34 @@ def test_elementwise_ops_promote_near_the_limit():
     assert q == a and q.coeffs.dtype == np.int64
 
 
+def test_huge_negative_power_is_binomial():
+    # (1 - t)^(-10^6): C(n + 10^6 - 1, n), far past int64; a million
+    # unit-by-unit passes would not finish
+    k = 10 ** 6
+    s = expand(FactoredSeries(1, {(1,): -k}), 40)
+    assert s.coeffs.dtype == object
+    for n in range(41):
+        assert s[(n,)] == math.comb(n + k - 1, n)
+    lines = ["vars 1 mode expanded bound 40"]
+    lines += [f"{math.comb(n + k - 1, n)} {n}" for n in range(41)]
+    assert series_to_text(s) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k,dtype", [(10 ** 5, np.int64),
+                                     (2 * 10 ** 5, object)])
+def test_huge_positive_power_stays_exact(k, dtype):
+    # sum_{j <= 4} C(k, j) is below 2^63 for k = 10^5 and above it for
+    # 2 * 10^5, so the first result is certified in int64 and the second
+    # is promoted
+    s = TruncatedSeries.one(2, 9).mul_one_minus_power((2, 0), k)
+    assert s.coeffs.dtype == dtype
+    assert cells(s) == {(i, j): (math.comb(k, i // 2) * (-1) ** (i // 2)
+                                 if i % 2 == 0 and j == 0 else 0)
+                        for i in range(10) for j in range(10)}
+    back = s.mul_one_minus_power((2, 0), -k)
+    assert back == TruncatedSeries.one(2, 9)
+
+
 @given(factored(2, max_coord=4, max_factors=3), st.integers(0, 8))
 def test_expansion_text_matches_pure_python(f, bound):
     assert series_to_text(expand(f, bound)) == reference_text(f, bound)
