@@ -10,6 +10,7 @@ marked divisors (divisorial valuations) and arrows (curve branches).
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 from dataclasses import dataclass
@@ -30,7 +31,14 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
     "bareiss_det",
+    "MAX_VERTICES",
 ]
+
+# Largest max_vertices that random_instance accepts.  It draws the vertex
+# count up to this value and builds the graph in memory, so a larger request
+# raises GraphError before any drawing.  At the limit a CLI `gen` takes
+# about 0.4 s on a 2-core x86_64 VM.
+MAX_VERTICES = 10 ** 4
 
 
 class GraphError(ValueError):
@@ -337,48 +345,65 @@ def downward_closure(graph: DualGraph, S: Iterable[int]) -> DualGraph:
     return DualGraph(parents, marks, ())
 
 
-def _contract(graph: DualGraph, v: int) -> DualGraph:
-    """Blow down the maximal vertex v (callers check contractibility)."""
-    ps = graph.parents[v - 1]
-    remap = {old: (old if old < v else old - 1)
-             for old in graph.vertex_ids() if old != v}
-    parents = tuple(tuple(remap[p] for p in graph.parents[old - 1])
-                    for old in graph.vertex_ids() if old != v)
-    marks = tuple(remap[w] for w in graph.marked_divisors)
-    arrows = []
-    for w, b in graph.arrows:
-        if w == v:
-            if len(ps) != 1:
-                raise GraphError("cannot move an arrow off a satellite")
-            arrows.append((remap[ps[0]], b))
-        else:
-            arrows.append((remap[w], b))
-    return DualGraph(parents, marks, tuple(arrows))
-
-
 def minimize_curve_resolution(graph: DualGraph) -> DualGraph:
     """Contract needless exceptional curves of a curve resolution.
 
     A maximal vertex (self-intersection -1) is blown down when it is
     unmarked, is not the last vertex, and meets at most two components of
-    the total transform (edges plus arrows).  Arrows on a contracted free
-    vertex reattach to its parent; contracting a satellite restores the
-    adjacency of its parents.  Repeats until no contraction applies.
+    the total transform (edges plus arrows); a satellite carrying arrows is
+    never blown down.  Arrows on a contracted free vertex reattach to its
+    parent; contracting a satellite restores the adjacency of its parents.
+    Contractions run on a working copy kept on the input's ids until none
+    applies; the survivors are then renumbered in creation order and
+    validated as one DualGraph.  The result is that of contracting the
+    smallest eligible id first, one rebuilt graph per step.  The input
+    itself is returned when nothing contracts.
     """
-    g = graph
-    while True:
-        target = None
-        for v in g.maximal_vertices():
-            if g.n < 2 or v in g.marked_divisors:
-                continue
-            load = g.valence(v) + len(g.arrows_at(v))
-            if load <= 2 and not (len(g.parents[v - 1]) == 2
-                                  and g.arrows_at(v)):
-                target = v
-                break
-        if target is None:
-            return g
-        g = _contract(g, target)
+    n = graph.n
+    parents = graph.parents
+    kids = [0] * (n + 1)
+    adj: List[set] = [set() for _ in range(n + 1)]
+    for v in graph.vertex_ids():
+        adj[v].update(graph.neighbors(v))
+        for p in parents[v - 1]:
+            kids[p] += 1
+    arrows: List[List[int]] = [[] for _ in range(n + 1)]
+    for v, b in graph.arrows:
+        arrows[v].append(b)
+    marked = set(graph.marked_divisors)
+    alive = [True] * (n + 1)
+    left = n
+
+    # Contracting v changes only its parents, whose ids are smaller, so one
+    # pass in decreasing id order sees each vertex after every change that
+    # can reach it.  Two eligible vertices are never parent and child, and
+    # arrows are sorted on construction, so contractions commute and this
+    # order gives the graph of the smallest-eligible-id-first order.
+    for v in range(n, 0, -1):
+        ps = parents[v - 1]
+        if (kids[v] or left < 2 or v in marked
+                or len(adj[v]) + len(arrows[v]) > 2
+                or (len(ps) == 2 and arrows[v])):
+            continue
+        for p in ps:
+            adj[p].discard(v)
+            kids[p] -= 1
+        if len(ps) == 1:
+            arrows[ps[0]] += arrows[v]
+        else:
+            s, d = ps
+            adj[s].add(d)
+            adj[d].add(s)
+        alive[v] = False
+        left -= 1
+    if left == n:
+        return graph
+    survivors = [v for v in graph.vertex_ids() if alive[v]]
+    remap = {v: i for i, v in enumerate(survivors, 1)}
+    return DualGraph(
+        tuple(tuple(remap[p] for p in parents[v - 1]) for v in survivors),
+        tuple(remap[v] for v in graph.marked_divisors),
+        tuple((remap[v], b) for v in survivors for b in arrows[v]))
 
 
 # -- combinatorial equivalence -------------------------------------------
@@ -440,17 +465,25 @@ def equivalent(g1: DualGraph, g2: DualGraph) -> bool:
 
 def _random_sequence(rng: random.Random, n: int, satellite_bias: float
                      ) -> DualGraph:
-    g, _ = blowup(DualGraph(), "origin")
-    for _ in range(n - 1):
-        edges = sorted((min(a, b), max(a, b))
-                       for a in g.vertex_ids() for b in g.neighbors(a)
-                       if a < b)
+    # The RNG calls are those of appending one blowup at a time and reading
+    # each intermediate graph: rng.random() only once an edge exists, then
+    # rng.choice over the edges (a, b), a < b, in sorted order, or over the
+    # ids 1..v-1.  Hence the edge list is kept sorted, and only the final
+    # sequence is replayed, which re-checks every parent and adjacency.
+    parents: List[Tuple[int, ...]] = [()]
+    edges: List[Tuple[int, int]] = []
+    for v in range(2, n + 1):
         if edges and rng.random() < satellite_bias:
             s, d = rng.choice(edges)
-            g, _ = blowup(g, ("satellite", s, d))
+            del edges[bisect.bisect_left(edges, (s, d))]
+            bisect.insort(edges, (s, v))
+            bisect.insort(edges, (d, v))
+            parents.append((s, d))
         else:
-            g, _ = blowup(g, ("free", rng.choice(list(g.vertex_ids()))))
-    return g
+            s = rng.choice(range(1, v))
+            bisect.insort(edges, (s, v))
+            parents.append((s,))
+    return DualGraph(tuple(parents))
 
 
 def random_instance(seed: int, max_vertices: int, r: int, mode: str,
@@ -462,10 +495,13 @@ def random_instance(seed: int, max_vertices: int, r: int, mode: str,
         raise GraphError("need max_vertices >= 1 and r >= 1")
     if r > max_vertices:
         raise GraphError("more valuations requested than vertices allowed")
+    if max_vertices > MAX_VERTICES:
+        raise GraphError(f"max_vertices {max_vertices} exceeds the limit "
+                         f"{MAX_VERTICES}")
     rng = random.Random(seed)
     n = rng.randint(r, max_vertices)
     g = _random_sequence(rng, n, satellite_bias)
-    picks = rng.sample(sorted(g.vertex_ids()), r)
+    picks = rng.sample(range(1, n + 1), r)
     if mode == "divisorial":
         return downward_closure(g, picks)
     arrows = tuple((v, i + 1) for i, v in enumerate(picks))

@@ -5,6 +5,7 @@ import time
 
 from planevals import cli, equivalent, graph_from_json, series_from_text
 from planevals.cli import main
+from planevals.dualgraph import MAX_VERTICES
 from planevals.series import MAX_CELLS
 
 from conftest import CUSP_DIV, CUSP_PAIR, TACNODE, series_of
@@ -225,3 +226,22 @@ def test_huge_coefficient_factorizes_promptly(tmp_path, capsys):
     assert series_to_text(expand(f, 2)) == text
     path = write(tmp_path, "p.txt", text)
     assert main(["reconstruct", path, "--mode", "curve"]) == 2
+
+
+def test_gen_refuses_oversized_requests_promptly(capsys):
+    # refused before the vertex count is drawn, not after building it
+    start = time.perf_counter()
+    assert main(["gen", "--mode", "curve", "--seed", "1",
+                 "--max-vertices", str(10 ** 9), "--r", "2"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "max_vertices" in capsys.readouterr().err
+    assert main(["roundtrip", "--mode", "div", "--trials", "1", "--seed",
+                 "1", "--max-vertices", str(MAX_VERTICES + 1)]) == 2
+
+
+def test_gen_at_the_vertex_limit(capsys):
+    for mode in ("div", "curve"):
+        assert main(["gen", "--mode", mode, "--seed", "3", "--max-vertices",
+                     str(MAX_VERTICES), "--r", "2"]) == 0
+        g = graph_from_json(capsys.readouterr().out)
+        assert 1 <= g.n <= MAX_VERTICES

@@ -1,6 +1,8 @@
 """Dual graphs: replay validation, order queries, matrices, equivalence."""
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -10,7 +12,7 @@ from planevals import (DualGraph, GraphError, blowup, canonical_code,
                        downward_closure, equivalent, graph_from_json,
                        graph_to_json, minimize_curve_resolution,
                        multiplicity_matrix, random_instance)
-from planevals.dualgraph import bareiss_det, euler_smooth
+from planevals.dualgraph import MAX_VERTICES, bareiss_det, euler_smooth
 
 from conftest import CUSP_CURVE, CUSP_DIV, TACNODE, small_corpus
 
@@ -301,6 +303,143 @@ def test_random_instance_rejections():
         random_instance(0, 0, 1, "curve")
     with pytest.raises(GraphError):
         random_instance(0, 5, 1, "weird")
+
+
+def test_random_instance_refuses_more_than_max_vertices():
+    assert random_instance(3, MAX_VERTICES, 2, "curve").n <= MAX_VERTICES
+    for mode in ("divisorial", "curve"):
+        with pytest.raises(GraphError, match="exceeds"):
+            random_instance(0, MAX_VERTICES + 1, 1, mode)
+        with pytest.raises(GraphError, match="exceeds"):
+            random_instance(0, 10 ** 9, 2, mode)
+
+
+# sha256 over graph_to_json of every instance generated below, as produced
+# by the generator that appended one blowup and rebuilt the graph each time
+GENERATION_DIGEST = (
+    "6327e1f16bd27694e82ad2f50810622ab004c32b36cc6a9a8290442429d72c03")
+
+
+def test_random_instances_match_pinned_digest():
+    h = hashlib.sha256()
+    for mode in ("divisorial", "curve"):
+        for mv in (12, 30):
+            for seed in range(300):
+                g = random_instance(seed, mv, 1 + seed % 4, mode)
+                h.update(graph_to_json(g).encode())
+        for seed in range(3):
+            h.update(graph_to_json(random_instance(seed, 800, 24, mode))
+                     .encode())
+    assert h.hexdigest() == GENERATION_DIGEST
+
+
+def reference_contract(graph, v):
+    """Blow down the maximal vertex v and rebuild the graph."""
+    ps = graph.parents[v - 1]
+    remap = {old: (old if old < v else old - 1)
+             for old in graph.vertex_ids() if old != v}
+    parents = tuple(tuple(remap[p] for p in graph.parents[old - 1])
+                    for old in graph.vertex_ids() if old != v)
+    marks = tuple(remap[w] for w in graph.marked_divisors)
+    arrows = []
+    for w, b in graph.arrows:
+        if w == v:
+            assert len(ps) == 1, "cannot move an arrow off a satellite"
+            arrows.append((remap[ps[0]], b))
+        else:
+            arrows.append((remap[w], b))
+    return DualGraph(parents, marks, tuple(arrows))
+
+
+def reference_minimize(graph):
+    """Contract the smallest eligible vertex and rescan, until none is."""
+    g = graph
+    while True:
+        target = None
+        for v in g.maximal_vertices():
+            if g.n < 2 or v in g.marked_divisors:
+                continue
+            load = g.valence(v) + len(g.arrows_at(v))
+            if load <= 2 and not (len(g.parents[v - 1]) == 2
+                                  and g.arrows_at(v)):
+                target = v
+                break
+        if target is None:
+            return g
+        g = reference_contract(g, target)
+
+
+def decorated_sequence(seed):
+    """A random blowup sequence with arrows and marks, stacked on the
+    maximal vertices so that every contraction rule comes into play."""
+    rng = random.Random(seed)
+    g, _ = blowup(DualGraph(), "origin")
+    for _ in range(rng.randint(0, 13)):
+        edges = [(a, b) for a in g.vertex_ids() for b in g.neighbors(a)
+                 if a < b]
+        if edges and rng.random() < 0.4:
+            g, _ = blowup(g, ("satellite",) + rng.choice(edges))
+        else:
+            g, _ = blowup(g, ("free", rng.randint(1, g.n)))
+    tips = g.maximal_vertices()
+    arrows = []
+    for b in range(1, rng.randint(0, 4) + 1):
+        pool = tips if rng.random() < 0.7 else tuple(g.vertex_ids())
+        if arrows and rng.random() < 0.4:
+            v = arrows[-1][0]
+        else:
+            v = rng.choice(pool)
+        arrows.append((v, b))
+    marks = rng.sample(range(1, g.n + 1), rng.choice((0, 0, 1, 2))
+                       if g.n >= 2 else 0)
+    return DualGraph(g.parents, tuple(marks), tuple(arrows))
+
+
+def free_chain(n, marks=(), arrows=()):
+    return DualGraph(((),) + tuple((v - 1,) for v in range(2, n + 1)),
+                     marks, arrows)
+
+
+def test_minimize_matches_rebuilding_reference():
+    graphs = [decorated_sequence(seed) for seed in range(200)]
+    graphs += [free_chain(6), free_chain(6, (), ((6, 1),)),
+               free_chain(6, (2,), ((6, 1),)),
+               free_chain(6, (), ((6, 1), (6, 2))),
+               free_chain(5, (), ((3, 1), (5, 2))), DualGraph(),
+               free_chain(1, (), ((1, 1),)),
+               # contracting 3 gives 2 back its edge to 1, which then
+               # meets three components and stays
+               DualGraph(((), (1,), (1, 2)), (), ((2, 1), (2, 2))),
+               DualGraph(((), (1,), (1, 2)), (), ((3, 1),))]
+    seen = set()
+    for g in graphs:
+        want = reference_minimize(g)
+        got = minimize_curve_resolution(g)
+        assert graph_to_json(got) == graph_to_json(want)
+        assert got == want
+        if want.n == g.n:
+            assert got is g
+        tips = [v for v in g.maximal_vertices() if g.n >= 2]
+        seen.update(
+            name for name, hit in (
+                ("stacked arrows", any(len(g.arrows_at(v)) >= 2
+                                       for v in g.vertex_ids())),
+                ("arrow on a satellite tip", any(
+                    len(g.parents[v - 1]) == 2 and g.arrows_at(v)
+                    for v in tips)),
+                ("marked tip", any(v in g.marked_divisors for v in tips)),
+                ("satellite contracted", any(
+                    len(g.parents[v - 1]) == 2 and not g.arrows_at(v)
+                    and v not in g.marked_divisors for v in tips)
+                 and want.n < g.n),
+                ("down to two", g.n >= 4 and want.n == 2),
+                ("down to one", g.n >= 4 and want.n == 1),
+            ) if hit)
+    assert len(seen) == 6, seen
+    # the chain shrinks to the last vertex the rule can spare
+    assert reference_minimize(free_chain(6)).n == 1
+    assert minimize_curve_resolution(free_chain(6, (2,), ((6, 1),))).n == 2
+    assert minimize_curve_resolution(graphs[-2]).n == 2
 
 
 # -- JSON format --------------------------------------------------------------
