@@ -77,20 +77,17 @@ class DualGraph:
         n = len(self.parents)
         adj = {v: set() for v in range(1, n + 1)}
         selfint = {}
-        down = {}
         for v in range(1, n + 1):
             ps = self.parents[v - 1]
             if v == 1:
                 if ps:
                     raise GraphError("vertex 1 cannot have parents")
-                down[v] = frozenset({1})
             elif len(ps) == 1:
                 (s,) = ps
                 if not 1 <= s < v:
                     raise GraphError(f"vertex {v}: bad parent {s}")
                 adj[s].add(v)
                 adj[v].add(s)
-                down[v] = down[s] | {v}
             elif len(ps) == 2:
                 s, d = ps
                 if not (1 <= s < v and s < d < v):
@@ -103,8 +100,6 @@ class DualGraph:
                 adj[s].add(v)
                 adj[d].add(v)
                 adj[v].update((s, d))
-                # parents of a satellite are comparable; d is the larger
-                down[v] = down[d] | {v}
             else:
                 raise GraphError(f"vertex {v}: needs 0, 1, or 2 parents")
             for p in ps:
@@ -115,7 +110,6 @@ class DualGraph:
                            {v: tuple(sorted(adj[v])) for v in adj})
         object.__setattr__(self, "_selfint",
                            tuple(selfint[v] for v in range(1, n + 1)))
-        object.__setattr__(self, "_down", down)
         object.__setattr__(self, "_nonmaximal", frozenset(children))
 
     def _check_decorations(self) -> None:
@@ -163,20 +157,47 @@ class DualGraph:
                 return v
         raise GraphError(f"no branch {branch}")
 
-    def down_set(self, v: int) -> frozenset:
-        """All vertices <= v in the blowup partial order (a chain)."""
-        return self._down[v]
+    def _vertex(self, v: int) -> int:
+        if not 1 <= v <= self.n:
+            raise GraphError(f"no vertex {v}")
+        return v
 
     def chain_to(self, v: int) -> Tuple[int, ...]:
-        """down_set(v) sorted in chain order (ids increase along it)."""
-        return tuple(sorted(self._down[v]))
+        """All vertices <= v in the blowup partial order, in id order.
+
+        The vertices <= v form a chain: the two parents of a satellite are
+        adjacent, and of two adjacent components the older lies under the
+        younger, so it is walked along tree parents (the larger parent of
+        each vertex) in O(depth of v).
+        """
+        parents = self.parents
+        out = [self._vertex(v)]
+        while parents[v - 1]:
+            v = parents[v - 1][-1]
+            out.append(v)
+        return tuple(reversed(out))
+
+    def down_set(self, v: int) -> frozenset:
+        """All vertices <= v in the blowup partial order (a chain)."""
+        return frozenset(self.chain_to(v))
 
     def leq(self, u: int, v: int) -> bool:
-        return u in self._down[v]
+        parents = self.parents
+        u, v = self._vertex(u), self._vertex(v)
+        while v > u:
+            v = parents[v - 1][-1]
+        return v == u
 
     def meet(self, u: int, v: int) -> int:
         """Largest common vertex of the chains to u and to v."""
-        return max(self._down[u] & self._down[v])
+        parents = self.parents
+        u, v = self._vertex(u), self._vertex(v)
+        while u != v:
+            if u > v:
+                u = parents[u - 1][-1]
+            else:
+                v = parents[v - 1][-1]
+        return u
 
     def is_maximal(self, v: int) -> bool:
         return v not in self._nonmaximal
@@ -219,51 +240,79 @@ def blowup(graph: DualGraph, kind) -> Tuple[DualGraph, int]:
 # -- multiplicity matrix --------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _mmatrix(graph: DualGraph) -> Tuple[Tuple[int, ...], ...]:
+def _column(graph: DualGraph, c: int) -> Tuple[int, ...]:
+    parents = graph.parents
     n = graph.n
-    m = [[0] * (n + 1) for _ in range(n + 1)]
-    for v in range(1, n + 1):
-        ps = graph.parents[v - 1]
-        for u in range(1, v):
-            m[u][v] = sum(m[u][w] for w in ps)
-        m[v][v] = 1 + sum(m[w][v] for w in ps)
-        for u in range(1, v):
-            m[v][u] = m[u][v]
-    rows = tuple(tuple(m[u][1:]) for u in range(1, n + 1))
-
-    # (-I) * m must be the identity; this also certifies unimodularity
+    chain = graph.chain_to(c)
+    # mu[u]: multiplicity of a curvette of E_c at the center blown up to
+    # create u.  By proximity it is the sum of mu over the vertices whose
+    # center lies on E_u (the children of u), plus 1 at c itself; it is 0
+    # off the chain, and every parent of a chain vertex is on the chain.
+    mu = [0] * (n + 1)
+    mu[c] = 1
+    for v in reversed(chain):
+        for p in parents[v - 1]:
+            mu[p] += mu[v]
+    # x[u]: order of the total transform of the curvette along E_u, which
+    # gains the orders along the components through the center of u
+    x = [0] * (n + 1)
     for u in range(1, n + 1):
-        nb = set(graph.neighbors(u))
-        for v in range(1, n + 1):
-            acc = -graph.self_intersection(u) * rows[u - 1][v - 1]
-            acc -= sum(rows[w - 1][v - 1] for w in nb)
-            if acc != (1 if u == v else 0):
-                raise GraphError("intersection matrix inversion failed")
-    for row in rows:
-        if any(e <= 0 for e in row):
-            raise GraphError("multiplicity matrix must be positive")
+        x[u] = mu[u] + sum(x[p] for p in parents[u - 1])
+
+    # (-I) x must be the unit vector e_c, so x is column c of (-I)^-1
+    selfint = graph._selfint
+    adj = graph._adj
+    for u in range(1, n + 1):
+        acc = -selfint[u - 1] * x[u] - sum(x[w] for w in adj[u])
+        if acc != (1 if u == c else 0):
+            raise GraphError("intersection matrix inversion failed")
+    if min(x[1:]) <= 0:
+        raise GraphError("multiplicity matrix must be positive")
     # growth along covers of the partial order: never decreasing, and
-    # strictly increasing in every column that lies above the new vertex
+    # strictly increasing along the chain to c
+    on_chain = set(chain)
     for v in range(2, n + 1):
-        cover = max(graph.parents[v - 1])
-        for col in range(1, n + 1):
-            lo, hi = rows[cover - 1][col - 1], rows[v - 1][col - 1]
-            if lo > hi or (graph.leq(v, col) and lo >= hi):
-                raise GraphError("multiplicity rows must grow along covers")
-    return rows
+        lo, hi = x[parents[v - 1][-1]], x[v]
+        if lo > hi or (v in on_chain and lo >= hi):
+            raise GraphError("multiplicity rows must grow along covers")
+    return tuple(x[1:])
 
 
-def multiplicity_matrix(graph: DualGraph) -> Tuple[Tuple[int, ...], ...]:
-    """The inverse of minus the intersection matrix, as integer rows.
+@lru_cache(maxsize=4096)
+def _columns(graph: DualGraph, cols: Tuple[int, ...]
+             ) -> Tuple[Tuple[int, ...], ...]:
+    done = {}
+    for c in cols:
+        if c not in done:
+            done[c] = _column(graph, c)
+    return tuple(done[c] for c in cols)
 
-    Built by the proximity recursion: column v is the sum of its parents'
-    columns plus the unit vector at v.  The result is verified against the
-    intersection data, so a corrupted graph cannot pass silently.
+
+def multiplicity_matrix(graph: DualGraph, cols: Optional[Iterable[int]] = None
+                        ) -> Tuple[Tuple[int, ...], ...]:
+    """Rows ``cols`` (all rows for None) of the inverse of minus the
+    intersection matrix, as integer tuples of length n.
+
+    The matrix is symmetric, so row c is also column c: entry u is the
+    order along E_u of a curvette of E_c.  It is built by the forward
+    recursion x_u = sum of x over the parents of u + mu_u, where mu_u is the
+    curvette's multiplicity at the center of u, taken from proximity along
+    the chain to c; a row costs O(n + depth of c).  Each row is certified
+    by (-I) x = e_c, positivity and growth along covers, so a corrupted
+    graph cannot pass silently.  Results are cached per (graph, cols).
+
+    ``oracle.multiplicity_sequence`` and ``oracle.noether_contact`` compute
+    the same multiplicities and contacts by separate code, so the tests
+    that compare them with this matrix stay an independent cross-check.
     """
-    if graph.n == 0:
+    n = graph.n
+    if n == 0:
         raise GraphError("empty graph has no multiplicity matrix")
-    return _mmatrix(graph)
+    cols = tuple(range(1, n + 1)) if cols is None else tuple(cols)
+    for c in cols:
+        if not 1 <= c <= n:
+            raise GraphError(f"no vertex {c} for a multiplicity row")
+    return _columns(graph, cols)
 
 
 def bareiss_det(rows) -> int:
@@ -320,6 +369,36 @@ def euler_smooth(graph: DualGraph, mode: str) -> Tuple[int, ...]:
 # -- subsequences and contraction ----------------------------------------
 
 
+def _renumber(parents, alive, marks, arrows):
+    """(parents, marks, arrows) of the vertices v with alive[v], renumbered
+    in creation order.  Every parent of a survivor must survive."""
+    remap = {}
+    kept = []
+    for v, ps in enumerate(parents, 1):
+        if alive[v]:
+            remap[v] = len(kept) + 1
+            kept.append(tuple(remap[p] for p in ps))
+    return (tuple(kept), tuple(remap[v] for v in marks),
+            tuple((remap[v], b) for v, b in arrows))
+
+
+def _under(parents, S) -> List[bool]:
+    """under[v]: whether vertex v lies <= some vertex of S (index 0 unused).
+
+    parents[v-1] is sorted, so its last entry is the tree parent of v.  A
+    walk down from each vertex of S stops at the first vertex already
+    marked, whose chain is marked too, so the cost is O(n + len(S)).
+    """
+    under = [False] * (len(parents) + 1)
+    for v in S:
+        while not under[v]:
+            under[v] = True
+            if not parents[v - 1]:
+                break
+            v = parents[v - 1][-1]
+    return under
+
+
 def downward_closure(graph: DualGraph, S: Iterable[int]) -> DualGraph:
     """Sub-blowup-sequence of everything <= some element of S.
 
@@ -332,45 +411,27 @@ def downward_closure(graph: DualGraph, S: Iterable[int]) -> DualGraph:
         raise GraphError("empty closure request")
     if graph.arrows:
         raise GraphError("closure is a divisorial operation; arrows present")
-    keep = set()
     for v in S:
         if not 1 <= v <= graph.n:
             raise GraphError(f"no vertex {v}")
-        keep |= graph.down_set(v)
-    order = sorted(keep)
-    remap = {old: i + 1 for i, old in enumerate(order)}
-    parents = tuple(tuple(remap[p] for p in graph.parents[old - 1])
-                    for old in order)
-    marks = tuple(remap[v] for v in S)
-    return DualGraph(parents, marks, ())
+    return DualGraph(*_renumber(graph.parents, _under(graph.parents, S), S,
+                                ()))
 
 
-def minimize_curve_resolution(graph: DualGraph) -> DualGraph:
-    """Contract needless exceptional curves of a curve resolution.
-
-    A maximal vertex (self-intersection -1) is blown down when it is
-    unmarked, is not the last vertex, and meets at most two components of
-    the total transform (edges plus arrows); a satellite carrying arrows is
-    never blown down.  Arrows on a contracted free vertex reattach to its
-    parent; contracting a satellite restores the adjacency of its parents.
-    Contractions run on a working copy kept on the input's ids until none
-    applies; the survivors are then renumbered in creation order and
-    validated as one DualGraph.  The result is that of contracting the
-    smallest eligible id first, one rebuilt graph per step.  The input
-    itself is returned when nothing contracts.
-    """
-    n = graph.n
-    parents = graph.parents
+def _minimize(parents, adj, marks, arrows):
+    # The contraction pass of minimize_curve_resolution on plain data:
+    # sorted parents tuples, adjacency sets adj[v] (updated in place) and
+    # (vertex, branch) arrows.  Returns the survivors' (parents, marks,
+    # arrows) renumbered in creation order, or None if nothing contracts.
+    n = len(parents)
     kids = [0] * (n + 1)
-    adj: List[set] = [set() for _ in range(n + 1)]
-    for v in graph.vertex_ids():
-        adj[v].update(graph.neighbors(v))
-        for p in parents[v - 1]:
+    for ps in parents:
+        for p in ps:
             kids[p] += 1
-    arrows: List[List[int]] = [[] for _ in range(n + 1)]
-    for v, b in graph.arrows:
-        arrows[v].append(b)
-    marked = set(graph.marked_divisors)
+    at: List[List[int]] = [[] for _ in range(n + 1)]
+    for v, b in arrows:
+        at[v].append(b)
+    marked = set(marks)
     alive = [True] * (n + 1)
     left = n
 
@@ -380,16 +441,15 @@ def minimize_curve_resolution(graph: DualGraph) -> DualGraph:
     # arrows are sorted on construction, so contractions commute and this
     # order gives the graph of the smallest-eligible-id-first order.
     for v in range(n, 0, -1):
-        ps = parents[v - 1]
         if (kids[v] or left < 2 or v in marked
-                or len(adj[v]) + len(arrows[v]) > 2
-                or (len(ps) == 2 and arrows[v])):
+                or len(adj[v]) + len(at[v]) > 2):
             continue
+        ps = parents[v - 1]
         for p in ps:
             adj[p].discard(v)
             kids[p] -= 1
         if len(ps) == 1:
-            arrows[ps[0]] += arrows[v]
+            at[ps[0]] += at[v]
         else:
             s, d = ps
             adj[s].add(d)
@@ -397,13 +457,30 @@ def minimize_curve_resolution(graph: DualGraph) -> DualGraph:
         alive[v] = False
         left -= 1
     if left == n:
-        return graph
-    survivors = [v for v in graph.vertex_ids() if alive[v]]
-    remap = {v: i for i, v in enumerate(survivors, 1)}
-    return DualGraph(
-        tuple(tuple(remap[p] for p in parents[v - 1]) for v in survivors),
-        tuple(remap[v] for v in graph.marked_divisors),
-        tuple((remap[v], b) for v in survivors for b in arrows[v]))
+        return None
+    return _renumber(parents, alive, marks,
+                     [(v, b) for v in range(1, n + 1) if alive[v]
+                      for b in at[v]])
+
+
+def minimize_curve_resolution(graph: DualGraph) -> DualGraph:
+    """Contract needless exceptional curves of a curve resolution.
+
+    A maximal vertex (self-intersection -1) is blown down when it is
+    unmarked, is not the last vertex, and meets at most two components of
+    the total transform (edges plus arrows).  A maximal satellite meets its
+    two parents, so it is blown down only when it carries no arrow.  Arrows
+    on a contracted free vertex reattach to its parent; contracting a
+    satellite restores the adjacency of its parents.  Contractions run on
+    a working copy kept on the input's ids until none applies; the
+    survivors are then renumbered in creation order and validated as one
+    DualGraph.  The result is that of contracting the smallest eligible id
+    first, one rebuilt graph per step.  The input itself is returned when
+    nothing contracts.
+    """
+    adj = [set()] + [set(graph.neighbors(v)) for v in graph.vertex_ids()]
+    out = _minimize(graph.parents, adj, graph.marked_divisors, graph.arrows)
+    return graph if out is None else DualGraph(*out)
 
 
 # -- combinatorial equivalence -------------------------------------------
@@ -464,12 +541,13 @@ def equivalent(g1: DualGraph, g2: DualGraph) -> bool:
 
 
 def _random_sequence(rng: random.Random, n: int, satellite_bias: float
-                     ) -> DualGraph:
+                     ) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, int]]]:
     # The RNG calls are those of appending one blowup at a time and reading
     # each intermediate graph: rng.random() only once an edge exists, then
     # rng.choice over the edges (a, b), a < b, in sorted order, or over the
-    # ids 1..v-1.  Hence the edge list is kept sorted, and only the final
-    # sequence is replayed, which re-checks every parent and adjacency.
+    # ids 1..v-1.  Hence the edge list is kept sorted.  Returns the sorted
+    # parents tuples and the final edge list; the caller's one DualGraph
+    # re-checks every parent and adjacency.
     parents: List[Tuple[int, ...]] = [()]
     edges: List[Tuple[int, int]] = []
     for v in range(2, n + 1):
@@ -483,12 +561,16 @@ def _random_sequence(rng: random.Random, n: int, satellite_bias: float
             s = rng.choice(range(1, v))
             bisect.insort(edges, (s, v))
             parents.append((s,))
-    return DualGraph(tuple(parents))
+    return parents, edges
 
 
 def random_instance(seed: int, max_vertices: int, r: int, mode: str,
                     satellite_bias: float = 0.4) -> DualGraph:
-    """Deterministic random minimal instance for round-trip campaigns."""
+    """Deterministic random minimal instance for round-trip campaigns.
+
+    The blowup sequence, its closure (divisorial) or its minimization
+    (curve) run on plain lists; only the result is built as a DualGraph.
+    """
     if mode not in ("divisorial", "curve"):
         raise GraphError(f"unknown mode {mode!r}")
     if max_vertices < 1 or r < 1:
@@ -500,32 +582,53 @@ def random_instance(seed: int, max_vertices: int, r: int, mode: str,
                          f"{MAX_VERTICES}")
     rng = random.Random(seed)
     n = rng.randint(r, max_vertices)
-    g = _random_sequence(rng, n, satellite_bias)
+    parents, edges = _random_sequence(rng, n, satellite_bias)
     picks = rng.sample(range(1, n + 1), r)
     if mode == "divisorial":
-        return downward_closure(g, picks)
-    arrows = tuple((v, i + 1) for i, v in enumerate(picks))
-    g = DualGraph(g.parents, (), arrows)
-    return minimize_curve_resolution(g)
+        return DualGraph(*_renumber(parents, _under(parents, picks), picks,
+                                    ()))
+    arrows = [(v, i + 1) for i, v in enumerate(picks)]
+    adj: List[set] = [set() for _ in range(n + 1)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    minimal = _minimize(parents, adj, (), arrows)
+    if minimal is None:
+        return DualGraph(parents, (), arrows)
+    return DualGraph(*minimal)
 
 
 # -- file format ----------------------------------------------------------
 
 
+def _json_array(items: List[str], pad: str) -> str:
+    # items are already indented by pad plus two spaces
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+
 def graph_to_json(graph: DualGraph) -> str:
-    doc = {
-        "vertices": [
-            {
-                "id": v,
-                "parents": list(graph.parents[v - 1]),
-                "self_intersection": graph.self_intersection(v),
-            }
-            for v in graph.vertex_ids()
-        ],
-        "marked_divisors": list(graph.marked_divisors),
-        "arrows": [{"vertex": v, "branch": b} for v, b in graph.arrows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The graph as JSON, byte for byte json.dumps(doc, indent=2,
+    sort_keys=True) + "\n" of the document below.
+
+    The layout is written directly, since an indent makes json fall back
+    to its pure-Python encoder:
+
+        {"arrows": [{"branch": b, "vertex": v}, ...],
+         "marked_divisors": [...],
+         "vertices": [{"id": v, "parents": [...],
+                       "self_intersection": s}, ...]}
+    """
+    arrows = [f'    {{\n      "branch": {b},\n      "vertex": {v}\n    }}'
+              for v, b in graph.arrows]
+    marks = [f"    {v}" for v in graph.marked_divisors]
+    verts = [f'    {{\n      "id": {v},\n      "parents": '
+             f'{_json_array([f"        {p}" for p in ps], "      ")},\n'
+             f'      "self_intersection": {si}\n    }}'
+             for v, (ps, si) in enumerate(zip(graph.parents, graph._selfint),
+                                          1)]
+    return (f'{{\n  "arrows": {_json_array(arrows, "  ")},\n'
+            f'  "marked_divisors": {_json_array(marks, "  ")},\n'
+            f'  "vertices": {_json_array(verts, "  ")}\n}}\n')
 
 
 def graph_from_json(text: str) -> DualGraph:

@@ -183,7 +183,7 @@ class Parametrization:
 
 
 def _default_trunc(graph: DualGraph, sigma: int) -> int:
-    row = multiplicity_matrix(graph)[sigma - 1]
+    (row,) = multiplicity_matrix(graph, (sigma,))
     return 2 * max(row) + 2
 
 

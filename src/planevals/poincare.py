@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
-from .dualgraph import DualGraph, GraphError, euler_smooth, multiplicity_matrix
+from .dualgraph import (DualGraph, GraphError, _under, euler_smooth,
+                        multiplicity_matrix)
 from .series import FactoredSeries, SeriesError, project
 
 __all__ = [
@@ -77,9 +78,9 @@ def _reference_vertices(graph: DualGraph, spec: ValuationSpec
 
 def _check_minimal(graph: DualGraph, spec: ValuationSpec,
                    cols: Tuple[int, ...]) -> None:
-    refs = set(cols)
+    under = _under(graph.parents, cols)
     for v in graph.vertex_ids():
-        if not any(graph.leq(v, w) for w in refs):
+        if not under[v]:
             raise GraphError(
                 f"vertex {v} lies under no referenced vertex; the graph is "
                 "not the minimal resolution of this collection")
@@ -106,13 +107,8 @@ def poincare_series(graph: DualGraph, spec: ValuationSpec) -> FactoredSeries:
     _check_minimal(graph, spec, cols)
     mode = "curve" if graph.arrows else "divisorial"
     chi = euler_smooth(graph, mode)
-    m = multiplicity_matrix(graph)
-    items = []
-    for v in graph.vertex_ids():
-        if chi[v - 1] == 0:
-            continue
-        exponent = tuple(m[v - 1][c - 1] for c in cols)
-        items.append((exponent, -chi[v - 1]))
+    m = multiplicity_matrix(graph, cols)
+    items = [(exponent, -k) for exponent, k in zip(zip(*m), chi) if k]
     return FactoredSeries(len(cols), items)
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .dualgraph import DualGraph, GraphError, multiplicity_matrix
+from .dualgraph import (MAX_VERTICES, DualGraph, GraphError,
+                        multiplicity_matrix)
 from .poincare import (Branch, Divisorial, default_spec, poincare_series,
                        projection_formula_curve)
 from .series import FactoredSeries, SeriesError, glex_key, project
@@ -196,7 +197,10 @@ def _branch_profile(b: BranchData, mode: str):
     the vanishing orders of the two local coordinate axes together with
     the divisor each axis belongs to; subtract the smaller order, give
     the freed slot to the newly created divisor.  Order equality is the
-    rupture of the current pair.
+    rupture of the current pair.  A pair (a, w) takes as many steps as
+    the quotients of Euclid's algorithm on it add up to, so the length of
+    the chain is known first, and a chain longer than MAX_VERTICES raises
+    DecodeError before it is built.
     """
     gens, e, g, c = b.generators, b.gcds, b.g, b.c
     beta = list(gens[:2])
@@ -206,6 +210,17 @@ def _branch_profile(b: BranchData, mode: str):
     if g >= 1:
         runs.append((beta[0], beta[1]))
         runs += [(e[i], beta[i + 1] - beta[i]) for i in range(1, g)]
+
+    length = (1 if g == 0 else 0) + (c if mode == "divisorial" else 0)
+    for a, w in runs:
+        while w:
+            q, rem = divmod(a, w)
+            length += q
+            a, w = w, rem
+    if length > MAX_VERTICES:
+        raise DecodeError(
+            f"the resolution of {b.generators} has {length} vertices, "
+            f"above the limit {MAX_VERTICES}")
 
     kinds: list = []
     mu: list = []
@@ -413,16 +428,16 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
             arrows = tuple((vmap[(i, total[i])], i + 1) for i in range(r))
             graph = DualGraph(tuple(parents), (), arrows)
             refs = tuple(v for v, _ in sorted(arrows, key=lambda a: a[1]))
-        mm = multiplicity_matrix(graph)
+        mm = multiplicity_matrix(graph, refs)
     except GraphError as exc:
         raise ContactError(f"merged chains are not a blowup sequence: "
                            f"{exc}") from exc
     for i in range(r):
         for j in range(r):
-            if i != j and mm[refs[i] - 1][refs[j] - 1] != cm[i][j]:
+            if i != j and mm[i][refs[j] - 1] != cm[i][j]:
                 raise ContactError(
                     f"merged graph realizes contact "
-                    f"{mm[refs[i] - 1][refs[j] - 1]} between valuations "
+                    f"{mm[i][refs[j] - 1]} between valuations "
                     f"{i + 1} and {j + 1}, not {cm[i][j]}")
 
     if expect is not None:

@@ -245,3 +245,13 @@ def test_gen_at_the_vertex_limit(capsys):
                      str(MAX_VERTICES), "--r", "2"]) == 0
         g = graph_from_json(capsys.readouterr().out)
         assert 1 <= g.n <= MAX_VERTICES
+
+
+def test_oversized_curve_series_is_refused_promptly(tmp_path, capsys):
+    # gens (2, 2000001) would resolve to a chain of 10^6 + 2 vertices
+    text = "vars 1 mode factored bound 0\n-1 2\n-1 2000001\n1 4000002\n"
+    path = write(tmp_path, "p.txt", text)
+    start = time.perf_counter()
+    assert main(["reconstruct", path, "--mode", "curve"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "limit" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -103,6 +104,46 @@ def test_order_queries_on_cusp():
     assert g.arrows_at(3) == ()
 
 
+def reference_down_sets(g):
+    """down[v] = {v} together with the down-sets of both parents."""
+    down = {}
+    for v in g.vertex_ids():
+        down[v] = frozenset({v}).union(*(down[p] for p in g.parents[v - 1]))
+    return down
+
+
+def test_order_queries_match_down_sets():
+    graphs = small_corpus() + [random_instance(seed, 25, 1 + seed % 3,
+                                               ("divisorial", "curve")[seed % 2],
+                                               satellite_bias=0.7)
+                               for seed in range(40)]
+    for g in graphs:
+        down = reference_down_sets(g)
+        for v in g.vertex_ids():
+            assert g.down_set(v) == down[v]
+            assert g.chain_to(v) == tuple(sorted(down[v]))
+            for u in g.vertex_ids():
+                assert g.leq(u, v) == (u in down[v])
+                assert g.meet(u, v) == max(down[u] & down[v])
+    for bad in (0, CUSP_DIV.n + 1):
+        with pytest.raises(GraphError):
+            CUSP_DIV.chain_to(bad)
+        with pytest.raises(GraphError):
+            CUSP_DIV.leq(1, bad)
+        with pytest.raises(GraphError):
+            CUSP_DIV.meet(bad, 1)
+
+
+def test_deep_chain_builds_and_answers_in_linear_time():
+    n = 5000
+    start = time.perf_counter()
+    g = free_chain(n)
+    assert g.leq(1, n) and not g.leq(n, n - 1)
+    assert g.meet(n, n // 2) == n // 2
+    assert g.chain_to(n) == tuple(range(1, n + 1))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_meet_of_separated_vertices():
     # two free chains out of the root
     g = DualGraph(((), (1,), (1,), (2,)), (), ())
@@ -154,6 +195,41 @@ def test_multiplicity_rows_grow_upward():
         for v in g.vertex_ids():
             for p in g.parents[v - 1]:
                 assert all(m[v - 1][k] >= m[p - 1][k] for k in range(g.n))
+
+
+def test_multiplicity_rows_match_full_matrix():
+    graphs = small_corpus()
+    graphs += [random_instance(seed, 20, 1 + seed % 4,
+                               ("divisorial", "curve")[seed % 2])
+               for seed in range(200)]
+    rng = random.Random(5)
+    for g in graphs:
+        full = multiplicity_matrix(g)
+        assert len(full) == g.n
+        picks = [tuple(rng.choices(range(1, g.n + 1), k=k)) for k in (1, 3)]
+        for cols in picks + [tuple(g.vertex_ids())]:
+            assert multiplicity_matrix(g, cols) == tuple(full[c - 1]
+                                                         for c in cols)
+    with pytest.raises(GraphError):
+        multiplicity_matrix(CUSP_DIV, (4,))
+    with pytest.raises(GraphError):
+        multiplicity_matrix(CUSP_DIV, (0,))
+
+
+def test_multiplicity_rows_are_certified():
+    # Corrupted intersection data must be caught by the (-I) x = e_c
+    # certificate: the recursion itself reads only the parents.  The
+    # chains are used by no other test, so no cached row answers.
+    for n, field in ((41, "_selfint"), (43, "_adj")):
+        g = free_chain(n, (n,))
+        if field == "_selfint":
+            bad = (g._selfint[0] - 1,) + g._selfint[1:]
+        else:
+            bad = dict(g._adj)
+            bad[n] = bad[n] + (1,)
+        object.__setattr__(g, field, bad)
+        with pytest.raises(GraphError, match="inversion"):
+            multiplicity_matrix(g, (n,))
 
 
 def test_bareiss_det_examples():
@@ -448,6 +524,31 @@ def test_minimize_matches_rebuilding_reference():
 @pytest.mark.parametrize("g", small_corpus())
 def test_json_roundtrip(g):
     assert graph_from_json(graph_to_json(g)) == g
+
+
+def reference_json(g):
+    doc = {
+        "vertices": [
+            {"id": v, "parents": list(g.parents[v - 1]),
+             "self_intersection": g.self_intersection(v)}
+            for v in g.vertex_ids()
+        ],
+        "marked_divisors": list(g.marked_divisors),
+        "arrows": [{"vertex": v, "branch": b} for v, b in g.arrows],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_layout_matches_json_dumps():
+    graphs = [DualGraph(), DualGraph(((),)), DualGraph(((),), (1,), ()),
+              DualGraph(((),), (), ((1, 1), (1, 2), (1, 3))),
+              DualGraph(((), (1,), (1, 2))), TACNODE, CUSP_DIV,
+              free_chain(12, (12, 3), ((12, 1), (12, 2), (7, 3)))]
+    graphs += [random_instance(seed, 30, 1 + seed % 5,
+                               ("divisorial", "curve")[seed % 2])
+               for seed in range(100)]
+    for g in graphs:
+        assert graph_to_json(g) == reference_json(g)
 
 
 def test_json_declares_self_intersections():

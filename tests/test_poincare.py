@@ -1,5 +1,7 @@
 """Closed product form of the series and the projection identities."""
 
+import time
+
 import pytest
 
 from planevals import (Branch, Divisorial, DualGraph, FactoredSeries,
@@ -7,6 +9,7 @@ from planevals import (Branch, Divisorial, DualGraph, FactoredSeries,
                        expand, multiplicity_matrix, poincare_series, project,
                        projection_formula_curve, random_instance)
 from planevals.dualgraph import euler_smooth
+from planevals.reconstruct import BranchData, graph_from_branch
 
 from conftest import (CUSP_CURVE, CUSP_DIV, FROZEN_SERIES, NAMED, TACNODE,
                       TRANSVERSAL_CUSPS, series_of)
@@ -125,3 +128,17 @@ def test_expansion_of_cusp_series_is_semigroup_indicator():
     gaps = [k for k in range(13) if s[(k,)] == 0]
     assert gaps == [1]
     assert all(s[(k,)] in (0, 1) for k in range(13))
+
+
+def test_deep_chain_series_is_linear():
+    # gens (2, 3997): a free chain of 1999 vertices and a satellite on its
+    # last edge, built here so that no cached multiplicity row answers
+    n = 2000
+    parents = ((),) + tuple((v - 1,) for v in range(2, n)) + ((n - 2, n - 1),)
+    b = BranchData.from_generators((2, 3997), 0)
+    start = time.perf_counter()
+    g = DualGraph(parents, (), ((n, 1),))
+    p = poincare_series(g, default_spec(g))
+    assert time.perf_counter() - start < 2.0
+    assert p == b.univariate_series("curve")
+    assert graph_from_branch(b, "curve") == g

@@ -9,6 +9,8 @@ from planevals import (BranchData, ContactError, DecodeError, DualGraph,
                        peel_branch_curve, random_instance, reconstruct_curve,
                        reconstruct_divisorial)
 
+from planevals.dualgraph import MAX_VERTICES
+
 from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, NAMED, NODE, SINGLE,
                       TACNODE, TRANSVERSAL_CUSPS, series_of)
 
@@ -251,3 +253,19 @@ def test_roundtrip_divisorial_random(seed):
 def test_roundtrip_curve_random(seed):
     g = random_instance(10_000 + seed, 14, 1 + seed % 4, "curve")
     assert equivalent(reconstruct_curve(series_of(g)), g)
+
+
+def test_chain_length_is_bounded_before_building():
+    # gens (2, 2k+1) resolve to k+2 vertices; a divisorial tail adds c
+    k = MAX_VERTICES - 2
+    assert graph_from_branch(BranchData.from_generators((2, 2 * k + 1)),
+                             "curve").n == MAX_VERTICES
+    with pytest.raises(DecodeError, match="limit"):
+        graph_from_branch(BranchData.from_generators((2, 2 * k + 3)),
+                          "curve")
+    tail = BranchData.from_generators((2, 3), MAX_VERTICES - 2)
+    with pytest.raises(DecodeError, match="limit"):
+        graph_from_branch(tail, "divisorial")
+    with pytest.raises(DecodeError, match="limit"):
+        graph_from_branch(BranchData.from_generators((1,), 10 ** 12),
+                          "divisorial")
