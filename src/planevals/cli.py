@@ -109,10 +109,10 @@ def _cmd_roundtrip(args) -> int:
             back = (reconstruct_divisorial(p) if mode == "divisorial"
                     else reconstruct_curve(p))
             if not equivalent(back, graph):
-                status = "FAIL"
-        except Exception:  # a failed trial, whatever the cause
-            status = "FAIL"
-        if status == "FAIL":
+                status = "FAIL reason=NotEquivalent"
+        except Exception as exc:  # a failed trial, whatever the cause
+            status = f"FAIL reason={type(exc).__name__}"
+        if status != "ok":
             failures += 1
         print(f"trial={k} seed={seed} vertices={graph.n} r={r} "
               f"status={status}")
@@ -124,8 +124,9 @@ def _cmd_oracle_check(args) -> int:
     graph = graph_from_json(_read(args.graph))
     spec = default_spec(graph)
     r = len(spec)
-    formula = expand(poincare_series(graph, spec), args.bound)
+    # the oracle refuses an infeasible bound before the formula expands
     direct = definitional_poincare(graph, spec, args.bound)
+    formula = expand(poincare_series(graph, spec), args.bound)
     mismatches = 0
     top = max(args.bound - r, 0)
     for w in itertools.product(range(top + 1), repeat=r):

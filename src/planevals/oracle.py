@@ -1,9 +1,12 @@
 """Ground truth computed from first principles, at desk scale.
 
 Valuations are evaluated by composing blowup charts into explicit
-parametrizations and reading off leading orders; dimensions of ideal
-quotients come from exact linear algebra on jet spaces; the Poincare
-series is then assembled straight from its definition (L, then the two
+parametrizations and reading off leading orders.  The codimension of
+J(v) = {f : v_k(f) >= v_k for every k} in a jet space is the rank of the
+functionals "coefficient of s^l lambda^j in the pullback along valuation
+k, for l < v_k", taken over all valuations at once, so it is defined and
+computed the same way for any number of valuations.  The Poincare series
+is then assembled straight from its definition (L, then the two
 algebraic steps).  Nothing here reuses the closed formulas, so agreement
 with the poincare module is meaningful evidence.
 
@@ -14,7 +17,6 @@ curvette (an indeterminate lambda), never random sampling.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,6 +48,14 @@ Poly = Dict[Tuple[int, int], int]
 
 class OracleError(RuntimeError):
     """The oracle cannot certify an answer at the requested scale."""
+
+
+# feasibility limits of the jet-space count, checked before any chart is
+# built: the number of jets (the width of every elimination row), and the
+# jets times the prefixes of the first r - 1 coordinates, each of which
+# re-inserts the last valuation's rows into an echelon of up to that rank
+MAX_JETS = 4000
+MAX_WORK = 10 ** 6
 
 
 def _pmul(a: Poly, b: Poly, cap: int) -> Poly:
@@ -297,158 +307,107 @@ def _spec_pullback_sources(graph: DualGraph, spec, cap: int):
     return out
 
 
-def _lead(p: Poly, level: int) -> Tuple[int, ...]:
-    width = max((j for i, j in p if i == level), default=0)
-    row = [0] * (width + 1)
-    for (i, j), c in p.items():
-        if i == level:
-            row[j] = c
-    return tuple(row)
+def _level_rows(graph: DualGraph, spec, W: int, cap: int):
+    """The defining functionals of J(w) on the jets, as sparse rows.
 
-
-def _dependency(rows: List[Tuple[int, ...]]) -> Optional[List[int]]:
-    """Integer coefficients of a vanishing combination of the rows, if any.
-
-    Fraction-free elimination: every reduced row carries the integer
-    combination of input rows it stands for, and the two are divided by
-    their common gcd after each row.  The first row that reduces to zero
-    closes the combination; the rows before it are independent, so the
-    combination is unique up to a scalar.  It is returned primitive, with
-    a positive coefficient on that row.  Rows of unequal length are padded
-    with zeros.
+    Jets are the monomials x^i y^j with i + j <= W, indexed in that
+    order.  For valuation k, ``rows[k][l]`` holds one row {jet index: int}
+    per lambda-power of the coefficient of s^l in the pullback along k,
+    for l < cap: a combination of jets lies in J(w) iff every row of
+    every k at a level below w_k vanishes on its coefficient vector.
     """
-    width = max((len(r) for r in rows), default=0)
-    n = len(rows)
-    ech: List[Tuple[int, List[int]]] = []
-    for idx, raw in enumerate(rows):
-        # the row itself, then its coefficients over the input rows
-        row = list(raw) + [0] * (width - len(raw) + n)
-        row[width + idx] = 1
-        for piv, erow in ech:
-            a = row[piv]
-            if a:
-                b = erow[piv]
-                g = math.gcd(a, b)
-                a, b = a // g, b // g
-                row = [b * x - a * y for x, y in zip(row, erow)]
-        piv = next((i for i in range(width) if row[i]), None)
-        if piv is None:
-            dep = row[width:]
-            g = math.gcd(*dep)
-            return [c // g if dep[idx] > 0 else -c // g for c in dep]
-        g = math.gcd(*row)
-        ech.append((piv, row if g == 1 else [x // g for x in row]))
-    return None
-
-
-def _adapted_profiles(graph: DualGraph, spec, W: int, cap: int):
-    """Value profiles of a jet basis adapted to all valuations at once.
-
-    Starts from the monomials of degree <= W and sweeps the valuations in
-    turn.  A sweep along valuation k buckets the basis by its level (the
-    order along k, below ``cap``) and walks the levels upwards.  Whenever
-    the leading data of a level's elements are linearly dependent, the
-    combination, which sinks deeper along k, replaces the participant
-    whose profile along the other valuation is smallest, and moves to the
-    bucket of its new level, which the same sweep visits later.  Each
-    replacement raises the profile along k and lowers none, so the sweeps
-    end; they stop once the last sweep of every valuation made no
-    correction.
-
-    At the end, along every valuation and at every finite level, the
-    leading data are independent, so the basis is adapted to each
-    filtration.  A basis adapted to each of two filtrations is adapted to
-    their intersections, so the profile counts compute the dimension of
-    every needed J(w) intersection, whatever order the corrections came
-    in.  More than two valuations are refused.
-    """
-    r = len(spec)
-    if r > 2:
-        raise OracleError("adapted-basis elimination is certified for at "
-                          "most two valuations")
-    sources = _spec_pullback_sources(graph, spec, cap)
-    powers = []
-    for x, y in sources:
+    out = []
+    for x, y in _spec_pullback_sources(graph, spec, cap):
         xpow = [{(0, 0): 1}]
         ypow = [{(0, 0): 1}]
         for _ in range(W):
             xpow.append(_pmul(xpow[-1], x, cap))
             ypow.append(_pmul(ypow[-1], y, cap))
-        powers.append((xpow, ypow))
-    pulls: List[List[Poly]] = []
-    for i in range(W + 1):
-        for j in range(W + 1 - i):
-            pulls.append([_pmul(powers[k][0][i], powers[k][1][j], cap)
-                          for k in range(r)])
-
-    def profile(ps: List[Poly]) -> Tuple[int, ...]:
-        return tuple(min(cap, _order(p) if p else cap) for p in ps)
-
-    profs = [profile(ps) for ps in pulls]
-
-    def sweep(k: int) -> bool:
-        """Make every finite level along k independent; True if any
-        element was replaced."""
-        buckets: Dict[int, List[int]] = {}
-        for idx, pr in enumerate(profs):
-            if pr[k] < cap:
-                buckets.setdefault(pr[k], []).append(idx)
-        heap = list(buckets)
-        heapq.heapify(heap)
-        corrected = False
-        while heap:
-            level = heapq.heappop(heap)
-            members = sorted(buckets.pop(level))
-            rows = [_lead(pulls[m][k], level) for m in members]
-            while len(members) > 1:
-                dep = _dependency(rows)
-                if dep is None:
-                    break
-                participants = [m for m, c in zip(members, dep) if c]
-                if r == 2:
-                    victim = min(participants,
-                                 key=lambda m: profs[m][1 - k])
-                else:
-                    victim = participants[0]
-                combo = [dict() for _ in range(r)]
-                for m, c in zip(members, dep):
-                    if c:
-                        for kk in range(r):
-                            _padd_scaled(combo[kk], pulls[m][kk], c)
-                pulls[victim] = combo
-                profs[victim] = profile(combo)
-                pos = members.index(victim)
-                del members[pos], rows[pos]
-                deeper = profs[victim][k]
-                if deeper < cap:
-                    if deeper not in buckets:
-                        buckets[deeper] = []
-                        heapq.heappush(heap, deeper)
-                    buckets[deeper].append(victim)
-                corrected = True
-        return corrected
-
-    # clean counts the valuations whose last sweep left them adapted with
-    # nothing replaced since
-    clean, k = 0, 0
-    while clean < r:
-        clean = 1 if sweep(k) else clean + 1
-        k = (k + 1) % r
-    return profs
+        levels: List[Dict[int, Dict[int, int]]] = [{} for _ in range(cap)]
+        jet = 0
+        for i in range(W + 1):
+            for j in range(W + 1 - i):
+                for (l, lam), c in _pmul(xpow[i], ypow[j], cap).items():
+                    if l < cap:
+                        levels[l].setdefault(lam, {})[jet] = c
+                jet += 1
+        out.append([list(level.values()) for level in levels])
+    return out
 
 
-def _profile_counts(profs, cap: int, r: int) -> np.ndarray:
-    """counts[w] = number of basis profiles >= w, on the grid [0, cap]^r.
+def _insert(ech: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
+    """Add a row to an echelon {pivot: row}; True if the rank grew.
 
-    A count is at most the basis size (W+1)(W+2)/2, at most 4000 for
-    definitional_poincare, so int64 cannot overflow here or in the
-    differences taken from it.
+    Fraction-free elimination pivoting on the smallest jet index, so a
+    reduction only leaves higher keys; the reduced row is divided by its
+    content before it is stored.  Neither ``row`` nor a stored row is
+    mutated, so echelons can share rows.
     """
+    while row:
+        piv = min(row)
+        erow = ech.get(piv)
+        if erow is None:
+            g = math.gcd(*row.values())
+            ech[piv] = row if g == 1 else {i: c // g for i, c in row.items()}
+            return True
+        a, b = row[piv], erow[piv]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        new = dict(row) if b == 1 else {i: b * c for i, c in row.items()}
+        for i, c in erow.items():
+            v = new.get(i, 0) - a * c
+            if v:
+                new[i] = v
+            else:
+                del new[i]
+        row = new
+    return False
+
+
+def _counts(graph: DualGraph, spec, W: int, cap: int) -> np.ndarray:
+    """counts[w] = dim J(w) on the jets, for w on the grid [0, cap]^r.
+
+    dim J(w) is the number of jets minus the rank of the rows of every
+    valuation k at the levels below w_k.  A depth-first walk over the
+    first r - 1 coordinates extends one echelon level by level, handing
+    each prefix a shallow copy; the last coordinate adds its levels one at
+    a time and records the rank after each.  The rank does not depend on
+    the order of the valuations, so they are walked densest first: the
+    deeper a coordinate, the more prefixes re-insert its rows.
+
+    A count is at most the number of jets, at most MAX_JETS, so int64
+    cannot overflow here or in the differences taken from it.
+    """
+    r = len(spec)
+    if r < 1:
+        raise OracleError("empty valuation spec")
+    jets = (W + 1) * (W + 2) // 2
+    prefixes = (cap + 1) ** (r - 1)
+    if jets > MAX_JETS or jets * prefixes > MAX_WORK:
+        raise OracleError(f"{jets} jets over {prefixes} prefixes are beyond "
+                          "oracle feasibility")
+    levels = _level_rows(graph, spec, W, cap)
+    order = sorted(range(r), key=lambda k: -sum(
+        len(row) for level in levels[k] for row in level))
+    walk_levels = [levels[k] for k in order]
     counts = np.zeros((cap + 1,) * r, dtype=np.int64)
-    np.add.at(counts, tuple(np.array(profs, dtype=np.int64).T), 1)
-    for axis in range(r):
-        counts = np.flip(np.cumsum(np.flip(counts, axis), axis=axis), axis)
-    return counts
+
+    def walk(depth: int, ech, rank: int, index: Tuple[int, ...]) -> None:
+        last = depth == r - 1
+        for w in range(cap + 1):
+            if w:
+                for row in walk_levels[depth][w - 1]:
+                    rank += _insert(ech, row)
+            if rank == jets:
+                # J is zero here and at every larger coordinate
+                return
+            if last:
+                counts[index + (w,)] = jets - rank
+            else:
+                walk(depth + 1, dict(ech), rank, index + (w,))
+
+    walk(0, {}, 0, ())
+    return counts.transpose(np.argsort(order))
 
 
 def _jdim(counts: np.ndarray, w: Sequence[int], cap: int) -> int:
@@ -463,7 +422,9 @@ def ideal_dim(graph: DualGraph, spec: ValuationSpec, v: Sequence[int]) -> int:
     """dim J(v)/J(v + (1,..,1)) computed on jets, exactly.
 
     The jet space takes all monomials of degree <= max(v) + 2, enough to
-    determine membership in every ideal queried here.
+    determine membership in every ideal queried here.  Any number of
+    valuations is accepted; OracleError marks a spec or vector outside
+    the spec, or a count beyond MAX_JETS / MAX_WORK.
     """
     v = tuple(int(x) for x in v)
     r = len(spec)
@@ -472,7 +433,7 @@ def ideal_dim(graph: DualGraph, spec: ValuationSpec, v: Sequence[int]) -> int:
     top = max(v) + 1 if v else 1
     cap = top + 1
     W = top + 2
-    counts = _profile_counts(_adapted_profiles(graph, spec, W, cap), cap, r)
+    counts = _counts(graph, spec, W, cap)
     up = tuple(x + 1 for x in v)
     return _jdim(counts, v, cap) - _jdim(counts, up, cap)
 
@@ -484,18 +445,18 @@ def definitional_poincare(graph: DualGraph, spec: ValuationSpec,
     Computes dim J(v)/J(v+1) on the window, multiplies by
     prod (t_i - 1), divides by (t_1 .. t_r - 1).  Exact; the published
     contract guarantees coefficients on [0, bound - r]^r (window-edge
-    effects stay outside it).
+    effects stay outside it).  Any number of valuations is accepted; a
+    (bound, r) whose jet count exceeds MAX_JETS, or whose jets times
+    (bound + 3)^(r - 1) prefixes exceed MAX_WORK, raises OracleError
+    before any chart is built.
     """
     r = len(spec)
     if r < 1:
         raise OracleError("empty valuation spec")
     if bound < 1:
         raise OracleError("bound must be positive")
-    W = bound + 2
-    if (W + 1) * (W + 2) // 2 > 4000:
-        raise OracleError(f"bound {bound} is beyond oracle feasibility")
     cap = bound + 2
-    counts = _profile_counts(_adapted_profiles(graph, spec, W, cap), cap, r)
+    counts = _counts(graph, spec, bound + 2, cap)
     # dims[i] = dim J(i - 1) for i in [0, bound + 2]^r: index -1 reads 0
     idx = np.concatenate(([0], np.arange(bound + 2)))
     dims = counts[np.ix_(*([idx] * r))]

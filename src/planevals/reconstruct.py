@@ -302,19 +302,32 @@ def _mu_at(mu, d: int) -> int:
 
 
 def _shared_depth(mu_i, mu_j, contact: int, cap: Optional[int]) -> int:
-    """Number of common infinitely-near points realizing the contact."""
+    """Number of common infinitely-near points realizing the contact.
+
+    Past both profiles every shared point has multiplicity 1 on both
+    chains and adds exactly 1, so the depth is known without walking
+    there; one above MAX_VERTICES raises DecodeError.
+    """
     acc = 0
     d = 0
-    while acc < contact:
+    end = max(len(mu_i), len(mu_j))
+    while acc < contact and d < end:
         d += 1
-        if cap is not None and d > cap:
-            raise ContactError(
-                f"contact {contact} exceeds what the two chains can share")
         acc += _mu_at(mu_i, d) * _mu_at(mu_j, d)
+    if acc < contact:
+        d += contact - acc
+        acc = contact
+    if cap is not None and d > cap:
+        raise ContactError(
+            f"contact {contact} exceeds what the two chains can share")
     if acc != contact:
         raise ContactError(
             f"contact {contact} is not a partial sum of multiplicity "
             f"products (reached {acc} at depth {d})")
+    if d > MAX_VERTICES:
+        raise DecodeError(
+            f"contact {contact} needs {d} shared points, above the limit "
+            f"{MAX_VERTICES}")
     return d
 
 

@@ -143,26 +143,6 @@ class FactoredSeries:
         """Largest coordinate appearing in any exponent (0 if no factors)."""
         return max((e for m in self._factors for e in m), default=0)
 
-    def project(self, drop: int) -> "FactoredSeries":
-        """Substitute ``t_drop = 1``, dropping that variable.
-
-        Exponent vectors lose coordinate ``drop`` and equal images merge.
-        A factor whose exponent vanishes entirely would degenerate to
-        ``(1 - 1)^k``; that is rejected.
-        """
-        if not 0 <= drop < self.nvars:
-            raise SeriesError(f"no variable index {drop}")
-        if self.nvars == 1:
-            raise SeriesError("cannot project away the last variable")
-        items = []
-        for m, k in self._factors.items():
-            mm = m[:drop] + m[drop + 1:]
-            if not any(mm):
-                raise SeriesError(
-                    f"factor at {m} degenerates under projection of t_{drop}")
-            items.append((mm, k))
-        return FactoredSeries(self.nvars - 1, items)
-
     def expand(self, bound: int) -> "TruncatedSeries":
         """Dense expansion on ``[0, bound]^nvars``, exact within the grid."""
         kernel = _Kernel(TruncatedSeries.one(self.nvars, bound).coeffs)

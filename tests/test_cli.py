@@ -9,8 +9,8 @@ from planevals.dualgraph import MAX_VERTICES
 from planevals.series import MAX_CELLS
 
 from conftest import CUSP_DIV, CUSP_PAIR, TACNODE, series_of
-from planevals import (FactoredSeries, expand, factorize, graph_to_json,
-                       series_to_text)
+from planevals import (FactoredSeries, default_spec, expand, factorize,
+                       graph_to_json, series_to_text)
 from planevals.reconstruct import BranchData, graph_from_branch
 
 
@@ -255,3 +255,47 @@ def test_oversized_curve_series_is_refused_promptly(tmp_path, capsys):
     assert main(["reconstruct", path, "--mode", "curve"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "limit" in capsys.readouterr().err
+
+
+def test_oracle_check_beyond_two_valuations(tmp_path, capsys):
+    for mode, r, bound in (("div", "3", "14"), ("curve", "3", "14"),
+                           ("div", "4", "10"), ("curve", "4", "10")):
+        assert main(["gen", "--mode", mode, "--seed", "5", "--max-vertices",
+                     "12", "--r", r]) == 0
+        text = capsys.readouterr().out
+        assert len(default_spec(graph_from_json(text))) == int(r)
+        path = write(tmp_path, "g.json", text)
+        assert main(["oracle-check", path, "--bound", bound]) == 0
+        assert capsys.readouterr().out.startswith("match region ")
+
+
+def test_shared_depth_above_the_vertex_limit_is_refused(tmp_path, capsys):
+    # two smooth branches with contact N share N points
+    for contact in (20000, 3 * 10 ** 6):
+        text = ("vars 2 mode factored bound 0\n-1 1 1\n"
+                f"1 {contact} {contact}\n")
+        path = write(tmp_path, "p.txt", text)
+        start = time.perf_counter()
+        assert main(["reconstruct", path, "--mode", "curve"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "limit" in capsys.readouterr().err
+
+
+def test_roundtrip_names_the_failure_reason(capsys, monkeypatch):
+    def broken(series):
+        raise RecursionError("too deep")
+
+    monkeypatch.setattr(cli, "reconstruct_curve", broken)
+    assert main(["roundtrip", "--mode", "curve", "--trials", "2",
+                 "--seed", "11", "--max-vertices", "12"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines[:2]:
+        assert line.endswith(" status=FAIL reason=RecursionError")
+    assert lines[2] == "total=2 failures=2"
+
+    monkeypatch.setattr(cli, "equivalent", lambda a, b: False)
+    monkeypatch.setattr(cli, "reconstruct_curve", lambda series: None)
+    assert main(["roundtrip", "--mode", "curve", "--trials", "1",
+                 "--seed", "11", "--max-vertices", "12"]) == 3
+    assert capsys.readouterr().out.splitlines()[0].endswith(
+        " status=FAIL reason=NotEquivalent")

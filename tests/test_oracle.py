@@ -6,18 +6,19 @@ not circularity.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from planevals import oracle
 from planevals import (Branch, Divisorial, DualGraph, OracleError,
                        branch_parametrization, curvette_parametrization,
                        default_spec, definitional_poincare, expand, ideal_dim,
                        multiplicity_matrix, multiplicity_sequence,
                        noether_contact, poincare_series, random_instance,
                        semigroup_series, valuation)
-from planevals.oracle import _dependency
 
 from conftest import (CUSP_CURVE, CUSP_DIV, NODE, SMOOTH, TACNODE,
                       TRANSVERSAL_CUSPS, ladder_graph, series_of,
@@ -148,6 +149,64 @@ def test_ideal_dim_node_pairs():
     assert ideal_dim(NODE, spec, (2, 1)) == 2
 
 
+def test_ideal_dim_three_lines():
+    # three lines l1, l2, l3 through the origin: J(1,1,1) = m and
+    # J(2,2,2) = m^2; J(3,3,3) = m^3 while J(4,4,4) = m^4 + (l1 l2 l3);
+    # J(2,1,1) = (l1) + m^2 and J(3,2,2) = l1 m + m^3.  Three lines in
+    # the plane of linear forms are the smallest subspace lattice that
+    # is not distributive, so no basis is adapted to all three at once
+    g = DualGraph(((),), (), ((1, 1), (1, 2), (1, 3)))
+    spec = default_spec(g)
+    assert ideal_dim(g, spec, (0, 0, 0)) == 1
+    assert ideal_dim(g, spec, (1, 1, 1)) == 2
+    assert ideal_dim(g, spec, (2, 2, 2)) == 3
+    assert ideal_dim(g, spec, (3, 3, 3)) == 3
+    assert ideal_dim(g, spec, (2, 1, 1)) == 2
+    assert ideal_dim(g, spec, (1, 1, 2)) == 2
+
+
+def fraction_rank(rows, width):
+    """Reference rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(r.get(i, 0)) for i in range(width)] for r in rows]
+    rank = 0
+    for col in range(width):
+        piv = next((k for k in range(rank, len(m)) if m[k][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for k in range(len(m)):
+            if k != rank and m[k][col]:
+                f = m[k][col] / m[rank][col]
+                m[k] = [a - f * b for a, b in zip(m[k], m[rank])]
+        rank += 1
+    return rank
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5),
+                                st.integers(-4, 4).filter(bool),
+                                max_size=6), max_size=8))
+def test_insert_counts_rank_exactly(rows):
+    frozen = [dict(r) for r in rows]
+    ech = {}
+    grown = [oracle._insert(ech, r) for r in rows]
+    assert rows == frozen
+    assert sum(grown) == len(ech) == fraction_rank(rows, 6)
+    for piv, row in ech.items():
+        assert min(row) == piv and math.gcd(*row.values()) == 1
+    # an echelon row reinserted adds nothing
+    for row in list(ech.values()):
+        assert not oracle._insert(dict(ech), row)
+
+
+def agrees_with_formula(g, spec, bound):
+    """The oracle equals the expanded closed form on [0, bound - r]^r."""
+    r = len(spec)
+    p = expand(poincare_series(g, spec), bound)
+    q = definitional_poincare(g, spec, bound)
+    box = (slice(0, bound - r + 1),) * r
+    return (p.coeffs[box] == q.coeffs[box]).all()
+
+
 def test_definitional_poincare_matches_formula_on_node():
     p = expand(series_of(NODE), 10)
     q = definitional_poincare(NODE, default_spec(NODE), 10)
@@ -162,8 +221,29 @@ def test_definitional_poincare_guards():
     with pytest.raises(OracleError):
         definitional_poincare(NODE, (), 10)
     g = DualGraph(((), (1,), (1,)), (1, 2, 3), ())
+    assert agrees_with_formula(g, default_spec(g), 8)
+
+
+def test_infeasible_requests_are_refused_before_any_chart(monkeypatch):
+    def no_charts(graph, cap):
+        raise AssertionError("a chart was built")
+
+    monkeypatch.setattr(oracle, "_charts", no_charts)
+    g = DualGraph(((), (1,), (1,)), (1, 2, 3), ())
+    # 86 is the least bound past MAX_JETS; at r = 3, bound 35 is the
+    # least past MAX_WORK
+    for graph, bound in ((NODE, 86), (NODE, 200), (g, 35), (SMOOTH, 500)):
+        with pytest.raises(OracleError, match="feasibility"):
+            definitional_poincare(graph, default_spec(graph), bound)
+    with pytest.raises(OracleError, match="feasibility"):
+        ideal_dim(g, default_spec(g), (10 ** 9, 0, 0))
+    # the largest accepted bounds get as far as building charts
+    four = random_instance(505, 10, 4, "divisorial")
+    for graph, bound in ((NODE, 85), (g, 34), (four, 15)):
+        with pytest.raises(AssertionError, match="chart"):
+            definitional_poincare(graph, default_spec(graph), bound)
     with pytest.raises(OracleError):
-        definitional_poincare(g, default_spec(g), 8)
+        ideal_dim(g, (), ())
 
 
 def test_mixed_spec_accepted():
@@ -174,49 +254,6 @@ def test_mixed_spec_accepted():
     for a in range(7):
         for b in range(7):
             assert p[(a, b)] == q[(a, b)]
-
-
-def test_dependency_returns_a_vanishing_integer_combination():
-    rows = [(2, 4, 0), (1, 0, 3), (0, 4, -6)]
-    dep = _dependency(rows)
-    assert all(isinstance(c, int) for c in dep)
-    assert dep == [-1, 2, 1]
-    assert all(sum(c * r[i] for c, r in zip(dep, rows)) == 0
-               for i in range(3))
-
-
-def test_dependency_is_primitive_and_positive_on_the_closing_row():
-    dep = _dependency([(4, 6), (6, 9)])
-    assert dep == [-3, 2]
-    # only the first dependent prefix counts; the last row is unused
-    assert _dependency([(1, 0), (3, 0), (0, 1)]) == [-3, 1, 0]
-
-
-@given(st.lists(st.lists(st.integers(-3, 3), max_size=4), min_size=1,
-                max_size=5))
-def test_dependency_vanishes_and_is_primitive(rows):
-    dep = _dependency(rows)
-    if dep is None:
-        return
-    last = max(i for i, c in enumerate(dep) if c)
-    assert dep[last] > 0 and math.gcd(*dep) == 1
-    width = max(len(r) for r in rows)
-    for i in range(width):
-        assert sum(c * (r[i] if i < len(r) else 0)
-                   for c, r in zip(dep, rows)) == 0
-
-
-def test_dependency_none_for_independent_rows():
-    assert _dependency([(1, 0, 0), (0, 1), (1, 1, 1)]) is None
-    assert _dependency([(5,)]) is None
-    assert _dependency([]) is None
-
-
-def test_dependency_pads_rows_of_unequal_length():
-    rows = [(1,), (0, 2), (3, 4, 0, 0)]
-    dep = _dependency(rows)
-    assert dep == [-3, -2, 1]
-    assert _dependency([(0, 0, 1), (0, 0, 0, 0)]) == [0, 1]
 
 
 def test_definitional_poincare_random_two_divisorial():
@@ -235,6 +272,40 @@ def test_definitional_poincare_random_two_divisorial():
         if checked == 10:
             break
     assert checked == 10
+
+
+@pytest.mark.parametrize("mode,r,bound", [("divisorial", 3, 14),
+                                          ("curve", 3, 14),
+                                          ("divisorial", 4, 10),
+                                          ("curve", 4, 10)])
+def test_definitional_poincare_random_three_and_four(mode, r, bound):
+    checked = 0
+    for seed in range(40):
+        g = random_instance(500 + seed, 10, r, mode)
+        spec = default_spec(g)
+        if len(spec) != r:
+            continue
+        assert agrees_with_formula(g, spec, bound), seed
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
+
+
+def mixed_three(seed):
+    """Two branches of a random curve plus its last vertex, marked."""
+    g = random_instance(seed, 10, 2, "curve")
+    return DualGraph(g.parents, (g.n,), g.arrows)
+
+
+@pytest.mark.parametrize("g", [ladder_graph(1), ladder_graph(2),
+                               ladder_graph(3), mixed_three(0),
+                               mixed_three(4), mixed_three(8)])
+def test_definitional_poincare_mixed_collections(g):
+    # ladder_graph(p) is the fig2 family
+    spec = default_spec(g)
+    assert len({type(v) for v in spec}) == 2
+    assert agrees_with_formula(g, spec, 12)
 
 
 # -- numerical semigroups ------------------------------------------------------
