@@ -23,10 +23,10 @@ from .poincare import (Branch, Divisorial, default_spec, poincare_series,
 from .reconstruct import (BranchData, ContactError, DecodeError,
                           VerificationError, assemble,
                           branch_from_univariate, graph_from_branch,
-                          pairwise_contact, peel_branch_curve,
-                          reconstruct_curve, reconstruct_divisorial)
-from .series import (FactoredSeries, SeriesError, TruncatedSeries, div,
-                     divide_torus, expand, factorize, mul, project,
+                          pairwise_contact, reconstruct_curve,
+                          reconstruct_divisorial)
+from .series import (FactoredSeries, SeriesError, TruncatedSeries,
+                     divide_torus, expand, factorize, project,
                      series_from_text, series_to_text)
 
 __version__ = "1.0.0"
@@ -43,10 +43,9 @@ __all__ = [
     "projection_formula_curve",
     "BranchData", "ContactError", "DecodeError", "VerificationError",
     "assemble", "branch_from_univariate", "graph_from_branch",
-    "pairwise_contact", "peel_branch_curve", "reconstruct_curve",
-    "reconstruct_divisorial",
-    "FactoredSeries", "SeriesError", "TruncatedSeries", "div",
-    "divide_torus", "expand", "factorize", "mul", "project",
+    "pairwise_contact", "reconstruct_curve", "reconstruct_divisorial",
+    "FactoredSeries", "SeriesError", "TruncatedSeries", "divide_torus",
+    "expand", "factorize", "project",
     "series_from_text", "series_to_text",
     "__version__",
 ]

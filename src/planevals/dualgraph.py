@@ -157,11 +157,6 @@ class DualGraph:
                 return v
         raise GraphError(f"no branch {branch}")
 
-    def _vertex(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise GraphError(f"no vertex {v}")
-        return v
-
     def chain_to(self, v: int) -> Tuple[int, ...]:
         """All vertices <= v in the blowup partial order, in id order.
 
@@ -170,34 +165,14 @@ class DualGraph:
         younger, so it is walked along tree parents (the larger parent of
         each vertex) in O(depth of v).
         """
+        if not 1 <= v <= self.n:
+            raise GraphError(f"no vertex {v}")
         parents = self.parents
-        out = [self._vertex(v)]
+        out = [v]
         while parents[v - 1]:
             v = parents[v - 1][-1]
             out.append(v)
         return tuple(reversed(out))
-
-    def down_set(self, v: int) -> frozenset:
-        """All vertices <= v in the blowup partial order (a chain)."""
-        return frozenset(self.chain_to(v))
-
-    def leq(self, u: int, v: int) -> bool:
-        parents = self.parents
-        u, v = self._vertex(u), self._vertex(v)
-        while v > u:
-            v = parents[v - 1][-1]
-        return v == u
-
-    def meet(self, u: int, v: int) -> int:
-        """Largest common vertex of the chains to u and to v."""
-        parents = self.parents
-        u, v = self._vertex(u), self._vertex(v)
-        while u != v:
-            if u > v:
-                u = parents[u - 1][-1]
-            else:
-                v = parents[v - 1][-1]
-        return u
 
     def is_maximal(self, v: int) -> bool:
         return v not in self._nonmaximal

@@ -33,7 +33,6 @@ __all__ = [
     "pairwise_contact",
     "assemble",
     "reconstruct_divisorial",
-    "peel_branch_curve",
     "reconstruct_curve",
 ]
 
@@ -578,24 +577,38 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
 # -- curve reconstruction ---------------------------------------------------
 
 
-def _minimal_semigroup_generators(values) -> Tuple[int, ...]:
+def _branch_of_values(values) -> BranchData:
+    """The plane branch whose semigroup has the given values as members
+    and is generated by some of them.
+
+    The minimal generators are the gcd chain of the sorted values:
+    ``m_i`` is the least value not divisible by ``e_{i-1}``, since every
+    element of the semigroup below it is a sum of earlier generators.
+    Once ``from_generators`` accepts the chain, each value is checked for
+    membership through its standard representation
+    ``a_0 m_0 + sum a_i m_i`` with ``0 <= a_i < e_{i-1}/e_i``: it lies in
+    the semigroup exactly when ``a_0 >= 0``.  A value outside would be a
+    further generator, which no plane branch has.
+    """
     vals = sorted(set(int(v) for v in values))
     if not vals or vals[0] < 1:
         raise DecodeError(f"bad semigroup values {vals}")
-    top = vals[-1]
-    reach = [False] * (top + 1)
-    reach[0] = True
+    gens, e = [], 0
     for v in vals:
-        for n in range(v, top + 1):
-            if reach[n - v]:
-                reach[n] = True
-    gens = []
+        if e == 0 or v % e:
+            gens.append(v)
+            e = gcd(e, v)
+    b = BranchData.from_generators(gens, 0)
     for v in vals:
-        if any(reach[a] and a not in (0, v) and reach[v - a]
-               for a in range(1, v)):
-            continue
-        gens.append(v)
-    return tuple(gens)
+        rest = v
+        for i in range(b.g, 0, -1):
+            e_i, n_i = b.gcds[i], b.gcds[i - 1] // b.gcds[i]
+            a_i = rest // e_i * pow(b.generators[i] // e_i, -1, n_i) % n_i
+            rest -= a_i * b.generators[i]
+        if rest < 0:
+            raise DecodeError(
+                f"value {v} is not in the semigroup generated by {b.generators}")
+    return b
 
 
 def _peel_at(q: FactoredSeries, cand: tuple):
@@ -614,39 +627,7 @@ def _peel_at(q: FactoredSeries, cand: tuple):
     i0 = next(j for j in A if cand[j] == best)
     values = [m[i0] for m, k in facs.items() if k == -1]
     values += [cand[j] for j in range(r) if j != i0]
-    gens = _minimal_semigroup_generators(values)
-    return i0 + 1, gens
-
-
-def peel_branch_curve(p: FactoredSeries):
-    """One step of the curve reconstruction.
-
-    Returns (i0, alpha_exponent, semigroup_generators, contacts_row,
-    p_rest): the index of a branch whose arrow vertex realizes a maximal
-    exponent, that exponent (whose entries are the contacts with every
-    branch, own coordinate = self-value), the minimal generators of the
-    branch's semigroup per the dead-end recovery rule, and the series of
-    the remaining branches.
-    """
-    if p.nvars < 2:
-        raise DecodeError("peeling needs at least two branches")
-    if not p.factors():
-        raise DecodeError("empty series has no factor to peel")
-    last: Optional[Exception] = None
-    for cand in _maximal_exponents(list(p.factors())):
-        try:
-            i0, gens = _peel_at(p, cand)
-            bd = BranchData.from_generators(gens, 0)
-            if bd.top_value > cand[i0 - 1]:
-                raise DecodeError(
-                    f"semigroup {gens} has self-value {bd.top_value} above "
-                    f"the exponent entry {cand[i0 - 1]}")
-            p_rest = projection_formula_curve(p, cand, i0)
-            return i0, cand, gens, cand, p_rest
-        except (DecodeError, SeriesError) as exc:
-            last = exc
-    raise DecodeError(f"no maximal exponent peels consistently "
-                      f"(last failure: {last})")
+    return i0 + 1, _branch_of_values(values)
 
 
 def _solve_curve(p: FactoredSeries):
@@ -664,8 +645,7 @@ def _solve_curve(p: FactoredSeries):
         return
     for cand in _maximal_exponents(list(p.factors())):
         try:
-            i0, gens = _peel_at(p, cand)
-            bd = BranchData.from_generators(gens, 0)
+            i0, bd = _peel_at(p, cand)
             if bd.top_value > cand[i0 - 1]:
                 continue
             p_rest = projection_formula_curve(p, cand, i0)

@@ -4,11 +4,16 @@ Two representations are used throughout the package: a factored form
 ``prod (1 - t^m)^k`` with integer exponent vectors ``m`` and integer powers
 ``k``, and a dense truncated expansion on the grid ``[0, bound]^nvars``.
 
+Three operations connect them: ``expand`` multiplies out a product,
+``factorize`` peels the product back off a unit series, and
+``divide_torus`` divides by ``(t_1 ... t_r - 1)`` for the definitional
+oracle.  All three run the same in-place shift-add passes.
+
 Storage contract of the dense grid: coefficients are held in an ``int64``
 numpy array whenever a bound proves that every value fits, and in a
-``dtype=object`` array of Python ints otherwise.  Every operation measures
-the magnitude of its operands from the arrays themselves (never from a
-stored figure, since callers may write into ``coeffs`` directly) and runs
+``dtype=object`` array of Python ints otherwise.  Each operation measures
+the magnitude of its input from the array itself (never from a stored
+figure, since callers may write into ``coeffs`` directly), and runs a pass
 in ``int64`` only when that measurement certifies the result below
 ``2^63``; otherwise it promotes to ``object`` first.  No fixed-width
 operation runs unchecked, so there is no floating point and no overflow,
@@ -18,7 +23,6 @@ and every coefficient handed out is a Python int.  A grid may have at most
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -30,8 +34,6 @@ __all__ = [
     "FactoredSeries",
     "TruncatedSeries",
     "project",
-    "mul",
-    "div",
     "expand",
     "factorize",
     "divide_torus",
@@ -116,9 +118,6 @@ class FactoredSeries:
         return iter(sorted(self._factors.items(),
                            key=lambda mk: glex_key(mk[0])))
 
-    def power(self, m) -> int:
-        return self._factors.get(tuple(m), 0)
-
     def __len__(self) -> int:
         return len(self._factors)
 
@@ -143,13 +142,6 @@ class FactoredSeries:
         """Largest coordinate appearing in any exponent (0 if no factors)."""
         return max((e for m in self._factors for e in m), default=0)
 
-    def expand(self, bound: int) -> "TruncatedSeries":
-        """Dense expansion on ``[0, bound]^nvars``, exact within the grid."""
-        kernel = _Kernel(TruncatedSeries.one(self.nvars, bound).coeffs)
-        for m, k in self.items():
-            kernel.power(m, k)
-        return TruncatedSeries(self.nvars, bound, kernel.arr)
-
 
 def _views(shape, m):
     # dst picks indices >= m, src the matching block at the low corner;
@@ -166,16 +158,6 @@ def _magnitude(arr: np.ndarray) -> int:
     ``INT64_MIN`` to itself.
     """
     return max(int(arr.max()), -int(arr.min()))
-
-
-def _certified(result_bound: int, *arrays) -> tuple:
-    """The operands of an operation whose result is at most
-    ``result_bound`` in magnitude: unchanged if they are all int64 and the
-    bound fits int64, else converted to ``object``."""
-    if (result_bound < _INT64_LIMIT
-            and all(a.dtype == _INT64 for a in arrays)):
-        return arrays
-    return tuple(a.astype(object) for a in arrays)
 
 
 def _nonzero_cells(arr: np.ndarray) -> tuple:
@@ -286,9 +268,9 @@ class TruncatedSeries:
     fits, and a ``dtype=object`` array of Python ints otherwise (see the
     module docstring); ``zeros`` starts in int64.  Direct writes into
     ``coeffs`` are allowed as long as the value fits the array's dtype,
-    because every operation re-measures its operands.  Indexing and
-    ``nonzero_terms`` always return Python ints.  All operations return
-    new instances and are exact on the grid.
+    because ``factorize`` and ``divide_torus`` re-measure their input and
+    work on a copy.  Indexing and ``nonzero_terms`` always return Python
+    ints.
     """
 
     __slots__ = ("nvars", "bound", "coeffs")
@@ -313,9 +295,6 @@ class TruncatedSeries:
         out = cls.zeros(nvars, bound)
         out.coeffs[(0,) * nvars] = 1
         return out
-
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.bound, self.coeffs.copy())
 
     def __getitem__(self, m) -> int:
         return int(self.coeffs[tuple(m)])
@@ -344,94 +323,6 @@ class TruncatedSeries:
         exps = zip(*(ax[order].tolist() for ax in coords))
         return zip(exps, self.coeffs.reshape(-1)[idx[order]].tolist())
 
-    def is_one(self) -> bool:
-        nz = np.nonzero(self.coeffs)
-        if len(nz[0]) != 1:
-            return False
-        origin = (0,) * self.nvars
-        return all(int(ax[0]) == 0 for ax in nz) and self.coeffs[origin] == 1
-
-    def neg(self) -> "TruncatedSeries":
-        (arr,) = _certified(_magnitude(self.coeffs), self.coeffs)
-        return TruncatedSeries(self.nvars, self.bound, -arr)
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = self._operands(other)
-        return TruncatedSeries(self.nvars, self.bound, a + b)
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        a, b = self._operands(other)
-        return TruncatedSeries(self.nvars, self.bound, a - b)
-
-    def _compat(self, other: "TruncatedSeries") -> None:
-        if self.nvars != other.nvars or self.bound != other.bound:
-            raise SeriesError("mismatched series grids")
-
-    def _operands(self, other: "TruncatedSeries") -> tuple:
-        self._compat(other)
-        return _certified(
-            _magnitude(self.coeffs) + _magnitude(other.coeffs),
-            self.coeffs, other.coeffs)
-
-    def mul_one_minus(self, m) -> "TruncatedSeries":
-        """Multiply by ``(1 - t^m)``."""
-        return self.mul_one_minus_power(m, 1)
-
-    def div_one_minus(self, m) -> "TruncatedSeries":
-        """Multiply by ``1/(1 - t^m) = sum_j t^{jm}``."""
-        return self.mul_one_minus_power(m, -1)
-
-    def mul_one_minus_power(self, m, k: int) -> "TruncatedSeries":
-        """Multiply by ``(1 - t^m)^k`` for any integer ``k``."""
-        m = _check_exponent(m, self.nvars)
-        kernel = _Kernel(self.coeffs.copy())
-        kernel.power(m, int(k))
-        return TruncatedSeries(self.nvars, self.bound, kernel.arr)
-
-    def substitute_ones(self, axis: int) -> "TruncatedSeries":
-        """Sum coefficients along ``axis`` (substitute ``t_axis = 1``).
-
-        Only meaningful where the support along the dropped axis is fully
-        inside the grid; tails beyond the bound are silently lost, so
-        callers must restrict comparisons accordingly.
-        """
-        if self.nvars < 2:
-            raise SeriesError("cannot drop the last variable")
-        if not 0 <= axis < self.nvars:
-            raise SeriesError(f"no variable index {axis}")
-        (arr,) = _certified((self.bound + 1) * _magnitude(self.coeffs),
-                            self.coeffs)
-        return TruncatedSeries(self.nvars - 1, self.bound, arr.sum(axis=axis))
-
-    def factorize(self) -> FactoredSeries:
-        """Write the series as ``prod (1 - t^m)^{k_m}``, exactly on the grid.
-
-        Sweeps the total degree upwards.  Once every nonconstant term of
-        degree below ``d`` is cleared, each remaining term ``c * t^m`` of
-        degree ``d`` is accounted for by the factor ``(1 - t^m)^{-c}``, and
-        multiplying by ``(1 - t^m)^c`` clears it while changing only cells
-        of degree above ``d``; so all terms of degree ``d`` are peeled in
-        one batch.  Requires constant term 1.  Factors supported beyond
-        the grid are invisible; the result reproduces the input exactly
-        within the bound.
-        """
-        if self.coeffs[(0,) * self.nvars] != 1:
-            raise SeriesError("factorization needs constant term 1")
-        kernel = _Kernel(self.coeffs.copy())
-        factors: dict = {}
-        while True:
-            # the origin comes first, and peeling keeps it at 1
-            idx, coords, deg = _nonzero_cells(kernel.arr)
-            if idx.size == 1:
-                break
-            batch = deg == deg[1:].min()
-            exps = zip(*(ax[batch].tolist() for ax in coords))
-            values = kernel.arr.reshape(-1)[idx[batch]].tolist()
-            for m, c in zip(exps, values):
-                factors[m] = -c
-                kernel.power(m, c)
-        return FactoredSeries(self.nvars, factors)
-
 
 def project(f: FactoredSeries, keep) -> FactoredSeries:
     """Substitute 1 for every variable outside ``keep`` (1-based indices).
@@ -455,65 +346,58 @@ def project(f: FactoredSeries, keep) -> FactoredSeries:
     return FactoredSeries(len(keep), items)
 
 
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact product, truncated to the common grid."""
-    a._compat(b)
-    if np.count_nonzero(b.coeffs) > np.count_nonzero(a.coeffs):
-        a, b = b, a
-    terms = list(b.nonzero_terms())
-    # |sum_m c_m a[w - m]| <= sum |c_m| * max |a|; the max(1, ...) keeps
-    # each c_m itself under the bound too
-    weight = sum(abs(c) for _, c in terms)
-    (arr,) = _certified(weight * max(1, _magnitude(a.coeffs)), a.coeffs)
-    out = np.zeros_like(arr)
-    for m, c in terms:
-        src, dst = _views(out.shape, m)
-        out[dst] += c * arr[src]
-    return TruncatedSeries(a.nvars, a.bound, out)
-
-
-def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact quotient on the grid; ``b`` must have constant term 1 or -1.
-
-    The quotient has no bound known in advance, so it is computed in
-    Python ints and stored as int64 only if it fits.
-    """
-    a._compat(b)
-    origin = (0,) * a.nvars
-    b0 = b[origin]
-    if b0 not in (1, -1):
-        raise SeriesError("divisor needs constant term 1 or -1")
-    terms = [(m, c) for m, c in b.nonzero_terms() if m != origin]
-    num = a.coeffs.astype(object)
-    q = np.zeros(num.shape, dtype=object)
-    for w in itertools.product(range(a.bound + 1), repeat=a.nvars):
-        acc = num[w]
-        for m, c in terms:
-            u = tuple(w[i] - m[i] for i in range(a.nvars))
-            if all(e >= 0 for e in u):
-                acc -= c * q[u]
-        q[w] = acc * b0
-    if _magnitude(q) < _INT64_LIMIT:
-        q = q.astype(np.int64)
-    return TruncatedSeries(a.nvars, a.bound, q)
-
-
 def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
-    return f.expand(bound)
+    """Dense expansion on ``[0, bound]^nvars``, exact within the grid."""
+    kernel = _Kernel(TruncatedSeries.one(f.nvars, bound).coeffs)
+    for m, k in f.items():
+        kernel.power(m, k)
+    return TruncatedSeries(f.nvars, bound, kernel.arr)
 
 
 def factorize(s: TruncatedSeries) -> FactoredSeries:
-    return s.factorize()
+    """Write ``s`` as ``prod (1 - t^m)^{k_m}``, exactly on the grid.
+
+    Sweeps the total degree upwards.  Once every nonconstant term of
+    degree below ``d`` is cleared, each remaining term ``c * t^m`` of
+    degree ``d`` is accounted for by the factor ``(1 - t^m)^{-c}``, and
+    multiplying by ``(1 - t^m)^c`` clears it while changing only cells
+    of degree above ``d``; so all terms of degree ``d`` are peeled in
+    one batch.  Requires constant term 1.  Factors supported beyond
+    the grid are invisible; the result reproduces the input exactly
+    within the bound.
+    """
+    if s.coeffs[(0,) * s.nvars] != 1:
+        raise SeriesError("factorization needs constant term 1")
+    kernel = _Kernel(s.coeffs.copy())
+    factors: dict = {}
+    while True:
+        # the origin comes first, and peeling keeps it at 1
+        idx, coords, deg = _nonzero_cells(kernel.arr)
+        if idx.size == 1:
+            break
+        batch = deg == deg[1:].min()
+        exps = zip(*(ax[batch].tolist() for ax in coords))
+        values = kernel.arr.reshape(-1)[idx[batch]].tolist()
+        for m, c in zip(exps, values):
+            factors[m] = -c
+            kernel.power(m, c)
+    return FactoredSeries(s.nvars, factors)
 
 
 def divide_torus(p_prime: TruncatedSeries) -> TruncatedSeries:
     """Divide by ``(t_1 ... t_r - 1)`` exactly on the grid.
 
     Since ``(t^1 - 1) = -(1 - t^1)``, this is geometric accumulation at the
-    all-ones shift followed by a sign flip.
+    all-ones shift followed by a sign flip.  The flip runs in int64 only
+    when the measured ``max |c|`` is below ``2^63``: negating ``INT64_MIN``
+    would wrap.
     """
-    ones = (1,) * p_prime.nvars
-    return p_prime.div_one_minus(ones).neg()
+    kernel = _Kernel(p_prime.coeffs.copy())
+    kernel.power((1,) * p_prime.nvars, -1)
+    arr = kernel.arr
+    if arr.dtype == _INT64 and _magnitude(arr) >= _INT64_LIMIT:
+        arr = arr.astype(object)
+    return TruncatedSeries(p_prime.nvars, p_prime.bound, -arr)
 
 
 def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:

@@ -257,6 +257,17 @@ def test_oversized_curve_series_is_refused_promptly(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_huge_semigroup_value_is_decoded_promptly(tmp_path, capsys):
+    # the peeled branch sees the values 1 and 3 * 10^7; its semigroup is
+    # found from their gcd chain, without a table as long as the largest
+    text = "vars 2 mode factored bound 0\n-1 30000000 1\n"
+    path = write(tmp_path, "p.txt", text)
+    start = time.perf_counter()
+    assert main(["reconstruct", path, "--mode", "curve"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "error:" in capsys.readouterr().err
+
+
 def test_oracle_check_beyond_two_valuations(tmp_path, capsys):
     for mode, r, bound in (("div", "3", "14"), ("curve", "3", "14"),
                            ("div", "4", "10"), ("curve", "4", "10")):

@@ -1,15 +1,18 @@
 """Decoding series back into graphs: branches, contacts, full assembly."""
 
+import random
+
 import pytest
 
 from planevals import (BranchData, ContactError, DecodeError, DualGraph,
                        FactoredSeries, VerificationError, assemble,
                        branch_from_univariate, equivalent, graph_from_branch,
-                       multiplicity_matrix, pairwise_contact,
-                       peel_branch_curve, project, random_instance,
-                       reconstruct_curve, reconstruct_divisorial)
+                       multiplicity_matrix, pairwise_contact, project,
+                       random_instance, reconstruct_curve,
+                       reconstruct_divisorial)
 
 from planevals.dualgraph import MAX_VERTICES
+from planevals.reconstruct import _branch_of_values, _solve_curve
 
 from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, NAMED, NODE, SINGLE,
                       TACNODE, TRANSVERSAL_CUSPS, series_of)
@@ -229,18 +232,57 @@ def test_reconstruct_rejects_tampered_series():
 
 
 def test_peel_tacnode():
-    i0, alpha, gens, row, rest = peel_branch_curve(series_of(TACNODE))
-    assert i0 in (1, 2)
-    assert gens == (1,)
-    assert alpha == (2, 2)
-    assert rest == FactoredSeries(1, {(1,): -1})
+    # the first peel is at the exponent (2, 2): two smooth branches with
+    # contact 2, the rest being the smooth series (1 - t)^-1
+    branches, cm = next(_solve_curve(series_of(TACNODE)))
+    assert [b.generators for b in branches] == [(1,), (1,)]
+    assert cm == [[1, 2], [2, 1]]
 
 
 def test_peel_transversal_cusps():
-    i0, alpha, gens, row, rest = peel_branch_curve(
-        series_of(TRANSVERSAL_CUSPS))
-    assert gens == (2, 3)
-    assert branch_from_univariate(rest, "curve").generators == (2, 3)
+    branches, cm = next(_solve_curve(series_of(TRANSVERSAL_CUSPS)))
+    assert [b.generators for b in branches] == [(2, 3), (2, 3)]
+    assert cm == [[6, 4], [4, 6]]
+
+
+def table_branch_of_values(values):
+    """Reference: minimal generators of the semigroup the values span,
+    read off a reachability table as long as the largest value."""
+    vals = sorted(set(values))
+    reach = [True] + [False] * vals[-1]
+    for v in vals:
+        for n in range(v, vals[-1] + 1):
+            reach[n] = reach[n] or reach[n - v]
+    gens = [v for v in vals
+            if not any(reach[a] and reach[v - a] for a in range(1, v))]
+    return BranchData.from_generators(gens, 0)
+
+
+def test_semigroup_values_match_the_table():
+    rng = random.Random(0)
+    # 15 lies outside <4, 6, 13>; 30 (even, so no generator) and 55 lie
+    # outside <8, 12, 26, 53>
+    samples = [[4, 6, 13, 15], [8, 12, 26, 53, 30], [8, 12, 26, 53, 55]]
+    samples += [[rng.randint(1, 60) for _ in range(rng.randint(1, 5))]
+                for _ in range(1500)]
+    for gens in ((1,), (2, 3), (4, 6, 13), (6, 9, 22), (8, 12, 26, 53)):
+        for _ in range(60):
+            extra = [sum(rng.randint(0, 3) * m for m in gens)
+                     for _ in range(rng.randint(0, 4))]
+            samples.append(list(gens) + [v for v in extra if v])
+    accepted = 0
+    for values in samples:
+        try:
+            want = table_branch_of_values(values)
+        except DecodeError:
+            with pytest.raises(DecodeError):
+                _branch_of_values(values)
+            continue
+        assert _branch_of_values(values) == want
+        accepted += 1
+    assert 300 <= accepted <= len(samples) - 300
+    with pytest.raises(DecodeError):
+        _branch_of_values([0, 2, 3])
 
 
 @pytest.mark.parametrize("seed", range(40))

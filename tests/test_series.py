@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planevals import (FactoredSeries, SeriesError, TruncatedSeries, div,
-                       divide_torus, expand, factorize, mul, project,
+from planevals import (FactoredSeries, SeriesError, TruncatedSeries,
+                       divide_torus, expand, factorize, project,
                        series_from_text, series_to_text)
 from planevals.series import MAX_CELLS, glex_key
 
@@ -32,8 +32,6 @@ def test_zero_powers_drop_and_duplicates_merge():
     f = FactoredSeries(2, [((1, 0), 2), ((1, 0), -2), ((0, 3), 1),
                            ((0, 3), 1)])
     assert f.factors() == {(0, 3): 2}
-    assert f.power((0, 3)) == 2
-    assert f.power((1, 0)) == 0
     assert len(f) == 1
 
 
@@ -103,27 +101,6 @@ def test_zero_variable_constant():
         expand(f, 5)
 
 
-def test_truncated_indexing_and_ops():
-    a = expand(FactoredSeries(1, {(1,): -1}), 5)
-    b = a.neg()
-    assert b[(3,)] == -1
-    assert a.add(b) == TruncatedSeries.zeros(1, 5)
-    assert a.sub(a) == TruncatedSeries.zeros(1, 5)
-    with pytest.raises(SeriesError):
-        a.add(TruncatedSeries.zeros(1, 6))
-    with pytest.raises(SeriesError):
-        a.add(TruncatedSeries.zeros(2, 5))
-
-
-def test_substitute_ones_matches_row_sums():
-    f = FactoredSeries(2, {(1, 1): -1, (2, 0): -1})
-    s = expand(f, 8)
-    t = s.substitute_ones(1)
-    assert t.nvars == 1
-    for k in range(9):
-        assert t[(k,)] == sum(int(s[(k, j)]) for j in range(9))
-
-
 @given(factored(2, max_coord=4))
 def test_expand_agrees_with_projection(f):
     # substituting 1 for var 2 in the expansion matches the projected
@@ -132,43 +109,16 @@ def test_expand_agrees_with_projection(f):
     if any(m[1] > m[0] for m in f.factors()):
         return
     p = expand(project(f, [1]), 10)
-    q = expand(f, 10).substitute_ones(1)
+    s = expand(f, 10)
     for k in range(11):
-        assert p[(k,)] == q[(k,)]
-
-
-# -- mul / div ------------------------------------------------------------
-
-
-@given(factored(2), factored(2))
-def test_mul_matches_factor_union(f, g):
-    h = FactoredSeries(2, list(f.items()) + list(g.items()))
-    assert mul(expand(f, 8), expand(g, 8)) == expand(h, 8)
-
-
-@given(factored(2), factored(2))
-def test_div_undoes_mul(f, g):
-    a, b = expand(f, 8), expand(g, 8)
-    assert div(mul(a, b), b) == a
-
-
-def test_div_requires_unit_constant_term():
-    a = expand(FactoredSeries(1, {(1,): -1}), 4)
-    z = TruncatedSeries.zeros(1, 4)
-    with pytest.raises(SeriesError):
-        div(a, z)
-
-
-def test_mul_div_one_minus_roundtrip():
-    a = expand(FactoredSeries(2, {(1, 2): -2, (2, 1): 1}), 7)
-    m = (1, 1)
-    assert a.mul_one_minus(m).div_one_minus(m) == a
-    assert a.mul_one_minus_power(m, 3).mul_one_minus_power(m, -3) == a
+        assert p[(k,)] == sum(s[(k, j)] for j in range(11))
 
 
 def test_divide_torus_inverts_torus_multiple():
+    # (t1 t2 - 1) p = -(1 - t1 t2) p cancels the factor at (1, 1)
     p = expand(FactoredSeries(2, {(1, 1): -1, (1, 2): -1}), 9)
-    p_prime = p.mul_one_minus((1, 1)).neg()
+    q = expand(FactoredSeries(2, {(1, 2): -1}), 9)
+    p_prime = TruncatedSeries(2, 9, -q.coeffs)
     assert divide_torus(p_prime) == p
 
 
@@ -306,15 +256,19 @@ def test_binomial_growth_promotes_to_python_ints():
 
 
 def test_promotion_partway_through_a_product():
-    s = expand(FactoredSeries(1, {(1,): -3}), 60)
-    assert s.coeffs.dtype == np.int64
-    t = s.mul_one_minus_power((1,), -40)
+    # glex order expands (1 - t2)^-3 first, in int64; (1 - t1)^-40 then
+    # reaches C(99, 39) > 2^63 and promotes the buffer
+    s = expand(FactoredSeries(2, {(0, 1): -3}), 60)
+    assert s.coeffs.dtype == np.int64 and s[(0, 60)] == math.comb(62, 2)
+    f = FactoredSeries(2, {(0, 1): -3, (1, 0): -40})
+    t = expand(f, 60)
     assert t.coeffs.dtype == object
-    assert all(t[(n,)] == math.comb(n + 42, 42) for n in range(61))
+    want = {(i, j): math.comb(i + 39, 39) * math.comb(j + 2, 2)
+            for i in range(61) for j in range(61)}
+    assert cells(t) == want
+    assert factorize(t) == f
     # the input is left as it was
-    assert s.coeffs.dtype == np.int64 and s[(60,)] == math.comb(62, 2)
-    back = t.mul_one_minus_power((1,), 40)
-    assert cells(back) == cells(s)
+    assert cells(t) == want
 
 
 @pytest.mark.parametrize("top", [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1,
@@ -323,46 +277,35 @@ def test_direct_write_near_int64_limit(top):
     # a value written into coeffs after construction must be measured,
     # not assumed small
     s = TruncatedSeries.zeros(1, 3)
-    s.coeffs[(0,)] = top
-    s.coeffs[(1,)] = -top
-    t = s.mul_one_minus((1,))
-    assert cells(t) == {(0,): top, (1,): -2 * top, (2,): top, (3,): 0}
-    u = s.div_one_minus((1,))
-    assert cells(u) == {(0,): top, (1,): 0, (2,): 0, (3,): 0}
+    s.coeffs[(0,)] = 1
+    s.coeffs[(1,)] = 1
+    s.coeffs[(2,)] = top
+    s.coeffs[(3,)] = -top
+    # peeling (1 - t) first leaves top - 1 at t^2 and -2 * top at t^3
+    f = factorize(s)
+    assert f.factors() == {(1,): -1, (2,): 1 - top, (3,): 2 * top}
+    assert cells(expand(f, 3)) == cells(s)
+    u = TruncatedSeries.zeros(1, 3)
+    u.coeffs[(0,)] = top
+    u.coeffs[(1,)] = -top
+    assert cells(divide_torus(u)) == {(0,): -top, (1,): 0, (2,): 0, (3,): 0}
 
 
 def test_int64_min_is_measured_without_wrapping():
+    # no pass fits on this grid, so only the sign flip meets INT64_MIN
+    s = TruncatedSeries.zeros(1, 0)
+    s.coeffs[(0,)] = -2 ** 63
+    assert divide_torus(s)[(0,)] == 2 ** 63
     s = TruncatedSeries.zeros(1, 2)
     s.coeffs[(0,)] = -2 ** 63
-    assert s.neg()[(0,)] == 2 ** 63
-    assert s.mul_one_minus((1,))[(1,)] == 2 ** 63
-    assert s.sub(s.neg())[(0,)] == -2 ** 64
-
-
-def test_elementwise_ops_promote_near_the_limit():
-    big = 2 ** 62 + 7
-    a = TruncatedSeries.zeros(2, 2)
-    a.coeffs[(0, 0)] = 1
-    a.coeffs[(1, 1)] = big
-    a.coeffs[(2, 1)] = -big
-    a.coeffs[(1, 2)] = big
-    ref = cells(a)
-    assert cells(a.add(a)) == {w: 2 * c for w, c in ref.items()}
-    assert cells(a.sub(a.neg())) == {w: 2 * c for w, c in ref.items()}
-    assert cells(a.neg().neg()) == ref
-    t = a.substitute_ones(0)
-    assert [t[(j,)] for j in range(3)] == [1, 0, big]
-    t = a.substitute_ones(1)
-    assert [t[(j,)] for j in range(3)] == [1, 2 * big, -big]
-    b = expand(FactoredSeries(2, {(1, 0): -1}), 2)
-    prod = mul(a, b)
-    assert cells(prod) == {w: sum(ref[(i, w[1])] for i in range(w[0] + 1))
-                           for w in ref}
-    # 3 * max|a| cannot be certified below 2^63; the quotient, built in
-    # Python ints, is measured and fits
-    assert prod.coeffs.dtype == object
-    q = div(prod, b)
-    assert q == a and q.coeffs.dtype == np.int64
+    once = divide_torus(s)
+    assert cells(once) == {(0,): 2 ** 63, (1,): 2 ** 63, (2,): 2 ** 63}
+    assert cells(divide_torus(once)) == {(0,): -2 ** 63, (1,): -2 ** 64,
+                                         (2,): -3 * 2 ** 63}
+    s = TruncatedSeries.zeros(1, 1)
+    s.coeffs[(0,)] = 1
+    s.coeffs[(1,)] = -2 ** 63
+    assert factorize(s) == FactoredSeries(1, {(1,): 2 ** 63})
 
 
 def test_huge_negative_power_is_binomial():
@@ -384,13 +327,14 @@ def test_huge_positive_power_stays_exact(k, dtype):
     # sum_{j <= 4} C(k, j) is below 2^63 for k = 10^5 and above it for
     # 2 * 10^5, so the first result is certified in int64 and the second
     # is promoted
-    s = TruncatedSeries.one(2, 9).mul_one_minus_power((2, 0), k)
+    f = FactoredSeries(2, {(2, 0): k})
+    s = expand(f, 9)
     assert s.coeffs.dtype == dtype
     assert cells(s) == {(i, j): (math.comb(k, i // 2) * (-1) ** (i // 2)
                                  if i % 2 == 0 and j == 0 else 0)
                         for i in range(10) for j in range(10)}
-    back = s.mul_one_minus_power((2, 0), -k)
-    assert back == TruncatedSeries.one(2, 9)
+    # peeling multiplies by (1 - t1^2)^-k, back to the constant 1
+    assert factorize(s) == f
 
 
 @given(factored(2, max_coord=4, max_factors=3), st.integers(0, 8))
