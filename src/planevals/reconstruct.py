@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .dualgraph import (MAX_VERTICES, DualGraph, GraphError,
                         multiplicity_matrix)
-from .poincare import (Branch, Divisorial, default_spec, poincare_series,
+from .poincare import (default_spec, poincare_series,
                        projection_formula_curve)
 from .series import FactoredSeries, SeriesError, glex_key, project
 

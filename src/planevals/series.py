@@ -2,27 +2,44 @@
 
 Two representations are used throughout the package: a factored form
 ``prod (1 - t^m)^k`` with integer exponent vectors ``m`` and integer powers
-``k``, and a dense truncated expansion on the grid ``[0, bound]^nvars``.
+``k``, and a truncated expansion on the grid ``[0, bound]^nvars``.
 
 Three operations connect them: ``expand`` multiplies out a product,
 ``factorize`` peels the product back off a unit series, and
 ``divide_torus`` divides by ``(t_1 ... t_r - 1)`` for the definitional
-oracle.  All three run the same in-place shift-add passes.
+oracle.
+
+``expand`` and ``factorize`` start on the support: a dict from exponent
+tuple to Python int, truncated to the box.  Multiplying by
+``(1 - t^m)^k`` adds ``coef_j * c`` at ``e + j*m`` for each term
+``c * t^e`` and each step ``j`` that stays in the box, so a factor costs
+about ``terms * steps`` dict updates.  Before each factor (each peel, in
+``factorize``) that prediction is compared with ``cells //
+_CELLS_PER_TERM``, where ``_CELLS_PER_TERM`` is the measured cost of one
+dict update in grid cells of a factor's numpy passes.  Once the
+prediction passes that limit, the support is scattered into the dense
+grid once and the rest runs as in-place shift-add passes on it, as
+``divide_torus`` always does.  A product of a few binomials with large
+exponents stays on its few terms; one that fills the box, as peeling a
+numerator does, moves to the grid.
 
 Storage contract of the dense grid: coefficients are held in an ``int64``
 numpy array whenever a bound proves that every value fits, and in a
-``dtype=object`` array of Python ints otherwise.  Each operation measures
-the magnitude of its input from the array itself (never from a stored
-figure, since callers may write into ``coeffs`` directly), and runs a pass
-in ``int64`` only when that measurement certifies the result below
+``dtype=object`` array of Python ints otherwise.  The support becomes a
+grid in ``int64`` exactly when every ``|c| < 2^63``.  Each grid pass
+measures the magnitude of its input from the array itself (never from a
+stored figure, since callers may write into ``coeffs`` directly), and
+runs in ``int64`` only when that measurement certifies the result below
 ``2^63``; otherwise it promotes to ``object`` first.  No fixed-width
 operation runs unchecked, so there is no floating point and no overflow,
 and every coefficient handed out is a Python int.  A grid may have at most
-``MAX_CELLS`` cells; larger ones are refused before anything is allocated.
+``MAX_CELLS`` cells; larger ones are refused before any support or grid is
+built.
 """
 
 from __future__ import annotations
 
+from operator import add, floordiv, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -54,6 +71,15 @@ _OBJECT = np.dtype(object)
 # stays below 2^63
 _INT64_LIMIT = 2 ** 63
 _PASS_LIMIT = 2 ** 62
+# Cost of one dict update of the sparse kernel in grid cells: the
+# support goes to the grid once a factor would make more than
+# cells // _CELLS_PER_TERM updates.  An update (a shifted exponent tuple,
+# a get and a set) took about 1.3 us and one cell of an int64 shift-add
+# pass 1.8 ns, but a factor on the grid makes several passes and copies;
+# on the 60 expand ops of the dense benchmark corpora of seeds 7 and 12,
+# expand plus factorize took the same time, within noise, for every
+# value from 50 to 400 (x86_64, Python 3.11, numpy 2.4).
+_CELLS_PER_TERM = 100
 
 
 class SeriesError(ValueError):
@@ -110,6 +136,15 @@ class FactoredSeries:
             acc[m] = acc.get(m, 0) + k
         self._factors = {m: k for m, k in acc.items() if k != 0}
 
+    @classmethod
+    def _from_valid(cls, nvars: int, factors: dict) -> "FactoredSeries":
+        """Wrap exponents already known valid for ``nvars``, skipping the
+        per-exponent check; zero powers drop."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out._factors = {m: k for m, k in factors.items() if k}
+        return out
+
     def factors(self) -> dict:
         """Factor dictionary, exponent tuple -> nonzero power (a copy)."""
         return dict(self._factors)
@@ -160,10 +195,84 @@ def _magnitude(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min()))
 
 
+def _coefs(k: int, n: int) -> list:
+    """Coefficients of ``(1 - x)^k`` up to ``x^n``, as Python ints."""
+    coefs = [1]
+    for j in range(1, n + 1):
+        coefs.append(-coefs[-1] * (k - j + 1) // j)
+    return coefs
+
+
+def _grid(terms: dict, nvars: int, bound: int) -> np.ndarray:
+    """Scatter a support dict into a new dense grid, ``int64`` exactly when
+    every ``|c| < 2^63``."""
+    top = max(max(terms.values(), default=0), -min(terms.values(), default=0))
+    dtype = _INT64 if top < _INT64_LIMIT else _OBJECT
+    arr = np.zeros((bound + 1,) * nvars, dtype=dtype)
+    if terms:
+        arr[tuple(np.array(list(terms)).T)] = np.array(list(terms.values()),
+                                                       dtype=dtype)
+    return arr
+
+
+class _Terms:
+    """Sparse truncated series: ``terms`` maps exponent tuples in the box
+    ``[0, bound]^nvars`` to nonzero Python ints.
+
+    ``power`` multiplies only while the predicted number of dict updates
+    stays within ``cells // _CELLS_PER_TERM``; past it the caller scatters
+    ``terms`` into the grid and goes on there.
+    """
+
+    __slots__ = ("terms", "bound", "cells")
+
+    def __init__(self, terms: dict, nvars: int, bound: int):
+        self.terms = terms
+        self.bound = bound
+        self.cells = (bound + 1) ** nvars
+
+    def power(self, m, k: int) -> bool:
+        """Multiply by ``(1 - t^m)^k``; return False, changing nothing,
+        if that would take more than ``cells // _CELLS_PER_TERM`` updates.
+
+        Only the terms ``j <= bound // max(m)`` (and ``j <= k`` for a
+        positive power) of the binomial series can land in the box, and a
+        term ``c * t^e`` spreads over the steps that keep ``e + j*m`` in it.
+        """
+        bound = self.bound
+        top = max(m)
+        if top > bound or k == 0:
+            return True
+        steps = bound // top if k < 0 else min(bound // top, k)
+        # for whole numbers, n > cells // C exactly when n * C > cells
+        if len(self.terms) * steps * _CELLS_PER_TERM > self.cells:
+            return False
+        coefs = _coefs(k, steps)
+        shifts = [tuple(j * e for e in m) for j in range(steps + 1)]
+        # room along axis i is (cap_i - e_i) // step_i; an axis that m
+        # does not move gets more room than any factor has steps
+        caps = tuple(bound if e else bound + steps for e in m)
+        step = tuple(e or 1 for e in m)
+        out = dict(self.terms)
+        get = out.get
+        for e, c in self.terms.items():
+            room = min(steps, *map(floordiv, map(sub, caps, e), step))
+            for j in range(1, room + 1):
+                key = tuple(map(add, e, shifts[j]))
+                out[key] = get(key, 0) + coefs[j] * c
+        self.terms = {e: c for e, c in out.items() if c}
+        return True
+
+
 def _nonzero_cells(arr: np.ndarray) -> tuple:
     """Flat indices, exponents (one index array per axis) and total
-    degrees of the nonzero cells, in row-major order, which is lex order."""
-    idx = np.flatnonzero(arr)
+    degrees of the nonzero cells, in row-major order, which is lex order.
+
+    Taken from a boolean mask: numpy finds the nonzero entries of a bool
+    array several times faster than those of an int64 one (0.24 against
+    1.6 ms on a mostly empty 26^4 grid).
+    """
+    idx = np.flatnonzero(arr.reshape(-1) != 0)
     coords = np.unravel_index(idx, arr.shape)
     return idx, coords, np.sum(coords, axis=0)
 
@@ -246,10 +355,7 @@ class _Kernel:
         reach = bound // top
         unit = 1 if k > 0 else reach.bit_length()
         if 2 * (reach + 1) <= abs(k) * unit:
-            coefs = [1]
-            for j in range(1, reach + 1):
-                coefs.append(-coefs[-1] * (k - j + 1) // j)
-            self._binomial(m, coefs)
+            self._binomial(m, _coefs(k, reach))
             return
         for _ in range(abs(k)):
             if k > 0:
@@ -289,12 +395,6 @@ class TruncatedSeries:
         _check_grid(nvars, bound)
         arr = np.zeros((bound + 1,) * nvars, dtype=np.int64)
         return cls(nvars, bound, arr)
-
-    @classmethod
-    def one(cls, nvars: int, bound: int) -> "TruncatedSeries":
-        out = cls.zeros(nvars, bound)
-        out.coeffs[(0,) * nvars] = 1
-        return out
 
     def __getitem__(self, m) -> int:
         return int(self.coeffs[tuple(m)])
@@ -337,21 +437,34 @@ def project(f: FactoredSeries, keep) -> FactoredSeries:
     if keep[0] < 1 or keep[-1] > f.nvars:
         raise SeriesError(f"keep indices out of range 1..{f.nvars}")
     idx = [i - 1 for i in keep]
-    items = []
-    for m, k in f.items():
+    merged: dict = {}
+    for m, k in f._factors.items():
         mm = tuple(m[i] for i in idx)
         if not any(mm):
-            raise SeriesError(f"factor at {m} degenerates under projection")
-        items.append((mm, k))
-    return FactoredSeries(len(keep), items)
+            bad = min((e for e in f._factors
+                       if not any(e[i] for i in idx)), key=glex_key)
+            raise SeriesError(f"factor at {bad} degenerates under projection")
+        merged[mm] = merged.get(mm, 0) + k
+    return FactoredSeries._from_valid(len(keep), merged)
 
 
 def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
-    """Dense expansion on ``[0, bound]^nvars``, exact within the grid."""
-    kernel = _Kernel(TruncatedSeries.one(f.nvars, bound).coeffs)
+    """Expansion on ``[0, bound]^nvars``, exact within the grid.
+
+    Factors run in glex order on the support until one would cost more
+    than its limit; that one and the rest run on the dense grid.
+    """
+    _check_grid(f.nvars, bound)
+    sparse = _Terms({(0,) * f.nvars: 1}, f.nvars, bound)
+    kernel = None
     for m, k in f.items():
-        kernel.power(m, k)
-    return TruncatedSeries(f.nvars, bound, kernel.arr)
+        if kernel is None and not sparse.power(m, k):
+            kernel = _Kernel(_grid(sparse.terms, f.nvars, bound))
+        if kernel is not None:
+            kernel.power(m, k)
+    arr = (_grid(sparse.terms, f.nvars, bound) if kernel is None
+           else kernel.arr)
+    return TruncatedSeries(f.nvars, bound, arr)
 
 
 def factorize(s: TruncatedSeries) -> FactoredSeries:
@@ -365,11 +478,17 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
     one batch.  Requires constant term 1.  Factors supported beyond
     the grid are invisible; the result reproduces the input exactly
     within the bound.
+
+    Peels run on the support of ``s`` until one would cost more than its
+    limit; from there the sweep goes on over the dense grid.
     """
     if s.coeffs[(0,) * s.nvars] != 1:
         raise SeriesError("factorization needs constant term 1")
-    kernel = _Kernel(s.coeffs.copy())
     factors: dict = {}
+    sparse = _Terms(dict(s.nonzero_terms()), s.nvars, s.bound)
+    if _peel_sparse(sparse, factors):
+        return FactoredSeries(s.nvars, factors)
+    kernel = _Kernel(_grid(sparse.terms, s.nvars, s.bound))
     while True:
         # the origin comes first, and peeling keeps it at 1
         idx, coords, deg = _nonzero_cells(kernel.arr)
@@ -382,6 +501,23 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
             factors[m] = -c
             kernel.power(m, c)
     return FactoredSeries(s.nvars, factors)
+
+
+def _peel_sparse(sparse: _Terms, factors: dict) -> bool:
+    """The degree sweep of ``factorize`` on the support, recording each
+    peeled factor; False at the first peel over the limit, which is left
+    undone.  Peels of one degree change only higher degrees, so the
+    batch read before them stays valid throughout."""
+    while len(sparse.terms) > 1:
+        # the origin, of degree 0, is the one term that peeling keeps
+        degree = {m: sum(m) for m in sparse.terms}
+        low = min(d for d in degree.values() if d)
+        batch = [(m, c) for m, c in sparse.terms.items() if degree[m] == low]
+        for m, c in batch:
+            if not sparse.power(m, c):
+                return False
+            factors[m] = -c
+    return True
 
 
 def divide_torus(p_prime: TruncatedSeries) -> TruncatedSeries:

@@ -1,7 +1,9 @@
 """Series arithmetic: factored products, truncated expansions, text format."""
 
+import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from planevals import (FactoredSeries, SeriesError, TruncatedSeries,
-                       divide_torus, expand, factorize, project,
+                       default_spec, divide_torus, expand, factorize,
+                       poincare_series, project, random_instance,
                        series_from_text, series_to_text)
+from planevals import series as series_module
 from planevals.series import MAX_CELLS, glex_key
 
 
@@ -69,6 +73,16 @@ def test_project_merges_and_rejects_degenerate():
         project(f, [])
     with pytest.raises(SeriesError):
         project(f, [3])
+
+
+def test_project_drops_cancelled_powers_and_names_first_degenerate():
+    f = FactoredSeries(3, {(1, 2, 0): -1, (1, 2, 3): 1, (2, 1, 1): 3})
+    p = project(f, [1, 2])
+    assert p == FactoredSeries(2, {(2, 1): 3}) and p.factors() == {(2, 1): 3}
+    # of the two factors that vanish on (t1, t2), the glex-first is named
+    g = FactoredSeries(3, {(0, 0, 4): 1, (1, 0, 1): 1, (0, 0, 2): -1})
+    with pytest.raises(SeriesError, match=r"\(0, 0, 2\) degenerates"):
+        project(g, [2, 1])
 
 
 # -- expansion ------------------------------------------------------------
@@ -371,3 +385,142 @@ def test_largest_used_grid_is_admitted():
     assert MAX_CELLS >= 26 ** 4
     s = expand(FactoredSeries(4, {(1, 1, 1, 1): -1}), 25)
     assert s[(25, 25, 25, 25)] == 1
+
+
+# -- the sparse kernel and its hand-off to the grid -------------------------
+
+
+def record_steps(monkeypatch, cells_per_term):
+    """Set the hand-off ratio and log each step of the sparse kernel as
+    (total degree of m, whether it ran on the support, terms after it)."""
+    monkeypatch.setattr(series_module, "_CELLS_PER_TERM", cells_per_term)
+    log = []
+    power = series_module._Terms.power
+
+    def spy(self, m, k):
+        ran = power(self, m, k)
+        log.append((sum(m), ran, len(self.terms)))
+        return ran
+
+    monkeypatch.setattr(series_module._Terms, "power", spy)
+    return log
+
+
+# a ratio of 0 predicts no cost, so nothing leaves the support; one above
+# every cell count sends the first factor that reaches the box to the grid
+ALL_SPARSE, ALL_GRID = 0, 2 ** 100
+
+# (nvars, bound) small enough for reference_expand
+PATH_GRIDS = ((1, 30), (2, 12), (3, 6), (4, 4))
+
+
+def random_factored(rng, nvars, bound, count):
+    """count factors, exponents inside the grid, powers -3..3."""
+    items = {}
+    while len(items) < count:
+        m = tuple(rng.randint(0, bound) for _ in range(nvars))
+        if any(m):
+            items[m] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return FactoredSeries(nvars, items)
+
+
+@pytest.mark.parametrize("ratio", [ALL_SPARSE, ALL_GRID])
+@pytest.mark.parametrize("nvars,bound", PATH_GRIDS)
+def test_each_path_matches_pure_python(monkeypatch, ratio, nvars, bound):
+    log = record_steps(monkeypatch, ratio)
+    rng = random.Random(f"paths:{nvars}")
+    for count in (1, 2, 3, 4, 5):
+        f = random_factored(rng, nvars, bound, count)
+        log.clear()
+        s = expand(f, bound)
+        assert series_to_text(s) == reference_text(f, bound)
+        assert factorize(s) == f
+        ran = [r for _, r, _ in log]
+        if ratio == ALL_SPARSE:
+            assert all(ran)
+        else:
+            # a factor's first step always lands in the box here
+            assert ran and not ran[0]
+
+
+def test_expand_hands_off_partway_through_the_product(monkeypatch):
+    f = FactoredSeries(2, {(1, 1): -1, (2, 3): -1, (4, 1): 1, (3, 5): -2})
+    log = record_steps(monkeypatch, 2)
+    s = expand(f, 12)
+    # three factors on the support, the last on the grid
+    assert [r for _, r, _ in log] == [True, True, True, False]
+    assert series_to_text(s) == reference_text(f, 12)
+    assert factorize(s) == f
+
+
+@pytest.mark.parametrize("ratio,done", [(10, [True, True, False]),
+                                        (2, [True, True, True, False])])
+def test_factorize_hands_off_partway_through_the_sweep(monkeypatch, ratio,
+                                                       done):
+    # 1 + t1 + t2 is no finite product: the peels go on through every
+    # degree of the box, and the support grows as they do
+    s = TruncatedSeries.zeros(2, 12)
+    s.coeffs[(0, 0)] = s.coeffs[(1, 0)] = s.coeffs[(0, 1)] = 1
+    log = record_steps(monkeypatch, ALL_SPARSE)
+    f = factorize(s)
+    assert len(log) == len(f) == 148
+    monkeypatch.setattr(series_module, "_CELLS_PER_TERM", ratio)
+    log.clear()
+    assert factorize(s) == f
+    # at ratio 10 the hand-off comes at the first peel of degree 2, after
+    # the whole degree-1 batch; at ratio 2 it comes inside the degree-2
+    # batch
+    assert [r for _, r, _ in log] == done
+    assert [d for d, _, _ in log] == [1, 1, 2, 2][:len(done)]
+    assert expand(f, 12) == s
+
+
+@pytest.mark.parametrize("c,dtype", [(2 ** 63 - 1, np.int64),
+                                     (2 ** 63, object), (-2 ** 63, object)])
+def test_support_becomes_int64_exactly_below_2_63(monkeypatch, c, dtype):
+    # (1 - t)^-c = 1 + c t + ... on the grid [0, 1]
+    log = record_steps(monkeypatch, ALL_SPARSE)
+    f = FactoredSeries(1, {(1,): -c})
+    s = expand(f, 1)
+    assert log == [(1, True, 2)]
+    assert s.coeffs.dtype == dtype
+    assert cells(s) == {(0,): 1, (1,): c}
+    assert factorize(s) == f
+
+
+@pytest.mark.parametrize("ratio", [10, series_module._CELLS_PER_TERM])
+def test_support_stays_within_its_bound(monkeypatch, ratio):
+    # the product fills every cell of the box; a factor runs on the
+    # support only if terms * steps <= cells // ratio, so with steps >= 1
+    # the support after it holds at most twice that
+    f = FactoredSeries(3, {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+    limit = 61 ** 3 // ratio
+    log = record_steps(monkeypatch, ratio)
+    s = expand(f, 60)
+    assert s.coeffs.min() == s.coeffs.max() == 1
+    assert log[-1][1] is False
+    assert max(n for _, r, n in log if r) <= 2 * limit
+    log.clear()
+    assert factorize(s) == f
+    # the input fills the box, so its first peel goes to the grid
+    assert log == [(1, False, 61 ** 3)]
+
+
+# sha256 over the expanded and the factored text of each instance below,
+# as written by the kernel that ran every factor and peel on the dense grid
+EXPAND_FACTORIZE_DIGEST = (
+    "c8b4b49a3cf27eb45570e2a2849b05f3ab1f22919e92dd68765a28fe3152bdb3")
+
+
+def test_expand_and_factorize_match_pinned_digest():
+    # the grids and modes of the dense benchmark: some run wholly on the
+    # support, some hand off in expand, some in factorize
+    h = hashlib.sha256()
+    for r, bound in ((3, 40), (3, 60), (4, 25)):
+        for mode in ("divisorial", "curve"):
+            for seed in range(5):
+                g = random_instance(seed, 30, r, mode)
+                s = expand(poincare_series(g, default_spec(g)), bound)
+                h.update(series_to_text(s).encode())
+                h.update(series_to_text(factorize(s)).encode())
+    assert h.hexdigest() == EXPAND_FACTORIZE_DIGEST
