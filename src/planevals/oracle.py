@@ -25,7 +25,7 @@ import numpy as np
 
 from .dualgraph import DualGraph, multiplicity_matrix
 from .poincare import Branch, Divisorial, ValuationSpec
-from .series import TruncatedSeries, divide_torus
+from .series import TruncatedSeries, _support, divide_torus
 
 __all__ = [
     "OracleError",
@@ -467,7 +467,7 @@ def definitional_poincare(graph: DualGraph, spec: ValuationSpec,
     prime = ell
     for axis in range(r):
         prime = -np.diff(prime, axis=axis)
-    return divide_torus(TruncatedSeries(r, bound, prime))
+    return divide_torus(TruncatedSeries(r, bound, _support(prime)))
 
 
 def semigroup_series(generators: Sequence[int], bound: int) -> TruncatedSeries:
@@ -482,8 +482,5 @@ def semigroup_series(generators: Sequence[int], bound: int) -> TruncatedSeries:
         for v in range(g, bound + 1):
             if reach[v - g]:
                 reach[v] = True
-    out = TruncatedSeries.zeros(1, bound)
-    for v, ok in enumerate(reach):
-        if ok:
-            out.coeffs[(v,)] = 1
-    return out
+    return TruncatedSeries(1, bound,
+                           {(v,): 1 for v, ok in enumerate(reach) if ok})

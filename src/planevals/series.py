@@ -2,43 +2,39 @@
 
 Two representations are used throughout the package: a factored form
 ``prod (1 - t^m)^k`` with integer exponent vectors ``m`` and integer powers
-``k``, and a truncated expansion on the grid ``[0, bound]^nvars``.
+``k``, and a truncation to the box ``[0, bound]^nvars`` held as its
+support: a dict from exponent tuple inside the box to nonzero Python int.
 
 Three operations connect them: ``expand`` multiplies out a product,
 ``factorize`` peels the product back off a unit series, and
 ``divide_torus`` divides by ``(t_1 ... t_r - 1)`` for the definitional
 oracle.
 
-``expand`` and ``factorize`` start on the support: a dict from exponent
-tuple to Python int, truncated to the box.  Multiplying by
-``(1 - t^m)^k`` adds ``coef_j * c`` at ``e + j*m`` for each term
-``c * t^e`` and each step ``j`` that stays in the box, so a factor costs
-about ``terms * steps`` dict updates.  Before each factor (each peel, in
-``factorize``) that prediction is compared with ``cells //
-_CELLS_PER_TERM``, where ``_CELLS_PER_TERM`` is the measured cost of one
-dict update in grid cells of a factor's numpy passes.  Once the
-prediction passes that limit, the support is scattered into the dense
-grid once and the rest runs as in-place shift-add passes on it, as
-``divide_torus`` always does.  A product of a few binomials with large
-exponents stays on its few terms; one that fills the box, as peeling a
-numerator does, moves to the grid.
+All three run on the support.  Multiplying by ``(1 - t^m)^k`` adds
+``coef_j * c`` at ``e + j*m`` for each term ``c * t^e`` and each step
+``j`` that stays in the box, so a factor costs about ``terms * steps``
+dict updates.  Before each factor (each peel, in ``factorize``) that
+prediction is compared with ``cells // _CELLS_PER_TERM``, where
+``_CELLS_PER_TERM`` is the measured cost of one dict update in grid cells
+of a factor's numpy passes.  Once the prediction passes that limit, the
+support is scattered into a dense grid once and the rest runs as in-place
+shift-add passes on it, whose nonzero cells are the result.  A product of
+a few binomials with large exponents stays on its few terms; one that
+fills the box, as peeling a numerator does, moves to the grid.
 
-Storage contract of the dense grid: coefficients are held in an ``int64``
-numpy array whenever a bound proves that every value fits, and in a
-``dtype=object`` array of Python ints otherwise.  The support becomes a
-grid in ``int64`` exactly when every ``|c| < 2^63``.  Each grid pass
-measures the magnitude of its input from the array itself (never from a
-stored figure, since callers may write into ``coeffs`` directly), and
-runs in ``int64`` only when that measurement certifies the result below
-``2^63``; otherwise it promotes to ``object`` first.  No fixed-width
-operation runs unchecked, so there is no floating point and no overflow,
-and every coefficient handed out is a Python int.  A grid may have at most
-``MAX_CELLS`` cells; larger ones are refused before any support or grid is
-built.
+The grid exists only inside those passes.  It is ``int64`` exactly when
+every ``|c| < 2^63`` and a ``dtype=object`` array of Python ints
+otherwise; each pass runs in ``int64`` only when a bound measured from
+the array certifies the result below ``2^63``, and promotes to
+``object`` first otherwise.  No fixed-width operation runs unchecked, so
+there is no floating point and no overflow, and every coefficient handed
+out is a Python int.  A box may have at most ``MAX_CELLS`` cells; larger
+ones are refused before any support or grid is built.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add, floordiv, sub
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -204,15 +200,28 @@ def _coefs(k: int, n: int) -> list:
 
 
 def _grid(terms: dict, nvars: int, bound: int) -> np.ndarray:
-    """Scatter a support dict into a new dense grid, ``int64`` exactly when
-    every ``|c| < 2^63``."""
-    top = max(max(terms.values(), default=0), -min(terms.values(), default=0))
-    dtype = _INT64 if top < _INT64_LIMIT else _OBJECT
-    arr = np.zeros((bound + 1,) * nvars, dtype=dtype)
-    if terms:
-        arr[tuple(np.array(list(terms)).T)] = np.array(list(terms.values()),
-                                                       dtype=dtype)
+    """Scatter a support into a new dense grid, ``int64`` exactly when
+    every ``|c| < 2^63``.
+
+    The exponents are read into one flat integer array: building an
+    array from the list of tuples costs several times as much.
+    """
+    values = list(terms.values())
+    top = max(map(abs, values), default=0)
+    arr = np.zeros((bound + 1,) * nvars,
+                   dtype=_INT64 if top < _INT64_LIMIT else _OBJECT)
+    if values:
+        exps = np.fromiter(chain.from_iterable(terms), _INT64,
+                           len(values) * nvars).reshape(-1, nvars)
+        arr[tuple(exps.T)] = values
     return arr
+
+
+def _support(arr: np.ndarray) -> dict:
+    """The nonzero cells of a grid, exponent tuple -> Python int."""
+    idx, coords = _nonzero_cells(arr)
+    exps = zip(*(ax.tolist() for ax in coords))
+    return dict(zip(exps, arr.reshape(-1)[idx].tolist()))
 
 
 class _Terms:
@@ -265,16 +274,15 @@ class _Terms:
 
 
 def _nonzero_cells(arr: np.ndarray) -> tuple:
-    """Flat indices, exponents (one index array per axis) and total
-    degrees of the nonzero cells, in row-major order, which is lex order.
+    """Flat indices and exponents (one index array per axis) of the
+    nonzero cells, in row-major order, which is lex order.
 
     Taken from a boolean mask: numpy finds the nonzero entries of a bool
     array several times faster than those of an int64 one (0.24 against
     1.6 ms on a mostly empty 26^4 grid).
     """
     idx = np.flatnonzero(arr.reshape(-1) != 0)
-    coords = np.unravel_index(idx, arr.shape)
-    return idx, coords, np.sum(coords, axis=0)
+    return idx, np.unravel_index(idx, arr.shape)
 
 
 class _Kernel:
@@ -368,42 +376,43 @@ class _Kernel:
 
 
 class TruncatedSeries:
-    """Dense series truncated to the grid ``[0, bound]^nvars``.
+    """Series truncated to the box ``[0, bound]^nvars``, held as its support.
 
-    ``coeffs`` is an int64 array when a bound proves every coefficient
-    fits, and a ``dtype=object`` array of Python ints otherwise (see the
-    module docstring); ``zeros`` starts in int64.  Direct writes into
-    ``coeffs`` are allowed as long as the value fits the array's dtype,
-    because ``factorize`` and ``divide_torus`` re-measure their input and
-    work on a copy.  Indexing and ``nonzero_terms`` always return Python
-    ints.
+    ``terms`` maps exponent tuples inside the box to nonzero Python ints;
+    it is kept as given, not copied or checked, and instances are treated
+    as immutable.  Indexing and ``nonzero_terms`` return Python ints.
+    ``coeffs`` builds a read-only dense grid of the coefficients, ``int64``
+    exactly when every ``|c| < 2^63`` and ``object`` otherwise; it is kept
+    for the benchmark, which compares grids.
     """
 
-    __slots__ = ("nvars", "bound", "coeffs")
+    __slots__ = ("nvars", "bound", "_terms")
 
-    def __init__(self, nvars: int, bound: int, coeffs: np.ndarray):
+    def __init__(self, nvars: int, bound: int, terms: dict):
         _check_grid(nvars, bound)
-        shape = (bound + 1,) * nvars
-        if coeffs.shape != shape or coeffs.dtype not in (_INT64, _OBJECT):
-            raise SeriesError("coefficient array has wrong shape or dtype")
         self.nvars = nvars
         self.bound = bound
-        self.coeffs = coeffs
+        self._terms = terms
 
-    @classmethod
-    def zeros(cls, nvars: int, bound: int) -> "TruncatedSeries":
-        _check_grid(nvars, bound)
-        arr = np.zeros((bound + 1,) * nvars, dtype=np.int64)
-        return cls(nvars, bound, arr)
+    @property
+    def coeffs(self) -> np.ndarray:
+        """A new read-only dense grid of the coefficients."""
+        arr = _grid(self._terms, self.nvars, self.bound)
+        arr.flags.writeable = False
+        return arr
 
     def __getitem__(self, m) -> int:
-        return int(self.coeffs[tuple(m)])
+        m = tuple(m)
+        if len(m) != self.nvars or not all(0 <= e <= self.bound for e in m):
+            raise SeriesError(f"exponent {m} outside grid "
+                              f"[0, {self.bound}]^{self.nvars}")
+        return self._terms.get(m, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.nvars == other.nvars and self.bound == other.bound
-                and bool(np.array_equal(self.coeffs, other.coeffs)))
+                and self._terms == other._terms)
 
     def __repr__(self) -> str:
         terms = list(self.nonzero_terms())
@@ -413,15 +422,9 @@ class TruncatedSeries:
                 f"{{{shown}{more}}})")
 
     def nonzero_terms(self) -> Iterator:
-        """Yield ``(exponent, coefficient)`` in glex order.
-
-        Row-major flat order is lex order, so a stable sort of the nonzero
-        cells by total degree gives glex order.
-        """
-        idx, coords, deg = _nonzero_cells(self.coeffs)
-        order = np.argsort(deg, kind="stable")
-        exps = zip(*(ax[order].tolist() for ax in coords))
-        return zip(exps, self.coeffs.reshape(-1)[idx[order]].tolist())
+        """Yield ``(exponent, coefficient)`` in glex order."""
+        return iter(sorted(self._terms.items(),
+                           key=lambda mc: glex_key(mc[0])))
 
 
 def project(f: FactoredSeries, keep) -> FactoredSeries:
@@ -448,27 +451,34 @@ def project(f: FactoredSeries, keep) -> FactoredSeries:
     return FactoredSeries._from_valid(len(keep), merged)
 
 
-def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
-    """Expansion on ``[0, bound]^nvars``, exact within the grid.
+def _multiply(terms: dict, nvars: int, bound: int, factors) -> dict:
+    """Support of ``terms`` times the product of the ``(m, k)`` factors
+    ``(1 - t^m)^k``, in the order given, on the box.
 
-    Factors run in glex order on the support until one would cost more
-    than its limit; that one and the rest run on the dense grid.
+    Factors run on the support until one would cost more than its limit;
+    that one and the rest run on the dense grid.
     """
-    _check_grid(f.nvars, bound)
-    sparse = _Terms({(0,) * f.nvars: 1}, f.nvars, bound)
+    sparse = _Terms(terms, nvars, bound)
     kernel = None
-    for m, k in f.items():
+    for m, k in factors:
         if kernel is None and not sparse.power(m, k):
-            kernel = _Kernel(_grid(sparse.terms, f.nvars, bound))
+            kernel = _Kernel(_grid(sparse.terms, nvars, bound))
         if kernel is not None:
             kernel.power(m, k)
-    arr = (_grid(sparse.terms, f.nvars, bound) if kernel is None
-           else kernel.arr)
-    return TruncatedSeries(f.nvars, bound, arr)
+    return sparse.terms if kernel is None else _support(kernel.arr)
+
+
+def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
+    """Expansion on ``[0, bound]^nvars``, exact within the box; factors
+    run in glex order."""
+    _check_grid(f.nvars, bound)
+    one = {(0,) * f.nvars: 1}
+    return TruncatedSeries(f.nvars, bound,
+                           _multiply(one, f.nvars, bound, f.items()))
 
 
 def factorize(s: TruncatedSeries) -> FactoredSeries:
-    """Write ``s`` as ``prod (1 - t^m)^{k_m}``, exactly on the grid.
+    """Write ``s`` as ``prod (1 - t^m)^{k_m}``, exactly on the box.
 
     Sweeps the total degree upwards.  Once every nonconstant term of
     degree below ``d`` is cleared, each remaining term ``c * t^m`` of
@@ -476,24 +486,25 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
     multiplying by ``(1 - t^m)^c`` clears it while changing only cells
     of degree above ``d``; so all terms of degree ``d`` are peeled in
     one batch.  Requires constant term 1.  Factors supported beyond
-    the grid are invisible; the result reproduces the input exactly
+    the box are invisible; the result reproduces the input exactly
     within the bound.
 
     Peels run on the support of ``s`` until one would cost more than its
     limit; from there the sweep goes on over the dense grid.
     """
-    if s.coeffs[(0,) * s.nvars] != 1:
+    if s._terms.get((0,) * s.nvars) != 1:
         raise SeriesError("factorization needs constant term 1")
     factors: dict = {}
-    sparse = _Terms(dict(s.nonzero_terms()), s.nvars, s.bound)
+    sparse = _Terms(s._terms, s.nvars, s.bound)
     if _peel_sparse(sparse, factors):
         return FactoredSeries(s.nvars, factors)
     kernel = _Kernel(_grid(sparse.terms, s.nvars, s.bound))
     while True:
         # the origin comes first, and peeling keeps it at 1
-        idx, coords, deg = _nonzero_cells(kernel.arr)
+        idx, coords = _nonzero_cells(kernel.arr)
         if idx.size == 1:
             break
+        deg = np.sum(coords, axis=0)
         batch = deg == deg[1:].min()
         exps = zip(*(ax[batch].tolist() for ax in coords))
         values = kernel.arr.reshape(-1)[idx[batch]].tolist()
@@ -521,19 +532,14 @@ def _peel_sparse(sparse: _Terms, factors: dict) -> bool:
 
 
 def divide_torus(p_prime: TruncatedSeries) -> TruncatedSeries:
-    """Divide by ``(t_1 ... t_r - 1)`` exactly on the grid.
+    """Divide by ``(t_1 ... t_r - 1)`` exactly on the box.
 
-    Since ``(t^1 - 1) = -(1 - t^1)``, this is geometric accumulation at the
-    all-ones shift followed by a sign flip.  The flip runs in int64 only
-    when the measured ``max |c|`` is below ``2^63``: negating ``INT64_MIN``
-    would wrap.
+    Since ``(t^1 - 1) = -(1 - t^1)``, this is multiplication by
+    ``(1 - t^1)^-1`` followed by a sign flip of the Python ints.
     """
-    kernel = _Kernel(p_prime.coeffs.copy())
-    kernel.power((1,) * p_prime.nvars, -1)
-    arr = kernel.arr
-    if arr.dtype == _INT64 and _magnitude(arr) >= _INT64_LIMIT:
-        arr = arr.astype(object)
-    return TruncatedSeries(p_prime.nvars, p_prime.bound, -arr)
+    r, bound = p_prime.nvars, p_prime.bound
+    terms = _multiply(p_prime._terms, r, bound, [((1,) * r, -1)])
+    return TruncatedSeries(r, bound, {m: -c for m, c in terms.items()})
 
 
 def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
@@ -579,42 +585,29 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
         raise SeriesError(f"unknown mode {mode!r}")
     if nvars < 1 or bound < 0:
         raise SeriesError("need vars >= 1 and bound >= 0")
-    if mode == "expanded":
+    expanded = mode == "expanded"
+    if expanded:
         _check_grid(nvars, bound)
+    elif bound != 0:
+        raise SeriesError("factored series must declare bound 0")
 
-    entries = []
+    terms = {}
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != nvars + 1:
             raise SeriesError(f"expected {nvars + 1} fields: {ln!r}")
         try:
-            vals = [int(t) for t in toks]
+            c, *m = map(int, toks)
         except ValueError as exc:
             raise SeriesError(f"non-integer field: {ln!r}") from exc
-        entries.append((tuple(vals[1:]), vals[0]))
-
-    if mode == "factored":
-        if bound != 0:
-            raise SeriesError("factored series must declare bound 0")
-        seen = set()
-        for m, k in entries:
-            if m in seen:
-                raise SeriesError(f"duplicate factor exponent {m}")
-            seen.add(m)
-            if k == 0:
-                raise SeriesError(f"zero power at {m}")
-        return FactoredSeries(nvars, entries)
-
-    seen = set()
-    for m, c in entries:
-        if any(e < 0 or e > bound for e in m):
+        m = tuple(m)
+        if expanded and any(e < 0 or e > bound for e in m):
             raise SeriesError(f"exponent {m} outside grid [0, {bound}]")
-        if m in seen:
+        if m in terms:
             raise SeriesError(f"duplicate exponent {m}")
-        seen.add(m)
-    top = max((abs(c) for _, c in entries), default=0)
-    arr = np.zeros((bound + 1,) * nvars,
-                   dtype=np.int64 if top < _INT64_LIMIT else object)
-    for m, c in entries:
-        arr[m] = c
-    return TruncatedSeries(nvars, bound, arr)
+        if not (c or expanded):
+            raise SeriesError(f"zero power at {m}")
+        terms[m] = c
+    if not expanded:
+        return FactoredSeries(nvars, terms)
+    return TruncatedSeries(nvars, bound, {m: c for m, c in terms.items() if c})

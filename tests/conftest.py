@@ -7,6 +7,12 @@ from planevals import DualGraph, default_spec, poincare_series, random_instance
 
 settings.register_profile("suite", deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
+# examples of each test in test_fuzz.py in tier-1; the "fuzz" profile, for
+# `pytest --hypothesis-profile fuzz tests/test_fuzz.py`, runs twenty times
+# as many
+FUZZ_EXAMPLES = 100
+settings.register_profile("fuzz", parent=settings.get_profile("suite"),
+                          max_examples=20 * FUZZ_EXAMPLES)
 settings.load_profile("suite")
 
 # Named small instances.  Parents are 1-based; a vertex with two parents

@@ -132,7 +132,7 @@ def test_divide_torus_inverts_torus_multiple():
     # (t1 t2 - 1) p = -(1 - t1 t2) p cancels the factor at (1, 1)
     p = expand(FactoredSeries(2, {(1, 1): -1, (1, 2): -1}), 9)
     q = expand(FactoredSeries(2, {(1, 2): -1}), 9)
-    p_prime = TruncatedSeries(2, 9, -q.coeffs)
+    p_prime = TruncatedSeries(2, 9, {m: -c for m, c in q.nonzero_terms()})
     assert divide_torus(p_prime) == p
 
 
@@ -145,7 +145,7 @@ def test_factorize_recovers_factored_form(f):
 
 
 def test_factorize_requires_unit_constant():
-    s = TruncatedSeries.zeros(1, 4)
+    s = TruncatedSeries(1, 4, {})
     with pytest.raises(SeriesError):
         factorize(s)
 
@@ -153,10 +153,7 @@ def test_factorize_requires_unit_constant():
 def test_factorize_reproduces_arbitrary_unit_series():
     # peeling writes any unit-constant truncation as a product, exactly
     # within the grid
-    s = TruncatedSeries.zeros(1, 3)
-    s.coeffs[(0,)] = 1
-    s.coeffs[(1,)] = 1
-    s.coeffs[(3,)] = 1
+    s = TruncatedSeries(1, 3, {(0,): 1, (1,): 1, (3,): 1})
     assert expand(factorize(s), 3) == s
 
 
@@ -209,6 +206,32 @@ def test_text_roundtrip_expanded(f):
     assert series_from_text(series_to_text(s)) == s
 
 
+def test_zero_lines_drop_and_duplicates_are_refused():
+    text = "vars 1 mode expanded bound 3\n1 0\n0 2\n-4 3\n"
+    assert series_from_text(text) == TruncatedSeries(1, 3, {(0,): 1,
+                                                            (3,): -4})
+    with pytest.raises(SeriesError, match="duplicate"):
+        series_from_text("vars 1 mode expanded bound 3\n0 2\n5 2\n")
+
+
+@pytest.mark.parametrize("m", [(-1,), (6,), (0, 0), ()])
+def test_indexing_outside_the_box_is_refused(m):
+    # numpy's negative indexing once read (-1,) as the coefficient at 5
+    s = expand(FactoredSeries(1, {(1,): -1}), 5)
+    assert s[(5,)] == 1
+    with pytest.raises(SeriesError, match="outside grid"):
+        s[m]
+
+
+def test_coeffs_is_a_read_only_view():
+    s = expand(FactoredSeries(2, {(1, 0): -1}), 3)
+    grid = s.coeffs
+    assert grid.dtype == np.int64 and grid[3, 0] == 1 and grid.sum() == 4
+    with pytest.raises(ValueError):
+        grid[0, 1] = 7
+    assert s[(0, 1)] == 0 and s.coeffs[0, 1] == 0
+
+
 def test_coefficients_are_python_ints():
     s = expand(FactoredSeries(1, {(1,): -3}), 40)
     assert isinstance(s[(40,)], int) and not isinstance(s[(40,)], np.integer)
@@ -254,10 +277,6 @@ def reference_text(f, bound):
     return "\n".join(lines) + "\n"
 
 
-def test_zeros_start_in_int64():
-    assert TruncatedSeries.zeros(3, 4).coeffs.dtype == np.int64
-
-
 def test_binomial_growth_promotes_to_python_ints():
     # (1 - t)^-40 has coefficients C(n + 39, 39); C(99, 39) > 2^63
     f = FactoredSeries(1, {(1,): -40})
@@ -288,37 +307,30 @@ def test_promotion_partway_through_a_product():
 @pytest.mark.parametrize("top", [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1,
                                  2 ** 63 - 1])
 def test_direct_write_near_int64_limit(top):
-    # a value written into coeffs after construction must be measured,
-    # not assumed small
-    s = TruncatedSeries.zeros(1, 3)
-    s.coeffs[(0,)] = 1
-    s.coeffs[(1,)] = 1
-    s.coeffs[(2,)] = top
-    s.coeffs[(3,)] = -top
+    # a value near the limit must be measured when the support becomes a
+    # grid, not assumed small
+    s = TruncatedSeries(1, 3, {(0,): 1, (1,): 1, (2,): top, (3,): -top})
+    assert s.coeffs.dtype == np.int64
     # peeling (1 - t) first leaves top - 1 at t^2 and -2 * top at t^3
     f = factorize(s)
     assert f.factors() == {(1,): -1, (2,): 1 - top, (3,): 2 * top}
     assert cells(expand(f, 3)) == cells(s)
-    u = TruncatedSeries.zeros(1, 3)
-    u.coeffs[(0,)] = top
-    u.coeffs[(1,)] = -top
+    u = TruncatedSeries(1, 3, {(0,): top, (1,): -top})
     assert cells(divide_torus(u)) == {(0,): -top, (1,): 0, (2,): 0, (3,): 0}
 
 
 def test_int64_min_is_measured_without_wrapping():
-    # no pass fits on this grid, so only the sign flip meets INT64_MIN
-    s = TruncatedSeries.zeros(1, 0)
-    s.coeffs[(0,)] = -2 ** 63
+    # -2^63 fits int64 but 2^63 does not, so its grid is object; the
+    # sign flip of divide_torus negates Python ints
+    s = TruncatedSeries(1, 0, {(0,): -2 ** 63})
+    assert s.coeffs.dtype == object
     assert divide_torus(s)[(0,)] == 2 ** 63
-    s = TruncatedSeries.zeros(1, 2)
-    s.coeffs[(0,)] = -2 ** 63
+    s = TruncatedSeries(1, 2, {(0,): -2 ** 63})
     once = divide_torus(s)
     assert cells(once) == {(0,): 2 ** 63, (1,): 2 ** 63, (2,): 2 ** 63}
     assert cells(divide_torus(once)) == {(0,): -2 ** 63, (1,): -2 ** 64,
                                          (2,): -3 * 2 ** 63}
-    s = TruncatedSeries.zeros(1, 1)
-    s.coeffs[(0,)] = 1
-    s.coeffs[(1,)] = -2 ** 63
+    s = TruncatedSeries(1, 1, {(0,): 1, (1,): -2 ** 63})
     assert factorize(s) == FactoredSeries(1, {(1,): 2 ** 63})
 
 
@@ -373,7 +385,7 @@ def test_large_powers_match_pure_python(factors, bound):
                                          (40, 0), (2, 10 ** 40)])
 def test_oversized_grids_are_refused(nvars, bound):
     with pytest.raises(SeriesError, match="cells"):
-        TruncatedSeries.zeros(nvars, bound)
+        TruncatedSeries(nvars, bound, {})
     with pytest.raises(SeriesError, match="cells"):
         expand(FactoredSeries(nvars, {}), bound)
     # refused from the header, before the malformed line is read
@@ -459,8 +471,7 @@ def test_factorize_hands_off_partway_through_the_sweep(monkeypatch, ratio,
                                                        done):
     # 1 + t1 + t2 is no finite product: the peels go on through every
     # degree of the box, and the support grows as they do
-    s = TruncatedSeries.zeros(2, 12)
-    s.coeffs[(0, 0)] = s.coeffs[(1, 0)] = s.coeffs[(0, 1)] = 1
+    s = TruncatedSeries(2, 12, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
     log = record_steps(monkeypatch, ALL_SPARSE)
     f = factorize(s)
     assert len(log) == len(f) == 148
