@@ -605,7 +605,7 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
             raise SeriesError(f"exponent {m} outside grid [0, {bound}]")
         if m in terms:
             raise SeriesError(f"duplicate exponent {m}")
-        if not (c or expanded):
+        if not expanded and c == 0:
             raise SeriesError(f"zero power at {m}")
         terms[m] = c
     if not expanded:
