@@ -6,9 +6,10 @@ J(v) = {f : v_k(f) >= v_k for every k} in a jet space is the rank of the
 functionals "coefficient of s^l lambda^j in the pullback along valuation
 k, for l < v_k", taken over all valuations at once, so it is defined and
 computed the same way for any number of valuations.  The Poincare series
-is then assembled straight from its definition (L, then the two
-algebraic steps).  Nothing here reuses the closed formulas, so agreement
-with the poincare module is meaningful evidence.
+is then assembled straight from its definition, as an alternating sum of
+these dimensions over the corners of a unit cube.  Nothing here reuses
+the closed formulas, so agreement with the poincare module is meaningful
+evidence.
 
 All arithmetic is exact: integer polynomial dictionaries, fraction-free
 integer elimination.  Divisorial valuations use a single symbolic-generic
@@ -19,13 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dualgraph import DualGraph, multiplicity_matrix
 from .poincare import Branch, Divisorial, ValuationSpec
-from .series import TruncatedSeries, _support, divide_torus
+from .series import TruncatedSeries, _support
+# nothing here calls divide_torus; the benchmark's tracer (bench/tracing.py)
+# still wraps it as an attribute of this module
+from .series import divide_torus  # noqa: F401
 
 __all__ = [
     "OracleError",
@@ -208,8 +213,7 @@ def curvette_parametrization(graph: DualGraph, sigma: int,
         raise OracleError(f"no vertex {sigma}")
     if trunc is None:
         trunc = _default_trunc(graph, sigma)
-    charts, primary, _ = _charts(graph, trunc)
-    x, y = charts[sigma][primary[sigma]]
+    ((x, y),) = _spec_pullback_sources(graph, (Divisorial(sigma),), trunc)
     return Parametrization._make(x, y, trunc)
 
 
@@ -221,12 +225,8 @@ def branch_parametrization(graph: DualGraph, branch: int,
     alpha = graph.arrow_vertex(branch)
     if trunc is None:
         trunc = _default_trunc(graph, alpha)
-    charts, primary, arrow_theta = _charts(graph, trunc)
-    _, theta = arrow_theta[branch]
-    x, y = charts[alpha][primary[alpha]]
-    sub = {(0, 0): theta} if theta else {}
-    return Parametrization._make(_subst(x, (1, 0), sub, trunc),
-                                 _subst(y, (1, 0), sub, trunc), trunc)
+    ((x, y),) = _spec_pullback_sources(graph, (Branch(branch),), trunc)
+    return Parametrization._make(x, y, trunc)
 
 
 def valuation(param: Parametrization, f) -> "int | float":
@@ -307,28 +307,28 @@ def _spec_pullback_sources(graph: DualGraph, spec, cap: int):
     return out
 
 
-def _level_rows(graph: DualGraph, spec, W: int, cap: int):
+def _level_rows(graph: DualGraph, spec, W: int, top: int):
     """The defining functionals of J(w) on the jets, as sparse rows.
 
     Jets are the monomials x^i y^j with i + j <= W, indexed in that
     order.  For valuation k, ``rows[k][l]`` holds one row {jet index: int}
     per lambda-power of the coefficient of s^l in the pullback along k,
-    for l < cap: a combination of jets lies in J(w) iff every row of
+    for l < top: a combination of jets lies in J(w) iff every row of
     every k at a level below w_k vanishes on its coefficient vector.
     """
     out = []
-    for x, y in _spec_pullback_sources(graph, spec, cap):
+    for x, y in _spec_pullback_sources(graph, spec, top):
         xpow = [{(0, 0): 1}]
         ypow = [{(0, 0): 1}]
         for _ in range(W):
-            xpow.append(_pmul(xpow[-1], x, cap))
-            ypow.append(_pmul(ypow[-1], y, cap))
-        levels: List[Dict[int, Dict[int, int]]] = [{} for _ in range(cap)]
+            xpow.append(_pmul(xpow[-1], x, top))
+            ypow.append(_pmul(ypow[-1], y, top))
+        levels: List[Dict[int, Dict[int, int]]] = [{} for _ in range(top)]
         jet = 0
         for i in range(W + 1):
             for j in range(W + 1 - i):
-                for (l, lam), c in _pmul(xpow[i], ypow[j], cap).items():
-                    if l < cap:
+                for (l, lam), c in _pmul(xpow[i], ypow[j], top).items():
+                    if l < top:
                         levels[l].setdefault(lam, {})[jet] = c
                 jet += 1
         out.append([list(level.values()) for level in levels])
@@ -364,8 +364,8 @@ def _insert(ech: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
     return False
 
 
-def _counts(graph: DualGraph, spec, W: int, cap: int) -> np.ndarray:
-    """counts[w] = dim J(w) on the jets, for w on the grid [0, cap]^r.
+def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
+    """counts[w] = dim J(w) on the jets, for w on the grid [0, top]^r.
 
     dim J(w) is the number of jets minus the rank of the rows of every
     valuation k at the levels below w_k.  A depth-first walk over the
@@ -376,25 +376,25 @@ def _counts(graph: DualGraph, spec, W: int, cap: int) -> np.ndarray:
     deeper a coordinate, the more prefixes re-insert its rows.
 
     A count is at most the number of jets, at most MAX_JETS, so int64
-    cannot overflow here or in the differences taken from it.
+    cannot overflow here or in the sums over 2^r corners taken from it.
     """
     r = len(spec)
     if r < 1:
         raise OracleError("empty valuation spec")
     jets = (W + 1) * (W + 2) // 2
-    prefixes = (cap + 1) ** (r - 1)
+    prefixes = (top + 1) ** (r - 1)
     if jets > MAX_JETS or jets * prefixes > MAX_WORK:
         raise OracleError(f"{jets} jets over {prefixes} prefixes are beyond "
                           "oracle feasibility")
-    levels = _level_rows(graph, spec, W, cap)
+    levels = _level_rows(graph, spec, W, top)
     order = sorted(range(r), key=lambda k: -sum(
         len(row) for level in levels[k] for row in level))
     walk_levels = [levels[k] for k in order]
-    counts = np.zeros((cap + 1,) * r, dtype=np.int64)
+    counts = np.zeros((top + 1,) * r, dtype=np.int64)
 
     def walk(depth: int, ech, rank: int, index: Tuple[int, ...]) -> None:
         last = depth == r - 1
-        for w in range(cap + 1):
+        for w in range(top + 1):
             if w:
                 for row in walk_levels[depth][w - 1]:
                     rank += _insert(ech, row)
@@ -410,18 +410,10 @@ def _counts(graph: DualGraph, spec, W: int, cap: int) -> np.ndarray:
     return counts.transpose(np.argsort(order))
 
 
-def _jdim(counts: np.ndarray, w: Sequence[int], cap: int) -> int:
-    """dim of J(w) on the jets; a coordinate below 0 reads index 0."""
-    if any(x > cap for x in w):
-        # a coordinate beyond the cap is outside the certified window
-        raise OracleError("query beyond the jet-space window")
-    return int(counts[tuple(max(0, x) for x in w)])
-
-
 def ideal_dim(graph: DualGraph, spec: ValuationSpec, v: Sequence[int]) -> int:
     """dim J(v)/J(v + (1,..,1)) computed on jets, exactly.
 
-    The jet space takes all monomials of degree <= max(v) + 2, enough to
+    The jet space takes all monomials of degree <= max(v) + 3, enough to
     determine membership in every ideal queried here.  Any number of
     valuations is accepted; OracleError marks a spec or vector outside
     the spec, or a count beyond MAX_JETS / MAX_WORK.
@@ -431,43 +423,39 @@ def ideal_dim(graph: DualGraph, spec: ValuationSpec, v: Sequence[int]) -> int:
     if len(v) != r or any(x < 0 for x in v):
         raise OracleError(f"value vector {v} does not match the spec")
     top = max(v) + 1 if v else 1
-    cap = top + 1
-    W = top + 2
-    counts = _counts(graph, spec, W, cap)
-    up = tuple(x + 1 for x in v)
-    return _jdim(counts, v, cap) - _jdim(counts, up, cap)
+    counts = _counts(graph, spec, top + 2, top)
+    return int(counts[v] - counts[tuple(x + 1 for x in v)])
 
 
 def definitional_poincare(graph: DualGraph, spec: ValuationSpec,
                           bound: int) -> TruncatedSeries:
     """Poincare series straight from the definition, truncated.
 
-    Computes dim J(v)/J(v+1) on the window, multiplies by
-    prod (t_i - 1), divides by (t_1 .. t_r - 1).  Exact; the published
-    contract guarantees coefficients on [0, bound - r]^r (window-edge
-    effects stay outside it).  Any number of valuations is accepted; a
-    (bound, r) whose jet count exceeds MAX_JETS, or whose jets times
-    (bound + 3)^(r - 1) prefixes exceed MAX_WORK, raises OracleError
-    before any chart is built.
+    The definition is P = L(t) prod (t_i - 1) / (t_1 .. t_r - 1), with
+    L(v) = D(v) - D(v + (1,..,1)) and D(v) = dim J(v).  Dividing sums the
+    numerator down each diagonal, along which the difference inside L
+    telescopes; the term left at the diagonal's foot vanishes, as D does
+    not change when a coordinate at 0 drops to -1.  So
+
+        P(w) = sum over T subset of {1..r} of (-1)^|T| D(w + e_T),
+
+    read from counts on [0, bound + 1]^r.  Exact; the published contract
+    guarantees coefficients on [0, bound - r]^r (window-edge effects stay
+    outside it).  Any number of valuations is accepted; a (bound, r) whose
+    jet count exceeds MAX_JETS, or whose jets times (bound + 2)^(r - 1)
+    prefixes exceed MAX_WORK, raises OracleError before any chart is
+    built.
     """
     r = len(spec)
     if r < 1:
         raise OracleError("empty valuation spec")
     if bound < 1:
         raise OracleError("bound must be positive")
-    cap = bound + 2
-    counts = _counts(graph, spec, bound + 2, cap)
-    # dims[i] = dim J(i - 1) for i in [0, bound + 2]^r: index -1 reads 0
-    idx = np.concatenate(([0], np.arange(bound + 2)))
-    dims = counts[np.ix_(*([idx] * r))]
-    # L(v) = dim J(v) - dim J(v + (1, .., 1)) for v in [-1, bound]^r
-    ell = dims[(slice(0, -1),) * r] - dims[(slice(1, None),) * r]
-    # prime(w) = sum over T of (-1)^(r - |T|) L(w - T): one difference
-    # L(w - e_i) - L(w) per axis
-    prime = ell
-    for axis in range(r):
-        prime = -np.diff(prime, axis=axis)
-    return divide_torus(TruncatedSeries(r, bound, _support(prime)))
+    counts = _counts(graph, spec, bound + 2, bound + 1)
+    grid = sum((-1) ** sum(corner)
+               * counts[tuple(slice(c, c + bound + 1) for c in corner)]
+               for corner in product((0, 1), repeat=r))
+    return TruncatedSeries(r, bound, _support(grid))
 
 
 def semigroup_series(generators: Sequence[int], bound: int) -> TruncatedSeries:

@@ -5,10 +5,10 @@ Two representations are used throughout the package: a factored form
 ``k``, and a truncation to the box ``[0, bound]^nvars`` held as its
 support: a dict from exponent tuple inside the box to nonzero Python int.
 
-Three operations connect them: ``expand`` multiplies out a product,
-``factorize`` peels the product back off a unit series, and
-``divide_torus`` divides by ``(t_1 ... t_r - 1)`` for the definitional
-oracle.
+Two operations connect them: ``expand`` multiplies out a product, and
+``factorize`` peels the product back off a unit series.  A third,
+``divide_torus``, divides by ``(t_1 ... t_r - 1)``; nothing in the
+package calls it any more, but the benchmark's tracer still wraps it.
 
 All three run on the support.  Multiplying by ``(1 - t^m)^k`` adds
 ``coef_j * c`` at ``e + j*m`` for each term ``c * t^e`` and each step
@@ -63,10 +63,8 @@ _MAX_AXES = 32
 
 _INT64 = np.dtype(np.int64)
 _OBJECT = np.dtype(object)
-# int64 holds every |c| < 2^63; a shift-add pass on values below 2^62
-# stays below 2^63
+# int64 holds every |c| < 2^63
 _INT64_LIMIT = 2 ** 63
-_PASS_LIMIT = 2 ** 62
 # Cost of one dict update of the sparse kernel in grid cells: the
 # support goes to the grid once a factor would make more than
 # cells // _CELLS_PER_TERM updates.  An update (a shifted exponent tuple,
@@ -303,15 +301,22 @@ class _Kernel:
         self.arr = arr
         self.mag = _magnitude(arr) if arr.dtype == _INT64 else None
 
+    def _grow(self, factor: int) -> None:
+        """Certify a pass that multiplies ``max |c|`` by at most
+        ``factor``: if ``mag`` cannot, measure the buffer again, and if
+        its values really are that large promote it to ``object``."""
+        if self.mag is None:
+            return
+        if self.mag * factor >= _INT64_LIMIT:
+            self.mag = _magnitude(self.arr)
+        if self.mag * factor >= _INT64_LIMIT:
+            self.arr = self.arr.astype(object)
+            self.mag = None
+        else:
+            self.mag *= factor
+
     def _shift_add(self, m, sign: int) -> None:
-        if self.mag is not None:
-            if self.mag >= _PASS_LIMIT:
-                self.mag = _magnitude(self.arr)
-            if self.mag >= _PASS_LIMIT:
-                self.arr = self.arr.astype(object)
-                self.mag = None
-            else:
-                self.mag *= 2
+        self._grow(2)
         src, dst = _views(self.arr.shape, m)
         if sign > 0:
             self.arr[dst] += self.arr[src]
@@ -327,15 +332,7 @@ class _Kernel:
         """
         if self.mag == 0:
             return
-        if self.mag is not None:
-            total = sum(abs(c) for c in coefs)
-            if self.mag * total >= _INT64_LIMIT:
-                self.mag = _magnitude(self.arr)
-            if self.mag * total >= _INT64_LIMIT:
-                self.arr = self.arr.astype(object)
-                self.mag = None
-            else:
-                self.mag *= total
+        self._grow(sum(abs(c) for c in coefs))
         orig = self.arr.copy()
         for j, c in enumerate(coefs):
             if j and c:

@@ -5,20 +5,24 @@ and row-reduces jets, so agreement with the closed form is evidence,
 not circularity.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from planevals import oracle
 from planevals import (Branch, Divisorial, DualGraph, OracleError,
-                       branch_parametrization, curvette_parametrization,
-                       default_spec, definitional_poincare, expand, ideal_dim,
+                       TruncatedSeries, branch_parametrization,
+                       curvette_parametrization, default_spec,
+                       definitional_poincare, divide_torus, expand, ideal_dim,
                        multiplicity_matrix, multiplicity_sequence,
                        noether_contact, poincare_series, random_instance,
-                       semigroup_series, valuation)
+                       semigroup_series, series_to_text, valuation)
+from planevals.series import _support
 
 from conftest import (CUSP_CURVE, CUSP_DIV, NODE, SMOOTH, TACNODE,
                       TRANSVERSAL_CUSPS, ladder_graph, series_of,
@@ -306,6 +310,57 @@ def test_definitional_poincare_mixed_collections(g):
     spec = default_spec(g)
     assert len({type(v) for v in spec}) == 2
     assert agrees_with_formula(g, spec, 12)
+
+
+def staged_poincare(counts, bound):
+    """The definition in three stages, from counts[w] = dim J(w) on
+    [0, bound + 1]^r: L(v) = dim J(v) - dim J(v + 1) on [-1, bound]^r,
+    where index -1 reads index 0; times prod (t_i - 1), one difference per
+    axis; then divided by (t_1 ... t_r - 1)."""
+    r = counts.ndim
+    idx = np.concatenate(([0], np.arange(bound + 2)))
+    dims = counts[np.ix_(*([idx] * r))]
+    prime = dims[(slice(0, -1),) * r] - dims[(slice(1, None),) * r]
+    for axis in range(r):
+        prime = -np.diff(prime, axis=axis)
+    return divide_torus(TruncatedSeries(r, bound, _support(prime)))
+
+
+@pytest.mark.parametrize("r,bound", [(1, 30), (2, 12), (3, 7), (4, 5)])
+def test_corner_sum_equals_the_staged_definition(monkeypatch, r, bound):
+    # the corner sum is an identity of the assembly, whatever the counts
+    rng = np.random.default_rng(100 * r + bound)
+    spec = (Divisorial(1),) * r
+    for _ in range(5):
+        counts = rng.integers(0, 60, size=(bound + 2,) * r)
+
+        def fake_counts(graph, spec, W, top):
+            assert counts.shape == (top + 1,) * r
+            return counts
+
+        monkeypatch.setattr(oracle, "_counts", fake_counts)
+        assert (definitional_poincare(None, spec, bound)
+                == staged_poincare(counts, bound))
+
+
+def oracle_digest(cases):
+    h = hashlib.sha256()
+    for g, bound in cases:
+        q = definitional_poincare(g, default_spec(g), bound)
+        h.update(series_to_text(q).encode())
+    return h.hexdigest()
+
+
+def test_definitional_poincare_golden_digest():
+    # whole boxes, edge cells included, as computed by the staged
+    # definition (see staged_poincare) before the corner sum replaced it
+    random_cases = ((random_instance(700 + s, 10, r, mode), bound)
+                    for r, bound in ((1, 30), (2, 16), (3, 10), (4, 8))
+                    for mode in ("divisorial", "curve") for s in range(3))
+    assert oracle_digest(random_cases) == (
+        "d65606144e6cb647bea835b52a1f71d2f7196acb3fced699544ade24403ca9a9")
+    assert oracle_digest((ladder_graph(p), 12) for p in (1, 2, 3)) == (
+        "98cbde232284e1e9fb0a0bc13333b4052e6faa4dba369bda0e579904bd0db6b9")
 
 
 # -- numerical semigroups ------------------------------------------------------

@@ -319,6 +319,18 @@ def test_direct_write_near_int64_limit(top):
     assert cells(divide_torus(u)) == {(0,): -top, (1,): 0, (2,): 0, (3,): 0}
 
 
+def test_kernel_certificate_is_tight_at_the_int64_limit():
+    # a pass whose certified bound reaches exactly 2^63 promotes first:
+    # 2^62 doubled by a shift-add, and 2^61 times sum |(1, -2, 1)| = 4
+    kernel = series_module._Kernel(np.array([2 ** 62, 2 ** 62], np.int64))
+    kernel.power((1,), -1)
+    assert kernel.arr.tolist() == [2 ** 62, 2 ** 63]
+    kernel = series_module._Kernel(
+        np.array([2 ** 61, -2 ** 61, 2 ** 61], np.int64))
+    kernel._binomial((1,), [1, -2, 1])
+    assert kernel.arr.tolist() == [2 ** 61, -3 * 2 ** 61, 2 ** 63]
+
+
 def test_int64_min_is_measured_without_wrapping():
     # -2^63 fits int64 but 2^63 does not, so its grid is object; the
     # sign flip of divide_torus negates Python ints
