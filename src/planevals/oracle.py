@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .dualgraph import DualGraph, multiplicity_matrix
 from .poincare import Branch, Divisorial, ValuationSpec
@@ -31,6 +29,9 @@ from .series import TruncatedSeries, _support
 # nothing here calls divide_torus; the benchmark's tracer (bench/tracing.py)
 # still wraps it as an attribute of this module
 from .series import divide_torus  # noqa: F401
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OracleError",
@@ -364,6 +365,16 @@ def _insert(ech: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
     return False
 
 
+def _feasible_jets(W: int, prefixes: int) -> int:
+    """The number of jets of degree <= W; OracleError if it exceeds
+    MAX_JETS, or if it times ``prefixes`` exceeds MAX_WORK."""
+    jets = (W + 1) * (W + 2) // 2
+    if jets > MAX_JETS or jets * prefixes > MAX_WORK:
+        raise OracleError(f"{jets} jets over {prefixes} prefixes are beyond "
+                          "oracle feasibility")
+    return jets
+
+
 def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
     """counts[w] = dim J(w) on the jets, for w on the grid [0, top]^r.
 
@@ -378,14 +389,12 @@ def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
     A count is at most the number of jets, at most MAX_JETS, so int64
     cannot overflow here or in the sums over 2^r corners taken from it.
     """
+    import numpy as np
+
     r = len(spec)
     if r < 1:
         raise OracleError("empty valuation spec")
-    jets = (W + 1) * (W + 2) // 2
-    prefixes = (top + 1) ** (r - 1)
-    if jets > MAX_JETS or jets * prefixes > MAX_WORK:
-        raise OracleError(f"{jets} jets over {prefixes} prefixes are beyond "
-                          "oracle feasibility")
+    jets = _feasible_jets(W, (top + 1) ** (r - 1))
     levels = _level_rows(graph, spec, W, top)
     order = sorted(range(r), key=lambda k: -sum(
         len(row) for level in levels[k] for row in level))
@@ -414,17 +423,27 @@ def ideal_dim(graph: DualGraph, spec: ValuationSpec, v: Sequence[int]) -> int:
     """dim J(v)/J(v + (1,..,1)) computed on jets, exactly.
 
     The jet space takes all monomials of degree <= max(v) + 3, enough to
-    determine membership in every ideal queried here.  Any number of
-    valuations is accepted; OracleError marks a spec or vector outside
-    the spec, or a count beyond MAX_JETS / MAX_WORK.
+    determine membership in every ideal queried here.  One echelon takes
+    the rows of every valuation k at the levels below v_k, then the rows
+    at level v_k; the rank those add is dim J(v) - dim J(v + (1,..,1)).
+    Any number of valuations is accepted; OracleError marks an empty spec,
+    a vector that does not match it, or a jet count beyond MAX_JETS.
     """
     v = tuple(int(x) for x in v)
-    r = len(spec)
-    if len(v) != r or any(x < 0 for x in v):
+    if not spec:
+        raise OracleError("empty valuation spec")
+    if len(v) != len(spec) or any(x < 0 for x in v):
         raise OracleError(f"value vector {v} does not match the spec")
-    top = max(v) + 1 if v else 1
-    counts = _counts(graph, spec, top + 2, top)
-    return int(counts[v] - counts[tuple(x + 1 for x in v)])
+    top = max(v) + 1
+    _feasible_jets(top + 2, 1)
+    levels = _level_rows(graph, spec, top + 2, top)
+    ech: Dict[int, Dict[int, int]] = {}
+    for rows, x in zip(levels, v):
+        for level in rows[:x]:
+            for row in level:
+                _insert(ech, row)
+    return sum(_insert(ech, row)
+               for rows, x in zip(levels, v) for row in rows[x])
 
 
 def definitional_poincare(graph: DualGraph, spec: ValuationSpec,

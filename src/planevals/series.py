@@ -14,13 +14,19 @@ All three run on the support.  Multiplying by ``(1 - t^m)^k`` adds
 ``coef_j * c`` at ``e + j*m`` for each term ``c * t^e`` and each step
 ``j`` that stays in the box, so a factor costs about ``terms * steps``
 dict updates.  Before each factor (each peel, in ``factorize``) that
-prediction is compared with ``cells // _CELLS_PER_TERM``, where
-``_CELLS_PER_TERM`` is the measured cost of one dict update in grid cells
-of a factor's numpy passes.  Once the prediction passes that limit, the
-support is scattered into a dense grid once and the rest runs as in-place
-shift-add passes on it, whose nonzero cells are the result.  A product of
-a few binomials with large exponents stays on its few terms; one that
-fills the box, as peeling a numerator does, moves to the grid.
+prediction is compared with ``max(cells, _MIN_GRID_CELLS) //
+_CELLS_PER_TERM``, where ``_CELLS_PER_TERM`` is the measured cost of one
+dict update in grid cells of a factor's numpy passes and
+``_MIN_GRID_CELLS`` the fixed cost of a trip through the grid.  Once the
+prediction passes that limit, the support is scattered into a dense grid
+once and the rest runs as in-place shift-add passes on it, whose nonzero
+cells are the result.  A product of a few binomials with large exponents
+stays on its few terms; one that fills the box, as peeling a numerator
+does, moves to the grid.
+
+numpy is a dependency of this module, but it is imported by the first
+grid, not with the module: the closed form, its text and every product
+that stays on its support run without it.
 
 The grid exists only inside those passes.  It is ``int64`` exactly when
 every ``|c| < 2^63`` and a ``dtype=object`` array of Python ints
@@ -36,9 +42,10 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import add, floordiv, sub
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SeriesError",
@@ -61,8 +68,6 @@ MAX_CELLS = 2 ** 24
 # admit any number of them
 _MAX_AXES = 32
 
-_INT64 = np.dtype(np.int64)
-_OBJECT = np.dtype(object)
 # int64 holds every |c| < 2^63
 _INT64_LIMIT = 2 ** 63
 # Cost of one dict update of the sparse kernel in grid cells: the
@@ -74,6 +79,18 @@ _INT64_LIMIT = 2 ** 63
 # expand plus factorize took the same time, within noise, for every
 # value from 50 to 400 (x86_64, Python 3.11, numpy 2.4).
 _CELLS_PER_TERM = 100
+# Fixed cost of a trip through the grid in cells: a factor goes to the
+# grid only if its predicted updates pass max(cells, _MIN_GRID_CELLS) //
+# _CELLS_PER_TERM, so up to 40 updates always stay on the support.
+# Scattering one term, wrapping the kernel and reading the support back
+# took 18 to 21 us at r = 1..3, and a pass 5 to 12 us more, against 0.5 to
+# 0.9 us per update.  On the 120 small-box expands (r <= 2) of the dense
+# benchmark corpora of seeds 7 and 12, per call interleaved, the total
+# went from 11.2 to 9.7 ms at 4096, with 2048 to 6144 within noise of it;
+# a floor under which whole boxes stay on the support made the r = 1,
+# B = 40 expands 1.5 times as slow, as their products fill the box
+# (x86_64, Python 3.11, numpy 2.4).
+_MIN_GRID_CELLS = 4096
 
 
 class SeriesError(ValueError):
@@ -204,12 +221,14 @@ def _grid(terms: dict, nvars: int, bound: int) -> np.ndarray:
     The exponents are read into one flat integer array: building an
     array from the list of tuples costs several times as much.
     """
+    import numpy as np
+
     values = list(terms.values())
     top = max(map(abs, values), default=0)
     arr = np.zeros((bound + 1,) * nvars,
-                   dtype=_INT64 if top < _INT64_LIMIT else _OBJECT)
+                   dtype=np.int64 if top < _INT64_LIMIT else object)
     if values:
-        exps = np.fromiter(chain.from_iterable(terms), _INT64,
+        exps = np.fromiter(chain.from_iterable(terms), np.int64,
                            len(values) * nvars).reshape(-1, nvars)
         arr[tuple(exps.T)] = values
     return arr
@@ -227,8 +246,8 @@ class _Terms:
     ``[0, bound]^nvars`` to nonzero Python ints.
 
     ``power`` multiplies only while the predicted number of dict updates
-    stays within ``cells // _CELLS_PER_TERM``; past it the caller scatters
-    ``terms`` into the grid and goes on there.
+    stays within ``max(cells, _MIN_GRID_CELLS) // _CELLS_PER_TERM``; past
+    it the caller scatters ``terms`` into the grid and goes on there.
     """
 
     __slots__ = ("terms", "bound", "cells")
@@ -240,7 +259,8 @@ class _Terms:
 
     def power(self, m, k: int) -> bool:
         """Multiply by ``(1 - t^m)^k``; return False, changing nothing,
-        if that would take more than ``cells // _CELLS_PER_TERM`` updates.
+        if that would take more than ``max(cells, _MIN_GRID_CELLS) //
+        _CELLS_PER_TERM`` updates.
 
         Only the terms ``j <= bound // max(m)`` (and ``j <= k`` for a
         positive power) of the binomial series can land in the box, and a
@@ -252,7 +272,8 @@ class _Terms:
             return True
         steps = bound // top if k < 0 else min(bound // top, k)
         # for whole numbers, n > cells // C exactly when n * C > cells
-        if len(self.terms) * steps * _CELLS_PER_TERM > self.cells:
+        if (len(self.terms) * steps * _CELLS_PER_TERM
+                > max(self.cells, _MIN_GRID_CELLS)):
             return False
         coefs = _coefs(k, steps)
         shifts = [tuple(j * e for e in m) for j in range(steps + 1)]
@@ -279,6 +300,8 @@ def _nonzero_cells(arr: np.ndarray) -> tuple:
     array several times faster than those of an int64 one (0.24 against
     1.6 ms on a mostly empty 26^4 grid).
     """
+    import numpy as np
+
     idx = np.flatnonzero(arr.reshape(-1) != 0)
     return idx, np.unravel_index(idx, arr.shape)
 
@@ -299,7 +322,7 @@ class _Kernel:
 
     def __init__(self, arr: np.ndarray):
         self.arr = arr
-        self.mag = _magnitude(arr) if arr.dtype == _INT64 else None
+        self.mag = _magnitude(arr) if arr.dtype != object else None
 
     def _grow(self, factor: int) -> None:
         """Certify a pass that multiplies ``max |c|`` by at most
@@ -501,7 +524,7 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
         idx, coords = _nonzero_cells(kernel.arr)
         if idx.size == 1:
             break
-        deg = np.sum(coords, axis=0)
+        deg = sum(coords)
         batch = deg == deg[1:].min()
         exps = zip(*(ax[batch].tolist() for ax in coords))
         values = kernel.arr.reshape(-1)[idx[batch]].tolist()

@@ -1,8 +1,15 @@
 """Command-line surface: flags, files, exit codes, report formats."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import planevals
 from planevals import cli, equivalent, graph_from_json, series_from_text
 from planevals.cli import main
 from planevals.dualgraph import MAX_VERTICES
@@ -310,3 +317,69 @@ def test_roundtrip_names_the_failure_reason(capsys, monkeypatch):
                  "--seed", "11", "--max-vertices", "12"]) == 3
     assert capsys.readouterr().out.splitlines()[0].endswith(
         " status=FAIL reason=NotEquivalent")
+
+
+# -- numpy is loaded by the first grid, not by the package --------------------
+
+
+# one command in a fresh interpreter; the last line of stderr holds its exit
+# status and whether numpy was loaded
+NUMPY_PROBE = """
+import sys
+import planevals
+import planevals.cli
+status = planevals.cli.main(sys.argv[1:])
+print(status, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def numpy_after(tmp_path, argv):
+    """(exit status, whether numpy was loaded) of ``main(argv)`` run in a
+    fresh interpreter, in ``tmp_path``, on this checkout's package."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(planevals.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    status, loaded = proc.stderr.splitlines()[-1].split()
+    return int(status), loaded == "True"
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    write(tmp_path, "div.json", graph_to_json(CUSP_DIV))
+    write(tmp_path, "pair.json", graph_to_json(CUSP_PAIR))
+    write(tmp_path, "tacnode.json", graph_to_json(TACNODE))
+    write(tmp_path, "pair.txt", series_to_text(series_of(CUSP_PAIR)))
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--mode", "div", "--seed", "7",
+                  "--max-vertices", "12", "--r", "2"], id="gen"),
+    pytest.param(["equiv", "pair.json", "pair.json"], id="equiv"),
+    pytest.param(["roundtrip", "--mode", "div", "--trials", "5",
+                  "--seed", "1"], id="roundtrip-div"),
+    pytest.param(["roundtrip", "--mode", "curve", "--trials", "5",
+                  "--seed", "1"], id="roundtrip-curve"),
+    pytest.param(["fig2", "--p", "3"], id="fig2"),
+    pytest.param(["series", "pair.json"], id="series-factored"),
+    pytest.param(["reconstruct", "pair.txt", "--mode", "div"],
+                 id="reconstruct-factored"),
+    # (1 - t^2)^-1 (1 - t^3)^-1 on [0, 7] is a few dict updates
+    pytest.param(["series", "div.json", "--expand", "--bound", "7"],
+                 id="series-expand-small"),
+])
+def test_grid_free_commands_never_load_numpy(cli_files, argv):
+    assert numpy_after(cli_files, argv) == (0, False)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["oracle-check", "tacnode.json", "--bound", "10"],
+                 id="oracle-check"),
+    # on [0, 40] the second factor would make 273 updates, past the limit
+    pytest.param(["series", "div.json", "--expand", "--bound", "40"],
+                 id="series-expand-past-hand-off"),
+])
+def test_grid_commands_load_numpy(cli_files, argv):
+    assert numpy_after(cli_files, argv) == (0, True)

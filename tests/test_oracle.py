@@ -7,6 +7,7 @@ not circularity.
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +168,31 @@ def test_ideal_dim_three_lines():
     assert ideal_dim(g, spec, (3, 3, 3)) == 3
     assert ideal_dim(g, spec, (2, 1, 1)) == 2
     assert ideal_dim(g, spec, (1, 1, 2)) == 2
+
+
+def grid_ideal_dim(graph, spec, v):
+    """ideal_dim read off the count grid [0, max(v) + 1]^r, as it was
+    computed before it took one echelon per query."""
+    top = max(v) + 1
+    counts = oracle._counts(graph, spec, top + 2, top)
+    return int(counts[v] - counts[tuple(x + 1 for x in v)])
+
+
+@pytest.mark.parametrize("mode", ["divisorial", "curve"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_ideal_dim_matches_the_count_grid(r, mode):
+    rng = random.Random(f"ideal_dim:{r}:{mode}")
+    graphs = [g for g in (random_instance(800 + seed, 10, r, mode)
+                          for seed in range(20))
+              if len(default_spec(g)) == r][:3]
+    assert len(graphs) == 3
+    for g in graphs:
+        spec = default_spec(g)
+        vs = [(0,) * r, (6 // r,) * r]
+        vs += [tuple(rng.randint(0, 8 // r) for _ in range(r))
+               for _ in range(6)]
+        for v in vs:
+            assert ideal_dim(g, spec, v) == grid_ideal_dim(g, spec, v), v
 
 
 def fraction_rank(rows, width):

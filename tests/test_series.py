@@ -115,6 +115,17 @@ def test_zero_variable_constant():
         expand(f, 5)
 
 
+def expand_both_ways(f, bound):
+    """``expand(f, bound)``, checked equal to the expansion made with the
+    floor on the grid's cost dropped, which sends even small boxes to the
+    grid once the support passes ``cells // _CELLS_PER_TERM``."""
+    s = expand(f, bound)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_MIN_GRID_CELLS", 0)
+        assert expand(f, bound) == s
+    return s
+
+
 @given(factored(2, max_coord=4))
 def test_expand_agrees_with_projection(f):
     # substituting 1 for var 2 in the expansion matches the projected
@@ -122,8 +133,8 @@ def test_expand_agrees_with_projection(f):
     # m2 <= m1 in every factor the exponents stay below the diagonal
     if any(m[1] > m[0] for m in f.factors()):
         return
-    p = expand(project(f, [1]), 10)
-    s = expand(f, 10)
+    p = expand_both_ways(project(f, [1]), 10)
+    s = expand_both_ways(f, 10)
     for k in range(11):
         assert p[(k,)] == sum(s[(k, j)] for j in range(11))
 
@@ -277,6 +288,14 @@ def reference_text(f, bound):
     return "\n".join(lines) + "\n"
 
 
+@pytest.fixture
+def no_grid_floor(monkeypatch):
+    """Drop the floor on the grid's cost, so that the small boxes of the
+    tests of the grid's int64 certificate go to the grid once the support
+    passes ``cells // _CELLS_PER_TERM``."""
+    monkeypatch.setattr(series_module, "_MIN_GRID_CELLS", 0)
+
+
 def test_binomial_growth_promotes_to_python_ints():
     # (1 - t)^-40 has coefficients C(n + 39, 39); C(99, 39) > 2^63
     f = FactoredSeries(1, {(1,): -40})
@@ -306,7 +325,7 @@ def test_promotion_partway_through_a_product():
 
 @pytest.mark.parametrize("top", [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1,
                                  2 ** 63 - 1])
-def test_direct_write_near_int64_limit(top):
+def test_direct_write_near_int64_limit(no_grid_floor, top):
     # a value near the limit must be measured when the support becomes a
     # grid, not assumed small
     s = TruncatedSeries(1, 3, {(0,): 1, (1,): 1, (2,): top, (3,): -top})
@@ -331,7 +350,7 @@ def test_kernel_certificate_is_tight_at_the_int64_limit():
     assert kernel.arr.tolist() == [2 ** 61, -3 * 2 ** 61, 2 ** 63]
 
 
-def test_int64_min_is_measured_without_wrapping():
+def test_int64_min_is_measured_without_wrapping(no_grid_floor):
     # -2^63 fits int64 but 2^63 does not, so its grid is object; the
     # sign flip of divide_torus negates Python ints
     s = TruncatedSeries(1, 0, {(0,): -2 ** 63})
@@ -346,7 +365,7 @@ def test_int64_min_is_measured_without_wrapping():
     assert factorize(s) == FactoredSeries(1, {(1,): 2 ** 63})
 
 
-def test_huge_negative_power_is_binomial():
+def test_huge_negative_power_is_binomial(no_grid_floor):
     # (1 - t)^(-10^6): C(n + 10^6 - 1, n), far past int64; a million
     # unit-by-unit passes would not finish
     k = 10 ** 6
@@ -361,7 +380,7 @@ def test_huge_negative_power_is_binomial():
 
 @pytest.mark.parametrize("k,dtype", [(10 ** 5, np.int64),
                                      (2 * 10 ** 5, object)])
-def test_huge_positive_power_stays_exact(k, dtype):
+def test_huge_positive_power_stays_exact(no_grid_floor, k, dtype):
     # sum_{j <= 4} C(k, j) is below 2^63 for k = 10^5 and above it for
     # 2 * 10^5, so the first result is certified in int64 and the second
     # is promoted
@@ -377,7 +396,8 @@ def test_huge_positive_power_stays_exact(k, dtype):
 
 @given(factored(2, max_coord=4, max_factors=3), st.integers(0, 8))
 def test_expansion_text_matches_pure_python(f, bound):
-    assert series_to_text(expand(f, bound)) == reference_text(f, bound)
+    assert (series_to_text(expand_both_ways(f, bound))
+            == reference_text(f, bound))
 
 
 @given(st.dictionaries(exponents(1, 3), st.integers(-60, 2), max_size=3),
@@ -385,7 +405,7 @@ def test_expansion_text_matches_pure_python(f, bound):
 def test_large_powers_match_pure_python(factors, bound):
     # powers down to -60 push coefficients far past 2^63
     f = FactoredSeries(1, factors)
-    s = expand(f, bound)
+    s = expand_both_ways(f, bound)
     assert series_to_text(s) == reference_text(f, bound)
     assert series_from_text(series_to_text(s)) == s
 
@@ -415,9 +435,11 @@ def test_largest_used_grid_is_admitted():
 
 
 def record_steps(monkeypatch, cells_per_term):
-    """Set the hand-off ratio and log each step of the sparse kernel as
-    (total degree of m, whether it ran on the support, terms after it)."""
+    """Set the hand-off ratio, drop the floor on the grid's cost, and log
+    each step of the sparse kernel as (total degree of m, whether it ran
+    on the support, terms after it)."""
     monkeypatch.setattr(series_module, "_CELLS_PER_TERM", cells_per_term)
+    monkeypatch.setattr(series_module, "_MIN_GRID_CELLS", 0)
     log = []
     power = series_module._Terms.power
 
@@ -527,6 +549,17 @@ def test_support_stays_within_its_bound(monkeypatch, ratio):
     assert factorize(s) == f
     # the input fills the box, so its first peel goes to the grid
     assert log == [(1, False, 61 ** 3)]
+
+
+def test_factors_within_the_grid_floor_stay_on_the_support():
+    # one term over `steps` steps of (1 - t)^-1 is predicted at `steps`
+    # updates; in a box smaller than the floor, the floor alone decides
+    steps = series_module._MIN_GRID_CELLS // series_module._CELLS_PER_TERM
+    assert steps + 2 < series_module._MIN_GRID_CELLS
+    for bound, stays in ((steps, True), (steps + 1, False)):
+        sparse = series_module._Terms({(0,): 1}, 1, bound)
+        assert sparse.power((1,), -1) is stays
+        assert len(sparse.terms) == (bound + 1 if stays else 1)
 
 
 # sha256 over the expanded and the factored text of each instance below,
