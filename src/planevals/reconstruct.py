@@ -3,17 +3,18 @@
 The univariate series of one valuation decodes to numerical branch data
 (semigroup generators, dead-end values, free tail).  A Euclidean state
 machine rebuilds the blowup sequence from that data.  Pairwise contacts
-come from the shape of the two-variable series, cross-validated by
-reassembling the pair and recomputing its series.  A Noether walk merges
-per-branch infinitely-near-point chains into the final graph.  Every
-synthesis step re-verifies the forward series, so wrong guesses surface
-as errors instead of wrong graphs.
+come from the shape of the two-variable series; each candidate must
+reassemble into a pair whose structure realizes it.  A Noether walk
+merges per-branch infinitely-near-point chains into the final graph.
+Every decoded graph has its forward series recomputed and compared with
+the input, so wrong guesses surface as errors instead of wrong graphs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -184,6 +185,9 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
 # -- rebuilding one chain: the Euclidean state machine ---------------------
 
 
+# a decode of up to 64 valuations builds each chain once; a cached chain
+# of a campaign graph holds about 2 KB
+@lru_cache(maxsize=64)
 def _branch_profile(b: BranchData, mode: str):
     """Blowup chain of the solo minimal resolution of one valuation.
 
@@ -199,7 +203,8 @@ def _branch_profile(b: BranchData, mode: str):
     rupture of the current pair.  A pair (a, w) takes as many steps as
     the quotients of Euclid's algorithm on it add up to, so the length of
     the chain is known first, and a chain longer than MAX_VERTICES raises
-    DecodeError before it is built.
+    DecodeError before it is built.  Results are cached per (b, mode), so
+    the pairs of one decode share each branch's chain.
     """
     gens, e, g, c = b.generators, b.gcds, b.g, b.c
     beta = list(gens[:2])
@@ -256,7 +261,7 @@ def _branch_profile(b: BranchData, mode: str):
         mu.append(1)
     if mode == "curve" and mu[-1] != 1:
         raise DecodeError("branch data does not resolve to a smooth end")
-    return kinds, mu
+    return tuple(kinds), tuple(mu)
 
 
 def graph_from_branch(b: BranchData, mode: str) -> DualGraph:
@@ -469,6 +474,10 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
 # -- pairwise contacts from two-variable series (divisorial) ---------------
 
 
+# what a wrong candidate contact raises while its graph is built or checked
+_REJECTED = (ContactError, VerificationError, GraphError, DecodeError)
+
+
 def _maximal_exponents(exps) -> List[tuple]:
     """Componentwise-maximal elements, glex-descending."""
     out = []
@@ -497,7 +506,9 @@ def _contact_candidates(p2: FactoredSeries, b1: BranchData,
     present) or to the deepest dead end of one of the chains; in the
     latter case the geodesics separate at or after the last rupture and
     the other coordinate picks up the gcd factor of the deeper chain.
-    Every candidate is validated by reassembly in pairwise_contact.
+    reconstruct_divisorial keeps the first candidate whose reassembled
+    pair passes the structural checks of assemble; only its fallback,
+    pairwise_contact, also compares each pair's series.
     """
     poles = [m for m, k in p2.factors().items() if k == -1]
     cands: List[int] = []
@@ -527,7 +538,8 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
 
     Tries each structural candidate and keeps the one whose reassembled
     pair reproduces the given two-variable series; at most one can, since
-    the series determines the pair's minimal resolution.
+    the series determines the pair's minimal resolution.  This is the
+    fallback path of reconstruct_divisorial.
     """
     if p2.nvars != 2:
         raise DecodeError("pairwise contact needs a two-variable series")
@@ -537,20 +549,61 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
         try:
             assemble([b1, b2], cm, "divisorial", expect=p2)
             return cand
-        except (ContactError, VerificationError, GraphError,
-                DecodeError) as exc:
+        except _REJECTED as exc:
             last = exc
     raise DecodeError(
         f"no structural case yields a contact consistent with the series"
         f"{'' if last is None else f' (last failure: {last})'}")
 
 
+def _decode_once(p: FactoredSeries, branches: List[BranchData]
+                 ) -> Optional[DualGraph]:
+    """Assemble from first structural candidates and check p once.
+
+    Each pair takes the first candidate contact whose pair graph passes
+    assemble's checks of the chains, the realized contact and the
+    hierarchy; no pair's series is compared.  Returns None when a pair
+    has no such candidate or the graph does not reproduce p.
+    """
+    r = len(branches)
+    cm = [[b.top_value if i == j else 0 for j in range(r)]
+          for i, b in enumerate(branches)]
+    pair = None
+    for i in range(r):
+        for j in range(i + 1, r):
+            bi, bj = branches[i], branches[j]
+            pij = project(p, {i + 1, j + 1}) if r > 2 else p
+            for cand in _contact_candidates(pij, bi, bj):
+                try:
+                    pair = assemble([bi, bj], [[bi.top_value, cand],
+                                               [cand, bj.top_value]],
+                                    "divisorial")
+                    break
+                except _REJECTED:
+                    pass
+            else:
+                return None
+            cm[i][j] = cm[j][i] = cand
+    if r == 2:
+        # the pair graph is the final graph; check its series directly
+        # instead of assembling it again
+        got = poincare_series(pair, default_spec(pair))
+        return pair if got == p else None
+    return assemble(branches, cm, "divisorial", expect=p)
+
+
 def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a set of divisorial valuations from its series.
 
-    Each valuation decodes from its one-variable projection, contacts
-    come from pairwise projections, and the assembled graph must
-    reproduce the whole input series.
+    Each valuation decodes from its one-variable projection.  Each pair
+    takes the first candidate contact that reassembles into a
+    structurally valid pair, and the assembled graph is checked once
+    against the whole input series, which determines the minimal
+    resolution (Campillo-Delgado-Gusein-Zade), so every pair's contact is
+    proved by that one check.  If it fails for any reason, the decode
+    runs again with every candidate checked against its pair's series by
+    pairwise_contact and the result checked against p, so an input that
+    fails ends in the same error as with that path alone.
     """
     r = p.nvars
     if r < 1:
@@ -564,6 +617,12 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
                 f"projection to variable {i} is not a valid divisorial "
                 "series")
         branches.append(b)
+    try:
+        graph = _decode_once(p, branches)
+        if graph is not None:
+            return graph
+    except _REJECTED:
+        pass
     cm = [[b.top_value if i == j else 0 for j in range(r)]
           for i, b in enumerate(branches)]
     for i in range(r):

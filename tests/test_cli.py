@@ -93,6 +93,18 @@ def test_reconstruct_rejects_undecodable(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_tampered_pair_series_is_undecodable(tmp_path, capsys):
+    # both one-variable projections are valid and one candidate contact
+    # passes the structural checks, but no pair reproduces the series: the
+    # failed single check falls back to the per-pair checks, which refuse
+    # the input (exit 2), not report a failed self-check (exit 3)
+    spath = write(tmp_path, "p.txt", "vars 2 mode factored bound 0\n"
+                  "-1 1 3\n-1 3 1\n-1 3 2\n1 3 3\n")
+    assert main(["reconstruct", spath, "--mode", "div"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no structural case yields a contact")
+
+
 def test_equiv_distinguishes(tmp_path, capsys):
     a = write(tmp_path, "a.json", graph_to_json(CUSP_DIV))
     b = write(tmp_path, "b.json",

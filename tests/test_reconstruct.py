@@ -1,18 +1,20 @@
 """Decoding series back into graphs: branches, contacts, full assembly."""
 
+import hashlib
 import random
 
 import pytest
 
 from planevals import (BranchData, ContactError, DecodeError, DualGraph,
-                       FactoredSeries, VerificationError, assemble,
-                       branch_from_univariate, equivalent, graph_from_branch,
-                       multiplicity_matrix, pairwise_contact, project,
-                       random_instance, reconstruct_curve,
-                       reconstruct_divisorial)
+                       FactoredSeries, GraphError, VerificationError,
+                       assemble, branch_from_univariate, equivalent,
+                       graph_from_branch, graph_to_json, multiplicity_matrix,
+                       pairwise_contact, project, random_instance,
+                       reconstruct, reconstruct_curve, reconstruct_divisorial)
 
 from planevals.dualgraph import MAX_VERTICES
-from planevals.reconstruct import _branch_of_values, _solve_curve
+from planevals.reconstruct import (_branch_of_values, _contact_candidates,
+                                   _solve_curve)
 
 from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, NAMED, NODE, SINGLE,
                       TACNODE, TRANSVERSAL_CUSPS, series_of)
@@ -192,6 +194,130 @@ def test_contact_resolves_ambiguous_structural_cases():
     b2 = branch_from_univariate(project(p, [2]), "divisorial")
     assert (b1.top_value, b2.top_value) == (2, 3)
     assert pairwise_contact(p, b1, b2) == 2
+
+
+# -- divisorial decoding checks the series once -----------------------------
+
+
+def structural_survivors(p2, b1, b2):
+    """Candidate contacts whose pair graph passes assemble's structural
+    checks, with no series compared."""
+    out = []
+    for cand in _contact_candidates(p2, b1, b2):
+        try:
+            assemble([b1, b2], [[b1.top_value, cand], [cand, b2.top_value]],
+                     "divisorial")
+            out.append(cand)
+        except (ContactError, DecodeError, GraphError):
+            pass
+    return out
+
+
+def pair_data(p, pair):
+    b1, b2 = (branch_from_univariate(project(p, {k}), "divisorial")
+              for k in pair)
+    return (project(p, set(pair)) if p.nvars > 2 else p), b1, b2
+
+
+# random_instance(21, 12, 2, "divisorial") and random_instance(3, 12, 3,
+# "divisorial"): the smallest graphs, one per r, that a search over seeds
+# 0..399 at r = 2, 3 and max_vertices 12 found with a pair that has two
+# structurally valid candidate contacts (91 such pairs in all)
+AMBIGUOUS = [
+    (DualGraph(((), (1,), (2,), (1,)), (4, 3), ()), (1, 2)),
+    (DualGraph(((), (1,), (1,), (3,)), (2, 3, 4), ()), (1, 3)),
+]
+
+
+@pytest.fixture
+def pairwise_calls(monkeypatch):
+    calls = []
+    real = reconstruct.pairwise_contact
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reconstruct, "pairwise_contact", spy)
+    return calls
+
+
+@pytest.mark.parametrize("graph,pair", AMBIGUOUS)
+def test_ambiguous_pair_decodes_with_one_series_check(graph, pair,
+                                                      pairwise_calls):
+    p = series_of(graph)
+    assert len(structural_survivors(*pair_data(p, pair))) == 2
+    assert equivalent(reconstruct_divisorial(p), graph)
+    assert pairwise_calls == []
+
+
+@pytest.mark.parametrize("graph,pair", AMBIGUOUS)
+def test_reversed_candidates_decode_through_the_fallback(
+        graph, pair, pairwise_calls, monkeypatch):
+    # reversed, the wrong structural survivor comes first, so the single
+    # check fails and every pair is checked against its own series
+    monkeypatch.setattr(reconstruct, "_contact_candidates",
+                        lambda *args: _contact_candidates(*args)[::-1])
+    p = series_of(graph)
+    assert equivalent(reconstruct_divisorial(p), graph)
+    assert len(pairwise_calls) == p.nvars * (p.nvars - 1) // 2
+
+
+def tampered_pair_series(count):
+    """Valid two-variable series times
+    (a,b+d)^-1 (a',b'+d)^-1 (a,b'+d)^+1 (a',b+d)^+1, where (a,b) and
+    (a',b') are poles of the series: both one-variable projections stay
+    the valid ones of the untampered graph."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        rng = random.Random(seed)
+        p = series_of(random_instance(5000 + seed, 30, 2, "divisorial"))
+        seed += 1
+        poles = sorted(m for m, k in p.factors().items() if k < 0)
+        pairs = [(u, v) for u in poles for v in poles
+                 if u[0] != v[0] and u[1] != v[1]]
+        if not pairs:
+            continue
+        (a, b), (a2, b2) = rng.choice(pairs)
+        d = rng.randint(0, 3)
+        q = (p.with_factor((a, b + d), -1).with_factor((a2, b2 + d), -1)
+             .with_factor((a, b2 + d), 1).with_factor((a2, b + d), 1))
+        assert all(project(q, {k}) == project(p, {k}) for k in (1, 2))
+        out.append(q)
+    return out
+
+
+def decode_outcome(p):
+    try:
+        reconstruct_divisorial(p)
+    except Exception as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def test_tampered_pair_series_fail_as_before():
+    series = tampered_pair_series(200)
+    # 56 of them have a single structurally valid contact: decoding ends in
+    # DecodeError there only if a failed single check falls back to the
+    # per-pair path whatever the number of survivors
+    assert sum(len(structural_survivors(*pair_data(q, (1, 2)))) == 1
+               for q in series) == 56
+    outcomes = "\n".join(decode_outcome(q) for q in series)
+    # the outcomes of the decoder that checked every pair's series
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == (
+        "0081960946d8485fa6c5d6473ee26d0e78f4bbdcd3b850e849db19be840e24f1")
+
+
+def test_divisorial_decoding_golden_digest():
+    # as decoded by the decoder that checked every pair's series
+    h = hashlib.sha256()
+    for s in range(150):
+        g = random_instance(9000 + s, 60, 2 + s % 5, "divisorial")
+        h.update(graph_to_json(reconstruct_divisorial(series_of(g)))
+                 .encode())
+    assert h.hexdigest() == (
+        "ef9de55eb4d2739087c6d60ee6f63ff5164f66147e600c2d7edc8174a5051336")
 
 
 # -- full reconstruction ------------------------------------------------------
