@@ -97,6 +97,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    if args.trials < 0:
+        print("error: --trials must not be negative", file=sys.stderr)
+        return BAD_INPUT
     mode = _MODES[args.mode]
     failures = 0
     for k in range(args.trials):

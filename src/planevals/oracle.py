@@ -19,6 +19,7 @@ curvette (an indeterminate lambda), never random sampling.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -58,8 +59,10 @@ class OracleError(RuntimeError):
 
 # feasibility limits of the jet-space count, checked before any chart is
 # built: the number of jets (the width of every elimination row), and the
-# jets times the prefixes of the first r - 1 coordinates, each of which
-# re-inserts the last valuation's rows into an echelon of up to that rank
+# jets times (top + 1)^(r - 1), the prefixes of the first r - 1
+# coordinates.  _counts walks only the prefixes of the first r - 2 and takes
+# the last two coordinates in one elimination each, so this bound is
+# conservative; it is kept so that the same requests are refused
 MAX_JETS = 4000
 MAX_WORK = 10 ** 6
 
@@ -336,13 +339,15 @@ def _level_rows(graph: DualGraph, spec, W: int, top: int):
     return out
 
 
-def _insert(ech: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
-    """Add a row to an echelon {pivot: row}; True if the rank grew.
+def _place(ech: Dict[int, Dict[int, int]],
+           row: Dict[int, int]) -> Optional[int]:
+    """Add a row to an echelon {pivot: row}; the new pivot, or None if the
+    rank did not grow.
 
-    Fraction-free elimination pivoting on the smallest jet index, so a
-    reduction only leaves higher keys; the reduced row is divided by its
-    content before it is stored.  Neither ``row`` nor a stored row is
-    mutated, so echelons can share rows.
+    Fraction-free elimination pivoting on the smallest key, so a reduction
+    only leaves higher keys; the reduced row is divided by its content
+    before it is stored.  Neither ``row`` nor a stored row is mutated, so
+    echelons can share rows.
     """
     while row:
         piv = min(row)
@@ -350,7 +355,7 @@ def _insert(ech: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
         if erow is None:
             g = math.gcd(*row.values())
             ech[piv] = row if g == 1 else {i: c // g for i, c in row.items()}
-            return True
+            return piv
         a, b = row[piv], erow[piv]
         g = math.gcd(a, b)
         a, b = a // g, b // g
@@ -362,7 +367,51 @@ def _insert(ech: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
             else:
                 del new[i]
         row = new
-    return False
+    return None
+
+
+def _insert(ech: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
+    """Add a row to an echelon {pivot: row}; True if the rank grew."""
+    return _place(ech, row) is not None
+
+
+def _reduce(ech: Dict[int, Dict[int, int]],
+            row: Dict[int, int]) -> Dict[int, int]:
+    """A nonzero multiple of ``row`` minus a combination of echelon rows,
+    zero at every pivot; ``row`` is not mutated.
+
+    The pivots are cleared in increasing order by the fraction-free step
+    of ``_place``: an echelon row has no key below its pivot, so a cleared
+    pivot never comes back.  The result is divided by its content.
+    """
+    row = dict(row)
+    todo = sorted(i for i in row if i in ech)
+    k = 0
+    while k < len(todo):
+        piv = todo[k]
+        k += 1
+        a = row.get(piv)
+        if a is None:
+            continue
+        erow = ech[piv]
+        b = erow[piv]
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if b != 1:
+            for i in row:
+                row[i] *= b
+        for i, c in erow.items():
+            v = row.get(i)
+            if v is None:
+                row[i] = -a * c
+                if i in ech:
+                    insort(todo, i, k)
+            elif v == a * c:
+                del row[i]
+            else:
+                row[i] = v - a * c
+    g = math.gcd(*row.values())
+    return row if g < 2 else {i: c // g for i, c in row.items()}
 
 
 def _feasible_jets(W: int, prefixes: int) -> int:
@@ -375,16 +424,77 @@ def _feasible_jets(W: int, prefixes: int) -> int:
     return jets
 
 
+def _flag(ech: Dict[int, Dict[int, int]], levels, room: int):
+    """Insert ``levels`` into ``ech`` one level at a time, until the rank
+    has grown by ``room``.  Returns the new pivots in insertion order and
+    ``sizes``, where sizes[i] counts those added by the levels below i."""
+    pivots: List[int] = []
+    sizes = [0]
+    for level in levels:
+        for row in level:
+            if len(pivots) == room:
+                break
+            piv = _place(ech, row)
+            if piv is not None:
+                pivots.append(piv)
+        sizes.append(len(pivots))
+    return pivots, sizes
+
+
+def _two_flags(ech: Dict[int, Dict[int, int]], rank: int, a_levels,
+               b_levels, jets: int) -> np.ndarray:
+    """jets - rank(E + A_<i + B_<j) for (i, j) on [0, top]^2, where E is
+    the echelon ``ech`` of rank ``rank`` (taken over and extended) and
+    A_<i, B_<j are the rows of the two valuations at levels below i, j.
+
+    In the quotient Q of the row space by E, A's rows span a flag: p_i new
+    pivots from the levels below i.  Those rows, in insertion order, then
+    the jets that are no pivot at all, form a basis of Q.  Each row of B
+    is reduced against E + A; the multipliers of the A rows (kept as tags
+    past the last jet) and the residual on the free jets are its
+    coordinates in that basis.  A second echelon of these coordinates,
+    pivoting on their last column, gives each new pivot a level l and a
+    column c, and the image of B_<j in Q / A_<i has one dimension for each
+    pivot with l < j and c >= p_i.  So the whole block comes from two
+    cumulative sums over a histogram of (l + 1, c).
+    """
+    import numpy as np
+
+    room = jets - rank
+    top = len(a_levels)
+    a_pivots, sizes = _flag(ech, a_levels, room)
+    m = len(a_pivots)
+    for k, piv in enumerate(a_pivots):
+        ech[piv] = {**ech[piv], jets + k: 1}
+    hist = np.zeros((top + 1, m + 1), dtype=np.int64)
+    coords: Dict[int, Dict[int, int]] = {}
+    for level, rows in enumerate(b_levels):
+        for row in rows:
+            if len(coords) == room:
+                break
+            # column k for the A row tagged jets + k, m + f for free jet f,
+            # negated so that _place pivots on the last column
+            piv = _place(coords, {jets - i if i >= jets else -m - i: c
+                                  for i, c in _reduce(ech, row).items()})
+            if piv is not None:
+                hist[level + 1, min(-piv, m)] += 1
+    tail = hist.cumsum(0)[:, ::-1].cumsum(1)[:, ::-1]
+    p = np.array(sizes)
+    return room - p[:, None] - tail[:, p].T
+
+
 def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
     """counts[w] = dim J(w) on the jets, for w on the grid [0, top]^r.
 
     dim J(w) is the number of jets minus the rank of the rows of every
     valuation k at the levels below w_k.  A depth-first walk over the
-    first r - 1 coordinates extends one echelon level by level, handing
-    each prefix a shallow copy; the last coordinate adds its levels one at
-    a time and records the rank after each.  The rank does not depend on
-    the order of the valuations, so they are walked densest first: the
-    deeper a coordinate, the more prefixes re-insert its rows.
+    first r - 2 coordinates extends one echelon level by level, handing
+    each prefix a shallow copy and stopping where the rank is full.  Each
+    prefix reads its whole [0, top]^2 block of the last two coordinates
+    from one elimination of their rows (``_two_flags``); with r = 1 the
+    only valuation's levels are added one at a time.  The rank does not
+    depend on the order of the valuations, so they are walked densest
+    first: the sparsest is the one whose rows are reduced in full.
 
     A count is at most the number of jets, at most MAX_JETS, so int64
     cannot overflow here or in the sums over 2^r corners taken from it.
@@ -396,13 +506,18 @@ def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
         raise OracleError("empty valuation spec")
     jets = _feasible_jets(W, (top + 1) ** (r - 1))
     levels = _level_rows(graph, spec, W, top)
+    if r == 1:
+        return jets - np.array(_flag({}, levels[0], jets)[1], dtype=np.int64)
     order = sorted(range(r), key=lambda k: -sum(
         len(row) for level in levels[k] for row in level))
     walk_levels = [levels[k] for k in order]
     counts = np.zeros((top + 1,) * r, dtype=np.int64)
 
     def walk(depth: int, ech, rank: int, index: Tuple[int, ...]) -> None:
-        last = depth == r - 1
+        if depth == r - 2:
+            counts[index] = _two_flags(ech, rank, walk_levels[-2],
+                                       walk_levels[-1], jets)
+            return
         for w in range(top + 1):
             if w:
                 for row in walk_levels[depth][w - 1]:
@@ -410,10 +525,7 @@ def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
             if rank == jets:
                 # J is zero here and at every larger coordinate
                 return
-            if last:
-                counts[index + (w,)] = jets - rank
-            else:
-                walk(depth + 1, dict(ech), rank, index + (w,))
+            walk(depth + 1, dict(ech), rank, index + (w,))
 
     walk(0, {}, 0, ())
     return counts.transpose(np.argsort(order))

@@ -127,6 +127,15 @@ def test_roundtrip_report_format(capsys):
     assert lines[4] == "total=4 failures=0"
 
 
+def test_roundtrip_refuses_a_negative_trial_count(capsys):
+    assert main(["roundtrip", "--mode", "div", "--trials", "-2",
+                 "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --trials must not be negative"]
+
+
 def test_oracle_check_reports_match(tmp_path, capsys):
     path = write(tmp_path, "g.json", graph_to_json(TACNODE))
     assert main(["oracle-check", path, "--bound", "10"]) == 0
