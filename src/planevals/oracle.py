@@ -370,11 +370,6 @@ def _place(ech: Dict[int, Dict[int, int]],
     return None
 
 
-def _insert(ech: Dict[int, Dict[int, int]], row: Dict[int, int]) -> bool:
-    """Add a row to an echelon {pivot: row}; True if the rank grew."""
-    return _place(ech, row) is not None
-
-
 def _reduce(ech: Dict[int, Dict[int, int]],
             row: Dict[int, int]) -> Dict[int, int]:
     """A nonzero multiple of ``row`` minus a combination of echelon rows,
@@ -521,7 +516,7 @@ def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
         for w in range(top + 1):
             if w:
                 for row in walk_levels[depth][w - 1]:
-                    rank += _insert(ech, row)
+                    rank += _place(ech, row) is not None
             if rank == jets:
                 # J is zero here and at every larger coordinate
                 return
@@ -553,8 +548,8 @@ def ideal_dim(graph: DualGraph, spec: ValuationSpec, v: Sequence[int]) -> int:
     for rows, x in zip(levels, v):
         for level in rows[:x]:
             for row in level:
-                _insert(ech, row)
-    return sum(_insert(ech, row)
+                _place(ech, row)
+    return sum(_place(ech, row) is not None
                for rows, x in zip(levels, v) for row in rows[x])
 
 
