@@ -134,7 +134,6 @@ def _charts(graph: DualGraph, cap: int):
     charts: List[Dict[Optional[int], Tuple[Poly, Poly]]] = [None] * (n + 1)
     primary: List[Optional[int]] = [None] * (n + 1)
     counters = [0] * (n + 1)
-    child_theta = {}
     for v in range(1, n + 1):
         ps = graph.parents[v - 1]
         if not ps:
@@ -147,7 +146,6 @@ def _charts(graph: DualGraph, cap: int):
             p = ps[0]
             theta = counters[p]
             counters[p] += 1
-            child_theta[v] = theta
             px, py = charts[p][primary[p]]
             va = {(1, 1): 1}
             if theta:

@@ -3,11 +3,12 @@
 The univariate series of one valuation decodes to numerical branch data
 (semigroup generators, dead-end values, free tail).  A Euclidean state
 machine rebuilds the blowup sequence from that data.  Pairwise contacts
-come from the shape of the two-variable series; each candidate must
-reassemble into a pair whose structure realizes it.  A Noether walk
-merges per-branch infinitely-near-point chains into the final graph.
-Every decoded graph has its forward series recomputed and compared with
-the input, so wrong guesses surface as errors instead of wrong graphs.
+come from the shape of the two-variable series; a candidate must fit the
+pair's two chains (shared depth, point kinds), which needs no graph.  A
+Noether walk merges per-branch infinitely-near-point chains into the
+final graph, and a single chain is the same walk with one branch.  Every
+decoded graph has its forward series recomputed and compared with the
+input, so wrong guesses surface as errors instead of wrong graphs.
 """
 
 from __future__ import annotations
@@ -267,29 +268,11 @@ def _branch_profile(b: BranchData, mode: str):
 def graph_from_branch(b: BranchData, mode: str) -> DualGraph:
     """Solo minimal resolution of one valuation, self-verified.
 
-    The forward series of the result is recomputed and compared with
-    b.univariate_series(mode); any disagreement raises.
+    This is assemble of the one chain, with its forward series compared
+    against b.univariate_series(mode); any disagreement raises.
     """
-    kinds, _ = _branch_profile(b, mode)
-    parents = []
-    for kind in kinds:
-        if kind[0] == "origin":
-            parents.append(())
-        elif kind[0] == "free":
-            parents.append((kind[1],))
-        else:
-            parents.append((kind[1], kind[2]))
-    n = len(parents)
-    if mode == "divisorial":
-        graph = DualGraph(tuple(parents), (n,), ())
-    else:
-        graph = DualGraph(tuple(parents), (), ((n, 1),))
-    got = poincare_series(graph, default_spec(graph))
-    if got != b.univariate_series(mode):
-        raise VerificationError(
-            f"rebuilt graph for {b} reproduces {got.factors()} instead of "
-            f"its own series")
-    return graph
+    return assemble([b], [[b.top_value]], mode,
+                    expect=b.univariate_series(mode))
 
 
 # -- merging chains: the Noether walk --------------------------------------
@@ -335,24 +318,17 @@ def _shared_depth(mu_i, mu_j, contact: int, cap: Optional[int]) -> int:
     return d
 
 
-def assemble(branches: Sequence[BranchData], contacts, mode: str,
-             expect: Optional[FactoredSeries] = None) -> DualGraph:
-    """Merge solo chains into one minimal resolution.
+def _fit_chains(branches: List[BranchData], cm, mode: str):
+    """Check a contact matrix against the chains alone.
 
-    contacts[i][j] is the pairwise intersection value m_{alpha_i alpha_j}
-    (diagonal: the valuation's own top value).  The walk locates, for each
-    pair, how many infinitely-near points the two chains share, checks
-    that the sharing pattern is an ultrametric hierarchy with consistent
-    point kinds, and replays the union.  With ``expect`` given, the
-    forward series of the result is compared against it.
+    Checks the diagonal (each valuation's own top value) and symmetry,
+    locates for each pair how many infinitely-near points the two chains
+    share, and checks that no two divisorial chains coincide, that the
+    sharing pattern is an ultrametric hierarchy and that shared points
+    have the same kind on both chains.  Returns (profiles, s): the chain
+    of each valuation and the shared depths.  No graph is built.
     """
-    branches = list(branches)
     r = len(branches)
-    if r == 0:
-        raise ContactError("no valuations to assemble")
-    if mode not in ("divisorial", "curve"):
-        raise ContactError(f"unknown mode {mode!r}")
-    cm = [[int(contacts[i][j]) for j in range(r)] for i in range(r)]
     for i in range(r):
         if cm[i][i] != branches[i].top_value:
             raise ContactError(
@@ -382,12 +358,6 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
         if s[i][k] < min(s[i][j], s[j][k]):
             raise ContactError("shared depths violate the tree hierarchy")
 
-    if mode == "curve":
-        total = [max(lengths[i], max((s[i][j] for j in range(r) if j != i),
-                                     default=0)) for i in range(r)]
-    else:
-        total = lengths
-
     for i in range(r):
         for j in range(i + 1, r):
             for d in range(1, s[i][j] + 1):
@@ -397,6 +367,34 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
                     raise ContactError(
                         f"chains {i + 1} and {j + 1} disagree at shared "
                         f"depth {d}: {ki} vs {kj}")
+    return profiles, s
+
+
+def assemble(branches: Sequence[BranchData], contacts, mode: str,
+             expect: Optional[FactoredSeries] = None) -> DualGraph:
+    """Merge solo chains into one minimal resolution.
+
+    contacts[i][j] is the pairwise intersection value m_{alpha_i alpha_j}
+    (diagonal: the valuation's own top value).  _fit_chains checks the
+    contacts against the chains; the union of the chains is then
+    replayed, and the merged graph must realize every contact.  With
+    ``expect`` given, the forward series of the result is compared
+    against it.
+    """
+    branches = list(branches)
+    r = len(branches)
+    if r == 0:
+        raise ContactError("no valuations to assemble")
+    if mode not in ("divisorial", "curve"):
+        raise ContactError(f"unknown mode {mode!r}")
+    cm = [[int(contacts[i][j]) for j in range(r)] for i in range(r)]
+    profiles, s = _fit_chains(branches, cm, mode)
+    lengths = [len(mu) for _, mu in profiles]
+    if mode == "curve":
+        total = [max(lengths[i], max((s[i][j] for j in range(r) if j != i),
+                                     default=0)) for i in range(r)]
+    else:
+        total = lengths
 
     def rep(i: int, d: int) -> int:
         # smallest branch index sharing depth d with branch i
@@ -479,13 +477,17 @@ _REJECTED = (ContactError, VerificationError, GraphError, DecodeError)
 
 
 def _maximal_exponents(exps) -> List[tuple]:
-    """Componentwise-maximal elements, glex-descending."""
-    out = []
-    for m in exps:
-        if not any(all(o[i] >= m[i] for i in range(len(m))) and o != m
-                   for o in exps):
+    """Componentwise-maximal elements, glex-descending.
+
+    An exponent that dominates another has the larger degree and comes
+    first in that order, so each one is checked against the maximal
+    ones already kept only.
+    """
+    out: List[tuple] = []
+    for m in sorted(set(exps), key=glex_key, reverse=True):
+        if not any(all(a >= b for a, b in zip(o, m)) for o in out):
             out.append(m)
-    return sorted(set(out), key=glex_key, reverse=True)
+    return out
 
 
 def _last_gen(b: BranchData) -> int:
@@ -506,9 +508,9 @@ def _contact_candidates(p2: FactoredSeries, b1: BranchData,
     present) or to the deepest dead end of one of the chains; in the
     latter case the geodesics separate at or after the last rupture and
     the other coordinate picks up the gcd factor of the deeper chain.
-    reconstruct_divisorial keeps the first candidate whose reassembled
-    pair passes the structural checks of assemble; only its fallback,
-    pairwise_contact, also compares each pair's series.
+    reconstruct_divisorial keeps the first candidate that fits the two
+    chains (_fit_chains), with no pair graph built; only its fallback,
+    pairwise_contact, assembles each pair and compares its series.
     """
     poles = [m for m, k in p2.factors().items() if k == -1]
     cands: List[int] = []
@@ -539,7 +541,8 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
     Tries each structural candidate and keeps the one whose reassembled
     pair reproduces the given two-variable series; at most one can, since
     the series determines the pair's minimal resolution.  This is the
-    fallback path of reconstruct_divisorial.
+    fallback path of reconstruct_divisorial, whose first path only fits
+    each candidate to the two chains and checks the whole series once.
     """
     if p2.nvars != 2:
         raise DecodeError("pairwise contact needs a two-variable series")
@@ -557,38 +560,33 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
 
 
 def _decode_once(p: FactoredSeries, branches: List[BranchData]
-                 ) -> Optional[DualGraph]:
-    """Assemble from first structural candidates and check p once.
+                 ) -> DualGraph:
+    """Assemble from the first candidates that fit the chains; check p once.
 
-    Each pair takes the first candidate contact whose pair graph passes
-    assemble's checks of the chains, the realized contact and the
-    hierarchy; no pair's series is compared.  Returns None when a pair
-    has no such candidate or the graph does not reproduce p.
+    Each pair takes the first candidate contact that passes _fit_chains
+    on the pair's two chains; no pair graph is built and no pair's
+    series is compared.  Raises one of _REJECTED when a pair has no such
+    candidate or the assembled graph does not reproduce p.
     """
     r = len(branches)
     cm = [[b.top_value if i == j else 0 for j in range(r)]
           for i, b in enumerate(branches)]
-    pair = None
     for i in range(r):
         for j in range(i + 1, r):
             bi, bj = branches[i], branches[j]
             pij = project(p, {i + 1, j + 1}) if r > 2 else p
             for cand in _contact_candidates(pij, bi, bj):
                 try:
-                    pair = assemble([bi, bj], [[bi.top_value, cand],
-                                               [cand, bj.top_value]],
-                                    "divisorial")
+                    _fit_chains([bi, bj], [[bi.top_value, cand],
+                                           [cand, bj.top_value]],
+                                "divisorial")
                     break
-                except _REJECTED:
+                except DecodeError:
                     pass
             else:
-                return None
+                raise DecodeError(f"no candidate contact fits chains "
+                                  f"{i + 1} and {j + 1}")
             cm[i][j] = cm[j][i] = cand
-    if r == 2:
-        # the pair graph is the final graph; check its series directly
-        # instead of assembling it again
-        got = poincare_series(pair, default_spec(pair))
-        return pair if got == p else None
     return assemble(branches, cm, "divisorial", expect=p)
 
 
@@ -596,14 +594,16 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a set of divisorial valuations from its series.
 
     Each valuation decodes from its one-variable projection.  Each pair
-    takes the first candidate contact that reassembles into a
-    structurally valid pair, and the assembled graph is checked once
-    against the whole input series, which determines the minimal
-    resolution (Campillo-Delgado-Gusein-Zade), so every pair's contact is
-    proved by that one check.  If it fails for any reason, the decode
-    runs again with every candidate checked against its pair's series by
-    pairwise_contact and the result checked against p, so an input that
-    fails ends in the same error as with that path alone.
+    takes the first candidate contact that fits the two chains
+    (_fit_chains: shared depth, point kinds, no whole shared chain), and
+    the one graph assembled from these contacts is checked against the
+    whole input series.  That series determines the minimal resolution,
+    and its projection to two valuations is the series of the pair
+    (Campillo-Delgado-Gusein-Zade), so the one check proves every pair's
+    contact.  If it fails for any reason, the decode runs again with
+    every candidate checked against its pair's series by pairwise_contact
+    and the result checked against p, so an input that fails ends in the
+    same error as with that path alone.
     """
     r = p.nvars
     if r < 1:
@@ -618,9 +618,7 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
                 "series")
         branches.append(b)
     try:
-        graph = _decode_once(p, branches)
-        if graph is not None:
-            return graph
+        return _decode_once(p, branches)
     except _REJECTED:
         pass
     cm = [[b.top_value if i == j else 0 for j in range(r)]

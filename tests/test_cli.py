@@ -17,7 +17,7 @@ from planevals.series import MAX_CELLS
 
 from conftest import CUSP_DIV, CUSP_PAIR, TACNODE, series_of
 from planevals import (FactoredSeries, default_spec, expand, factorize,
-                       graph_to_json, series_to_text)
+                       graph_to_json, random_instance, series_to_text)
 from planevals.reconstruct import BranchData, graph_from_branch
 
 
@@ -103,6 +103,25 @@ def test_tampered_pair_series_is_undecodable(tmp_path, capsys):
     assert main(["reconstruct", spath, "--mode", "div"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: no structural case yields a contact")
+
+
+def test_many_tampered_poles_are_refused_promptly(tmp_path, capsys):
+    # 2000 quadruples (a,b+d)^-1 (a',b'+d)^-1 (a,b'+d)^+1 (a',b+d)^+1 on the
+    # poles (2, 3) and (3, 4) of a valid pair series keep both one-variable
+    # projections valid; the maximal exponents of the 8004 factors are
+    # found without comparing every pair of them
+    p = series_of(random_instance(0, 12, 2, "divisorial"))
+    facs = p.factors()
+    assert facs[(2, 3)] == facs[(3, 4)] == -1
+    for d in range(1000, 2000001, 1000):
+        facs.update({(2, 3 + d): -1, (3, 4 + d): -1,
+                     (2, 4 + d): 1, (3, 3 + d): 1})
+    assert len(facs) == 8004
+    path = write(tmp_path, "p.txt", series_to_text(FactoredSeries(2, facs)))
+    start = time.perf_counter()
+    assert main(["reconstruct", path, "--mode", "div"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "error:" in capsys.readouterr().err
 
 
 def test_equiv_distinguishes(tmp_path, capsys):

@@ -14,7 +14,8 @@ from planevals import (BranchData, ContactError, DecodeError, DualGraph,
 
 from planevals.dualgraph import MAX_VERTICES
 from planevals.reconstruct import (_branch_of_values, _contact_candidates,
-                                   _solve_curve)
+                                   _maximal_exponents, _solve_curve)
+from planevals.series import glex_key
 
 from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, NAMED, NODE, SINGLE,
                       TACNODE, TRANSVERSAL_CUSPS, series_of)
@@ -196,6 +197,26 @@ def test_contact_resolves_ambiguous_structural_cases():
     assert pairwise_contact(p, b1, b2) == 2
 
 
+def brute_maximal_exponents(exps):
+    """Reference: every exponent compared with every other one."""
+    out = []
+    for m in exps:
+        if not any(all(o[i] >= m[i] for i in range(len(m))) and o != m
+                   for o in exps):
+            out.append(m)
+    return sorted(set(out), key=glex_key, reverse=True)
+
+
+def test_maximal_exponents_match_the_brute_force():
+    rng = random.Random(0)
+    for _ in range(1000):
+        r = rng.randint(1, 4)
+        hi = rng.choice((2, 5, 30))
+        exps = [tuple(rng.randint(0, hi) for _ in range(r))
+                for _ in range(rng.randint(0, 40))]
+        assert _maximal_exponents(exps) == brute_maximal_exponents(exps)
+
+
 # -- divisorial decoding checks the series once -----------------------------
 
 
@@ -229,17 +250,27 @@ AMBIGUOUS = [
 ]
 
 
+def spy_on(monkeypatch, name):
+    """Record the arguments of every call of reconstruct.<name>."""
+    calls = []
+    real = getattr(reconstruct, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, name, spy)
+    return calls
+
+
 @pytest.fixture
 def pairwise_calls(monkeypatch):
-    calls = []
-    real = reconstruct.pairwise_contact
+    return spy_on(monkeypatch, "pairwise_contact")
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(reconstruct, "pairwise_contact", spy)
-    return calls
+@pytest.fixture
+def assemble_calls(monkeypatch):
+    return spy_on(monkeypatch, "assemble")
 
 
 @pytest.mark.parametrize("graph,pair", AMBIGUOUS)
@@ -263,36 +294,55 @@ def test_reversed_candidates_decode_through_the_fallback(
     assert len(pairwise_calls) == p.nvars * (p.nvars - 1) // 2
 
 
-def tampered_pair_series(count):
-    """Valid two-variable series times
-    (a,b+d)^-1 (a',b'+d)^-1 (a,b'+d)^+1 (a',b+d)^+1, where (a,b) and
-    (a',b') are poles of the series: both one-variable projections stay
-    the valid ones of the untampered graph."""
+def test_valid_decode_assembles_one_graph(assemble_calls, pairwise_calls):
+    # pairs are matched on their chains; the only graph built is the
+    # final one, checked against the whole series
+    graphs = [random_instance(s, 60, 2 + s % 5, "divisorial")
+              for s in range(200)]
+    graphs += [graph for graph, _ in AMBIGUOUS]
+    for graph in graphs:
+        assemble_calls.clear()
+        assert equivalent(reconstruct_divisorial(series_of(graph)), graph)
+        assert len(assemble_calls) == 1
+    assert pairwise_calls == []
+
+
+def tampered_pair_series(count, r=2):
+    """Valid series of r = 2 or 3 variables times
+    (a,b+d,z)^-1 (a',b'+d,z)^-1 (a,b'+d,z)^+1 (a',b+d,z)^+1, where
+    (a,b,z) and (a',b',z') are poles of the series (no z when r = 2):
+    every one-variable projection, and at r = 3 the pairs (1, 3) and
+    (2, 3), stay those of the untampered graph."""
     out = []
     seed = 0
     while len(out) < count:
         rng = random.Random(seed)
-        p = series_of(random_instance(5000 + seed, 30, 2, "divisorial"))
+        p = series_of(random_instance(5000 + seed, 30, r, "divisorial"))
         seed += 1
         poles = sorted(m for m, k in p.factors().items() if k < 0)
         pairs = [(u, v) for u in poles for v in poles
                  if u[0] != v[0] and u[1] != v[1]]
         if not pairs:
             continue
-        (a, b), (a2, b2) = rng.choice(pairs)
+        (a, b, *z), (a2, b2, *_) = rng.choice(pairs)
+        z = tuple(z)
         d = rng.randint(0, 3)
-        q = (p.with_factor((a, b + d), -1).with_factor((a2, b2 + d), -1)
-             .with_factor((a, b2 + d), 1).with_factor((a2, b + d), 1))
-        assert all(project(q, {k}) == project(p, {k}) for k in (1, 2))
+        q = (p.with_factor((a, b + d) + z, -1)
+             .with_factor((a2, b2 + d) + z, -1)
+             .with_factor((a, b2 + d) + z, 1)
+             .with_factor((a2, b + d) + z, 1))
+        kept = [{1}, {2}] if r == 2 else [{1}, {2}, {3}, {1, 3}, {2, 3}]
+        assert all(project(q, keep) == project(p, keep) for keep in kept)
         out.append(q)
     return out
 
 
-def decode_outcome(p):
+def decode_outcome(p, message=False):
     try:
         reconstruct_divisorial(p)
     except Exception as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}" if message else (
+            type(exc).__name__)
     return "ok"
 
 
@@ -307,6 +357,16 @@ def test_tampered_pair_series_fail_as_before():
     # the outcomes of the decoder that checked every pair's series
     assert hashlib.sha256(outcomes.encode()).hexdigest() == (
         "0081960946d8485fa6c5d6473ee26d0e78f4bbdcd3b850e849db19be840e24f1")
+
+
+def test_tampered_triple_series_fail_as_before():
+    # the tampered pair (1, 2) of three valuations: outcomes, class and
+    # message, of the decoder that assembled a graph for every candidate
+    # pair; some fail on the chains, others only at the single check
+    outcomes = "\n".join(decode_outcome(q, message=True)
+                         for q in tampered_pair_series(200, r=3))
+    assert hashlib.sha256(outcomes.encode()).hexdigest() == (
+        "d24b82922d5fc3b8452844e8c4529a0aeedf58422b70b30451edde246f8919ea")
 
 
 def test_divisorial_decoding_golden_digest():
