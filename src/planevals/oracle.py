@@ -317,22 +317,30 @@ def _level_rows(graph: DualGraph, spec, W: int, top: int):
     per lambda-power of the coefficient of s^l in the pullback along k,
     for l < top: a combination of jets lies in J(w) iff every row of
     every k at a level below w_k vanishes on its coefficient vector.
+
+    The pullbacks are built one product at a time, x^i y^j from
+    x^i y^(j-1) and x^(i+1) from x^i, each truncated at s-degree
+    top - 1: only levels below top are read, and s-degrees only add.
+    Once x^i y^j is zero below top, so is every later jet of that i.
     """
+    cap = top - 1
     out = []
     for x, y in _spec_pullback_sources(graph, spec, top):
-        xpow = [{(0, 0): 1}]
-        ypow = [{(0, 0): 1}]
-        for _ in range(W):
-            xpow.append(_pmul(xpow[-1], x, top))
-            ypow.append(_pmul(ypow[-1], y, top))
         levels: List[Dict[int, Dict[int, int]]] = [{} for _ in range(top)]
         jet = 0
+        xi: Poly = {(0, 0): 1}
         for i in range(W + 1):
+            p = xi
             for j in range(W + 1 - i):
-                for (l, lam), c in _pmul(xpow[i], ypow[j], top).items():
-                    if l < top:
-                        levels[l].setdefault(lam, {})[jet] = c
+                if j:
+                    p = _pmul(p, y, cap)
+                if not p:
+                    jet += W + 1 - i - j
+                    break
+                for (l, lam), c in p.items():
+                    levels[l].setdefault(lam, {})[jet] = c
                 jet += 1
+            xi = _pmul(xi, x, cap)
         out.append([list(level.values()) for level in levels])
     return out
 

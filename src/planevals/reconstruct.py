@@ -463,10 +463,27 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
                 f"assembled graph is not a minimal resolution: {exc}"
             ) from exc
         if got != expect:
-            raise VerificationError(
-                f"assembled graph reproduces {got.factors()}, expected "
-                f"{expect.factors()}")
+            raise VerificationError(_mismatch(got.factors(),
+                                              expect.factors()))
     return graph
+
+
+# a failed check quotes both factor dicts only up to this many factors
+# each; past it the message names the counts and the first difference, so
+# its length does not grow with the number of factors
+_QUOTED_FACTORS = 32
+
+
+def _mismatch(got: dict, expect: dict) -> str:
+    """The message of a series check that found ``got`` for ``expect``."""
+    if max(len(got), len(expect)) <= _QUOTED_FACTORS:
+        return f"assembled graph reproduces {got}, expected {expect}"
+    first = min((m for m in got.keys() | expect.keys()
+                 if got.get(m) != expect.get(m)), key=glex_key)
+    return (f"assembled graph reproduces {len(got)} factors, expected "
+            f"{len(expect)}; the glex-first difference is at exponent "
+            f"{first}, power {got.get(first, 0)} instead of "
+            f"{expect.get(first, 0)}")
 
 
 # -- pairwise contacts from two-variable series (divisorial) ---------------

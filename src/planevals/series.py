@@ -567,25 +567,33 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
 
     Header ``vars R mode {factored|expanded} bound B`` (bound 0 for the
     factored form), then one ``k e1 ... eR`` line per term in glex order.
+    The terms are sorted once on (degree, exponent) and written by one
+    ``%`` of a repeated row pattern over their flattened integers.
     """
-    lines = []
     if isinstance(series, FactoredSeries):
-        lines.append(f"vars {series.nvars} mode factored bound 0")
-        terms = series.items()
+        head = f"vars {series.nvars} mode factored bound 0\n"
+        terms = series._factors
     elif isinstance(series, TruncatedSeries):
-        lines.append(f"vars {series.nvars} mode expanded bound {series.bound}")
-        terms = series.nonzero_terms()
+        head = f"vars {series.nvars} mode expanded bound {series.bound}\n"
+        terms = series._terms
     else:
         raise SeriesError(f"not a series: {series!r}")
-    lines.extend(" ".join(map(str, (c, *m))) for m, c in terms)
-    return "\n".join(lines) + "\n"
+    flat = []
+    for _, m in sorted(zip(map(sum, terms), terms)):
+        flat.append(terms[m])
+        flat.extend(m)
+    row = "%d" + " %d" * series.nvars + "\n"
+    return head + row * len(terms) % tuple(flat)
 
 
 def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     """Parse the format produced by :func:`series_to_text`.
 
     An expanded series whose header declares a grid above ``MAX_CELLS``
-    is refused before any term line is read.
+    is refused before any term line is read.  Each term line is checked
+    in turn for its field count, integer fields, the box (expanded
+    only), a repeated exponent and a zero power (factored only), so the
+    first bad line decides the error.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -611,23 +619,31 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     elif bound != 0:
         raise SeriesError("factored series must declare bound 0")
 
+    width = nvars + 1
     terms = {}
+    # exponents of expanded lines with coefficient 0: not stored, but a
+    # repeat of one is still a duplicate
+    zeros = set()
     for ln in lines[1:]:
         toks = ln.split()
-        if len(toks) != nvars + 1:
-            raise SeriesError(f"expected {nvars + 1} fields: {ln!r}")
+        if len(toks) != width:
+            raise SeriesError(f"expected {width} fields: {ln!r}")
         try:
-            c, *m = map(int, toks)
+            vals = list(map(int, toks))
         except ValueError as exc:
             raise SeriesError(f"non-integer field: {ln!r}") from exc
-        m = tuple(m)
-        if expanded and any(e < 0 or e > bound for e in m):
+        c = vals[0]
+        m = tuple(vals[1:])
+        if expanded and (min(m) < 0 or max(m) > bound):
             raise SeriesError(f"exponent {m} outside grid [0, {bound}]")
-        if m in terms:
+        if m in terms or m in zeros:
             raise SeriesError(f"duplicate exponent {m}")
-        if not expanded and c == 0:
+        if c:
+            terms[m] = c
+        elif expanded:
+            zeros.add(m)
+        else:
             raise SeriesError(f"zero power at {m}")
-        terms[m] = c
     if not expanded:
         return FactoredSeries(nvars, terms)
-    return TruncatedSeries(nvars, bound, {m: c for m, c in terms.items() if c})
+    return TruncatedSeries(nvars, bound, terms)

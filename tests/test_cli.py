@@ -121,7 +121,10 @@ def test_many_tampered_poles_are_refused_promptly(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["reconstruct", path, "--mode", "div"]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "error:" in capsys.readouterr().err
+    # the failed check names factor counts and the first difference, not
+    # every factor
+    err = capsys.readouterr().err
+    assert "error:" in err and len(err) < 1000
 
 
 def test_equiv_distinguishes(tmp_path, capsys):

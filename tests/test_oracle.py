@@ -199,23 +199,76 @@ def assert_count_grid_per_cell(g, spec):
             counts[v] - counts[tuple(x + 1 for x in v)]), v
 
 
+def random_graphs(r, mode):
+    return [g for g in (random_instance(800 + seed, 10, r, mode)
+                        for seed in range(20))
+            if len(default_spec(g)) == r][:3]
+
+
 @pytest.mark.parametrize("mode", ["divisorial", "curve"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_ideal_dim_matches_the_count_grid(r, mode):
-    graphs = [g for g in (random_instance(800 + seed, 10, r, mode)
-                          for seed in range(20))
-              if len(default_spec(g)) == r][:3]
+    graphs = random_graphs(r, mode)
     assert len(graphs) == 3
     for g in graphs:
         assert_count_grid_per_cell(g, default_spec(g))
 
 
-@pytest.mark.parametrize("g", [ladder_graph(1), ladder_graph(3),
-                               DualGraph(((), (1,), (1,)), (1, 2, 3), ())])
+# fig2 graphs (a branch and a marked divisor) and three marked divisors,
+# the graph on which the count grid is slowest per cell
+NAMED_GRAPHS = [ladder_graph(1), ladder_graph(3),
+                DualGraph(((), (1,), (1,)), (1, 2, 3), ())]
+
+
+@pytest.mark.parametrize("g", NAMED_GRAPHS)
 def test_count_grid_matches_per_cell_ranks_on_named_graphs(g):
-    # fig2 graphs (a branch and a marked divisor) and three marked
-    # divisors, the graph on which the count grid is slowest per cell
     assert_count_grid_per_cell(g, default_spec(g))
+
+
+def reference_level_rows(graph, spec, W, top):
+    """The rows of _level_rows, each jet from a fresh product of a full
+    power of x and one of y, all truncated at s-degree top."""
+    out = []
+    for x, y in oracle._spec_pullback_sources(graph, spec, top):
+        xpow, ypow = [{(0, 0): 1}], [{(0, 0): 1}]
+        for _ in range(W):
+            xpow.append(oracle._pmul(xpow[-1], x, top))
+            ypow.append(oracle._pmul(ypow[-1], y, top))
+        levels = [{} for _ in range(top)]
+        jet = 0
+        for i in range(W + 1):
+            for j in range(W + 1 - i):
+                for (l, lam), c in oracle._pmul(xpow[i], ypow[j],
+                                                top).items():
+                    if l < top:
+                        levels[l].setdefault(lam, {})[jet] = c
+                jet += 1
+        out.append([list(level.values()) for level in levels])
+    return out
+
+
+def level_multisets(levels):
+    return [[sorted(sorted(row.items()) for row in level) for level in rows]
+            for rows in levels]
+
+
+@pytest.mark.parametrize("graphs", [
+    *(random_graphs(r, mode) for r in (1, 2, 3, 4)
+      for mode in ("divisorial", "curve")),
+    NAMED_GRAPHS])
+def test_level_rows_match_products_of_full_powers(graphs):
+    assert len(graphs) == 3
+    for g in graphs:
+        spec = default_spec(g)
+        for top in (3, CELL_TOPS[len(spec)] + 4):
+            W = top + 1
+            ref = reference_level_rows(g, spec, W, top)
+            assert (level_multisets(oracle._level_rows(g, spec, W, top))
+                    == level_multisets(ref))
+            # jets of order >= top leave no row: some of every valuation
+            used = [{i for level in rows for row in level for i in row}
+                    for rows in ref]
+            assert all(len(u) < (W + 1) * (W + 2) // 2 for u in used)
 
 
 def fraction_rank(rows, width):

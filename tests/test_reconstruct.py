@@ -14,7 +14,8 @@ from planevals import (BranchData, ContactError, DecodeError, DualGraph,
 
 from planevals.dualgraph import MAX_VERTICES
 from planevals.reconstruct import (_branch_of_values, _contact_candidates,
-                                   _maximal_exponents, _solve_curve)
+                                   _maximal_exponents, _mismatch,
+                                   _solve_curve)
 from planevals.series import glex_key
 
 from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, NAMED, NODE, SINGLE,
@@ -367,6 +368,17 @@ def test_tampered_triple_series_fail_as_before():
                          for q in tampered_pair_series(200, r=3))
     assert hashlib.sha256(outcomes.encode()).hexdigest() == (
         "d24b82922d5fc3b8452844e8c4529a0aeedf58422b70b30451edde246f8919ea")
+
+
+def test_failed_checks_quote_at_most_32_factors():
+    got = {(k, 1): -1 for k in range(1, 33)}
+    expect = {**got, (2, 1): 1}
+    assert _mismatch(got, expect) == (
+        f"assembled graph reproduces {got}, expected {expect}")
+    expect[(40, 2)] = -1
+    assert _mismatch(got, expect) == (
+        "assembled graph reproduces 32 factors, expected 33; the glex-first "
+        "difference is at exponent (2, 1), power -1 instead of 1")
 
 
 def test_divisorial_decoding_golden_digest():

@@ -191,19 +191,52 @@ def test_text_comments_and_blank_lines():
     assert series_from_text(text) == FactoredSeries(1, {(2,): -1})
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "garbage",
-    "vars 1 mode factored bound 3\n-1 2\n",
-    "vars 1 mode expanded bound -1\n",
-    "vars 2 mode factored bound 0\n-1 2\n",
-    "vars 1 mode factored bound 0\n-1 2 junk\n",
-    "vars 1 mode whatever bound 0\n",
-    "vars 1 mode expanded bound 2\n1 5\n",
-])
+# each malformed text with the exact SeriesError message it raises; a term
+# line is checked for its field count, integer fields, the box, a repeated
+# exponent and a zero power, in that order, so the first bad line decides
+MALFORMED = {
+    "": "empty series text",
+    "garbage": "bad header: 'garbage'",
+    "vars 1 mode factored bound 3\n-1 2\n":
+        "factored series must declare bound 0",
+    "vars 1 mode expanded bound -1\n": "need vars >= 1 and bound >= 0",
+    "vars 2 mode factored bound 0\n-1 2\n": "expected 3 fields: '-1 2'",
+    "vars 1 mode factored bound 0\n-1 2 junk\n":
+        "expected 2 fields: '-1 2 junk'",
+    "vars 1 mode whatever bound 0\n": "unknown mode 'whatever'",
+    "vars 1 mode expanded bound 2\n1 5\n": "exponent (5,) outside grid [0, 2]",
+    "vars x mode factored bound 0\n":
+        "bad header numbers: 'vars x mode factored bound 0'",
+    "vars 0 mode factored bound 0\n": "need vars >= 1 and bound >= 0",
+    "vars 2 mode expanded bound 5000\n":
+        "grid of 2 variables at bound 5000 exceeds the limit of "
+        "16777216 cells",
+    "vars 1 mode factored bound 0\n-1 x\n": "non-integer field: '-1 x'",
+    "vars 1 mode factored bound 0\n0 2\n": "zero power at (2,)",
+    "vars 2 mode factored bound 0\n-1 -1 2\n":
+        "negative entry in exponent (-1, 2)",
+    "vars 2 mode factored bound 0\n-1 0 0\n":
+        "zero exponent vector is not allowed in a factor",
+    # the duplicate on the second line, not the third line's field count
+    "vars 2 mode factored bound 0\n-1 1 2\n1 1 2\n-1 2 3 4\n":
+        "duplicate exponent (1, 2)",
+    "vars 1 mode factored bound 0\n1 2\n0 2\n": "duplicate exponent (2,)",
+    "vars 2 mode expanded bound 3\n1 x\n": "expected 3 fields: '1 x'",
+    "vars 2 mode expanded bound 3\n1 9 x\n": "non-integer field: '1 9 x'",
+    "vars 2 mode expanded bound 3\n1 -1 2\n":
+        "exponent (-1, 2) outside grid [0, 3]",
+    "vars 1 mode expanded bound 3\n1 2\n1 2\n1 9\n": "duplicate exponent (2,)",
+    # a line with coefficient 0 is dropped, but its exponent is taken
+    "vars 1 mode expanded bound 3\n0 2\n5 2\n": "duplicate exponent (2,)",
+    "vars 1 mode expanded bound 3\n0 2\n0 2\n": "duplicate exponent (2,)",
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED))
 def test_text_rejects_malformed_input(bad):
-    with pytest.raises(SeriesError):
+    with pytest.raises(SeriesError) as info:
         series_from_text(bad)
+    assert str(info.value) == MALFORMED[bad]
 
 
 @given(factored(3, max_coord=5))
@@ -215,6 +248,42 @@ def test_text_roundtrip_factored(f):
 def test_text_roundtrip_expanded(f):
     s = expand(f, 6)
     assert series_from_text(series_to_text(s)) == s
+
+
+def reference_writer(series):
+    """The text writer that formatted one term at a time."""
+    if isinstance(series, FactoredSeries):
+        lines = [f"vars {series.nvars} mode factored bound 0"]
+        terms = series.items()
+    else:
+        lines = [f"vars {series.nvars} mode expanded bound {series.bound}"]
+        terms = series.nonzero_terms()
+    lines.extend(" ".join(map(str, (c, *m))) for m, c in terms)
+    return "\n".join(lines) + "\n"
+
+
+# small, negative and past 2^63 in either sign
+coefficients = st.one_of(st.integers(-3, 3),
+                         st.integers(-2 ** 80, 2 ** 80)).filter(bool)
+
+
+@st.composite
+def any_series(draw):
+    r = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return FactoredSeries(r, draw(st.dictionaries(
+            exponents(r), coefficients, max_size=12)))
+    bound = draw(st.integers(0, 5))
+    return TruncatedSeries(r, bound, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, bound)] * r), coefficients,
+        max_size=12)))
+
+
+@given(any_series())
+def test_text_matches_the_per_term_writer(s):
+    text = series_to_text(s)
+    assert text == reference_writer(s)
+    assert series_from_text(text) == s
 
 
 def test_zero_lines_drop_and_duplicates_are_refused():
