@@ -36,6 +36,14 @@ the array certifies the result below ``2^63``, and promotes to
 there is no floating point and no overflow, and every coefficient handed
 out is a Python int.  A box may have at most ``MAX_CELLS`` cells; larger
 ones are refused before any support or grid is built.
+
+The text format has one line per term, in glex order.  A support read
+off the grid already comes in that order (row-major order is lex order,
+and a stable sort on degree makes it glex), so the writer's one sort
+meets a presorted run.  The reader splits and converts the term lines
+in chunks of at most ``_CHUNK_LINES`` lines and checks each chunk by
+columns; only when a chunk fails a check does it read the text again
+one line at a time, to name the first bad line.
 """
 
 from __future__ import annotations
@@ -91,6 +99,10 @@ _CELLS_PER_TERM = 100
 # B = 40 expands 1.5 times as slow, as their products fill the box
 # (x86_64, Python 3.11, numpy 2.4).
 _MIN_GRID_CELLS = 4096
+# Most term lines that series_from_text splits and converts at once: a
+# chunk's tokens and ints are held beside the terms, so this bounds the
+# memory the reader needs past the text and the terms.
+_CHUNK_LINES = 256
 
 
 class SeriesError(ValueError):
@@ -235,10 +247,17 @@ def _grid(terms: dict, nvars: int, bound: int) -> np.ndarray:
 
 
 def _support(arr: np.ndarray) -> dict:
-    """The nonzero cells of a grid, exponent tuple -> Python int."""
+    """The nonzero cells of a grid in glex order, exponent tuple ->
+    Python int.
+
+    Row-major order is lex order, so a stable sort of the cells on their
+    degree alone gives glex order; ``series_to_text`` then sorts one
+    presorted run.
+    """
     idx, coords = _nonzero_cells(arr)
-    exps = zip(*(ax.tolist() for ax in coords))
-    return dict(zip(exps, arr.reshape(-1)[idx].tolist()))
+    order = sum(coords).argsort(kind="stable")
+    exps = zip(*(ax[order].tolist() for ax in coords))
+    return dict(zip(exps, arr.reshape(-1)[idx[order]].tolist()))
 
 
 class _Terms:
@@ -541,9 +560,8 @@ def _peel_sparse(sparse: _Terms, factors: dict) -> bool:
     batch read before them stays valid throughout."""
     while len(sparse.terms) > 1:
         # the origin, of degree 0, is the one term that peeling keeps
-        degree = {m: sum(m) for m in sparse.terms}
-        low = min(d for d in degree.values() if d)
-        batch = [(m, c) for m, c in sparse.terms.items() if degree[m] == low]
+        low = min(filter(None, map(sum, sparse.terms)))
+        batch = [(m, c) for m, c in sparse.terms.items() if sum(m) == low]
         for m, c in batch:
             if not sparse.power(m, c):
                 return False
@@ -567,8 +585,9 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
 
     Header ``vars R mode {factored|expanded} bound B`` (bound 0 for the
     factored form), then one ``k e1 ... eR`` line per term in glex order.
-    The terms are sorted once on (degree, exponent) and written by one
-    ``%`` of a repeated row pattern over their flattened integers.
+    The terms are sorted once on (degree, exponent), which for a support
+    read off the grid is one presorted run, and written by one ``%`` of
+    a repeated row pattern over their flattened integers.
     """
     if isinstance(series, FactoredSeries):
         head = f"vars {series.nvars} mode factored bound 0\n"
@@ -589,25 +608,33 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
 def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     """Parse the format produced by :func:`series_to_text`.
 
-    An expanded series whose header declares a grid above ``MAX_CELLS``
-    is refused before any term line is read.  Each term line is checked
-    in turn for its field count, integer fields, the box (expanded
-    only), a repeated exponent and a zero power (factored only), so the
-    first bad line decides the error.
+    Blank lines and lines that start with ``#`` are skipped.  An expanded
+    series whose header declares a grid above ``MAX_CELLS`` is refused
+    before any term line is read.  Term lines are read in chunks of at
+    most ``_CHUNK_LINES`` lines, each checked by columns for the field
+    count, integer fields, the box (expanded only), a repeated exponent
+    and a zero power (factored only).  If a chunk fails a check, the text
+    is read again one line at a time, checking each line in that order,
+    so the first bad line decides the error.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise SeriesError("empty series text")
-    head = lines[0].split()
+    # chunks are cut from the end of the reversed lines, so the lines
+    # already read are freed while the terms are built
+    lines = text.splitlines()
+    lines.reverse()
+    line = ""
+    while not line or line[0] == "#":
+        if not lines:
+            raise SeriesError("empty series text")
+        line = lines.pop().strip()
+    head = line.split()
     if (len(head) != 6 or head[0] != "vars" or head[2] != "mode"
             or head[4] != "bound"):
-        raise SeriesError(f"bad header: {lines[0]!r}")
+        raise SeriesError(f"bad header: {line!r}")
     try:
         nvars = int(head[1])
         bound = int(head[5])
     except ValueError as exc:
-        raise SeriesError(f"bad header numbers: {lines[0]!r}") from exc
+        raise SeriesError(f"bad header numbers: {line!r}") from exc
     mode = head[3]
     if mode not in ("factored", "expanded"):
         raise SeriesError(f"unknown mode {mode!r}")
@@ -619,11 +646,67 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     elif bound != 0:
         raise SeriesError("factored series must declare bound 0")
 
-    width = nvars + 1
-    terms = {}
-    # exponents of expanded lines with coefficient 0: not stored, but a
-    # repeat of one is still a duplicate
-    zeros = set()
+    terms = _read_chunks(lines, nvars + 1, bound, expanded, "#" in text)
+    if terms is None:
+        _raise_first_bad_line(text, nvars + 1, bound, expanded)
+    if not expanded:
+        return FactoredSeries(nvars, terms)
+    return TruncatedSeries(nvars, bound, terms)
+
+
+def _read_chunks(lines: list, width: int, bound: int, expanded: bool,
+                 comments: bool) -> Union[dict, None]:
+    """The terms of the reversed term lines ``lines``, which are used up,
+    read ``_CHUNK_LINES`` lines at a time; None once a chunk fails a
+    check.
+
+    A chunk is split, converted by one ``map(int)`` over its tokens and
+    checked on its columns, then added to the terms by one
+    ``dict.update``; a repeated exponent shows as a dict that grew by
+    less than the chunk.  Lines with coefficient 0 are kept until the
+    end, so that a repeat of one is still a duplicate.
+    """
+    terms: dict = {}
+    zero = False
+    while lines:
+        chunk = lines[-_CHUNK_LINES:]
+        del lines[-_CHUNK_LINES:]
+        # blank lines split into nothing
+        rows = list(filter(None, map(str.split, reversed(chunk))))
+        if comments:
+            rows = [t for t in rows if t[0][0] != "#"]
+        if not rows:
+            continue
+        if set(map(len, rows)) != {width}:
+            return None
+        try:
+            vals = list(map(int, chain.from_iterable(rows)))
+        except ValueError:
+            return None
+        coefs = vals[::width]
+        cols = [vals[i::width] for i in range(1, width)]
+        if expanded and (min(map(min, cols)) < 0
+                         or max(map(max, cols)) > bound):
+            return None
+        if 0 in coefs:
+            if not expanded:
+                return None
+            zero = True
+        size = len(terms) + len(coefs)
+        terms.update(zip(zip(*cols), coefs))
+        if len(terms) != size:
+            return None
+    return {m: c for m, c in terms.items() if c} if zero else terms
+
+
+def _raise_first_bad_line(text: str, width: int, bound: int,
+                          expanded: bool) -> None:
+    """Raise the error of the first bad term line of a text whose header
+    is good, checking one line at a time."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    # exponents seen so far, of zero lines too
+    seen = set()
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != width:
@@ -632,18 +715,13 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
             vals = list(map(int, toks))
         except ValueError as exc:
             raise SeriesError(f"non-integer field: {ln!r}") from exc
-        c = vals[0]
         m = tuple(vals[1:])
         if expanded and (min(m) < 0 or max(m) > bound):
             raise SeriesError(f"exponent {m} outside grid [0, {bound}]")
-        if m in terms or m in zeros:
+        if m in seen:
             raise SeriesError(f"duplicate exponent {m}")
-        if c:
-            terms[m] = c
-        elif expanded:
-            zeros.add(m)
-        else:
+        if not (vals[0] or expanded):
             raise SeriesError(f"zero power at {m}")
-    if not expanded:
-        return FactoredSeries(nvars, terms)
-    return TruncatedSeries(nvars, bound, terms)
+        seen.add(m)
+    raise AssertionError("a chunk of term lines failed a check that "
+                         "each of its lines passes")

@@ -23,7 +23,7 @@ from planevals import (Branch, Divisorial, DualGraph, OracleError,
                        multiplicity_matrix, multiplicity_sequence,
                        noether_contact, poincare_series, random_instance,
                        semigroup_series, series_to_text, valuation)
-from planevals.series import _support
+from planevals.series import _support, glex_key
 
 from conftest import (CUSP_CURVE, CUSP_DIV, NODE, SMOOTH, TACNODE,
                       TRANSVERSAL_CUSPS, ladder_graph, series_of,
@@ -340,6 +340,14 @@ def test_definitional_poincare_matches_formula_on_node():
     for a in range(9):
         for b in range(9):
             assert p[(a, b)] == q[(a, b)]
+
+
+@pytest.mark.parametrize("args,bound", [((7, 12, 2, "divisorial"), 25),
+                                        ((5, 12, 3, "divisorial"), 20)])
+def test_definitional_support_comes_in_glex_order(args, bound):
+    g = random_instance(*args)
+    terms = list(definitional_poincare(g, default_spec(g), bound)._terms)
+    assert len(terms) > 30 and terms == sorted(terms, key=glex_key)
 
 
 def test_definitional_poincare_guards():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,73 @@ def reference_writer(series):
     return "\n".join(lines) + "\n"
 
 
+def reference_reader(text):
+    """The text reader that checked and stored one term line at a time."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise SeriesError("empty series text")
+    head = lines[0].split()
+    if (len(head) != 6 or head[0] != "vars" or head[2] != "mode"
+            or head[4] != "bound"):
+        raise SeriesError(f"bad header: {lines[0]!r}")
+    try:
+        nvars = int(head[1])
+        bound = int(head[5])
+    except ValueError as exc:
+        raise SeriesError(f"bad header numbers: {lines[0]!r}") from exc
+    mode = head[3]
+    if mode not in ("factored", "expanded"):
+        raise SeriesError(f"unknown mode {mode!r}")
+    if nvars < 1 or bound < 0:
+        raise SeriesError("need vars >= 1 and bound >= 0")
+    expanded = mode == "expanded"
+    if expanded:
+        series_module._check_grid(nvars, bound)
+    elif bound != 0:
+        raise SeriesError("factored series must declare bound 0")
+    width = nvars + 1
+    terms = {}
+    zeros = set()
+    for ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) != width:
+            raise SeriesError(f"expected {width} fields: {ln!r}")
+        try:
+            vals = list(map(int, toks))
+        except ValueError as exc:
+            raise SeriesError(f"non-integer field: {ln!r}") from exc
+        c = vals[0]
+        m = tuple(vals[1:])
+        if expanded and (min(m) < 0 or max(m) > bound):
+            raise SeriesError(f"exponent {m} outside grid [0, {bound}]")
+        if m in terms or m in zeros:
+            raise SeriesError(f"duplicate exponent {m}")
+        if c:
+            terms[m] = c
+        elif expanded:
+            zeros.add(m)
+        else:
+            raise SeriesError(f"zero power at {m}")
+    if not expanded:
+        return FactoredSeries(nvars, terms)
+    return TruncatedSeries(nvars, bound, terms)
+
+
+def read_outcome(reader, text):
+    """The series a reader makes of a text, or its SeriesError message."""
+    try:
+        return reader(text)
+    except SeriesError as exc:
+        return f"SeriesError: {exc}"
+
+
+def assert_reads_as_reference(text):
+    got = read_outcome(series_from_text, text)
+    assert got == read_outcome(reference_reader, text)
+    return got
+
+
 # small, negative and past 2^63 in either sign
 coefficients = st.one_of(st.integers(-3, 3),
                          st.integers(-2 ** 80, 2 ** 80)).filter(bool)
@@ -284,6 +352,128 @@ def test_text_matches_the_per_term_writer(s):
     text = series_to_text(s)
     assert text == reference_writer(s)
     assert series_from_text(text) == s
+
+
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+MARGINS = st.sampled_from(["", " ", "\t", " \t", "\r"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def laid_out_text(draw):
+    """The text of an ``any_series``, with its fields separated by spaces
+    and tabs, lines padded on both sides, ended by ``\n``, ``\r\n`` or
+    ``\r``, and comments, blank lines and (expanded only) lines with
+    coefficient 0 put in between; a zero line may repeat an exponent."""
+    s = draw(any_series())
+    lines = series_to_text(s).splitlines()
+    if isinstance(s, TruncatedSeries):
+        box = st.tuples(*[st.integers(0, s.bound)] * s.nvars)
+        for e in draw(st.lists(box, max_size=4)):
+            at = draw(st.integers(1, len(lines)))
+            lines.insert(at, " ".join(map(str, (0, *e))))
+    out = []
+    for ln in lines:
+        for _ in range(draw(st.integers(0, 1))):
+            out.append(draw(st.sampled_from(["", "   ", "\t", "# note",
+                                             "  #", "#1 2 3"])))
+        sep = draw(SEPARATORS)
+        out.append(draw(MARGINS) + sep.join(ln.split()) + draw(MARGINS))
+    ends = [draw(ENDINGS) for _ in out]
+    return "".join(map("".join, zip(out, ends)))
+
+
+@given(laid_out_text())
+def test_reader_matches_the_per_line_reader(text):
+    got = assert_reads_as_reference(text)
+    # and in chunks of two lines, so that most texts span several
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_CHUNK_LINES", 2)
+        assert read_outcome(series_from_text, text) == got
+
+
+CHUNK = series_module._CHUNK_LINES
+# term lines, counted from 0 after the header: one inside the second
+# chunk, the last of a chunk and the first of the next, at two boundaries
+DEFECT_LINES = (CHUNK + CHUNK // 2, 2 * CHUNK - 1, 2 * CHUNK,
+                3 * CHUNK - 1, 3 * CHUNK)
+
+
+def long_text(expanded):
+    """More than three chunks of term lines: an expanded series on the
+    box [0, 30]^2, or a factored one with as many factors."""
+    terms = {(i, j): (-1) ** (i + j) * (i + 2 * j + 1)
+             for i in range(31) for j in range(31)}
+    if expanded:
+        return series_to_text(TruncatedSeries(2, 30, terms))
+    return series_to_text(FactoredSeries(2, {(i + 1, j): c for (i, j), c
+                                             in terms.items()}))
+
+
+def set_line(text, at, line):
+    lines = text.splitlines()
+    lines[1 + at] = line
+    return "\n".join(lines) + "\n"
+
+
+def exponent_text(text, at):
+    return " ".join(text.splitlines()[1 + at].split()[1:])
+
+
+def defects(text, at, expanded):
+    """(name, text) for each defect placed at term line ``at``."""
+    e = exponent_text(text, at)
+    first = exponent_text(text, 0)
+    out = [("fields", set_line(text, at, f"1 {e} 7")),
+           ("integer", set_line(text, at, f"1 {e.split()[0]} x")),
+           # the exponent of the first line, in the first chunk
+           ("duplicate", set_line(text, at, f"5 {first}"))]
+    if expanded:
+        out.append(("box", set_line(text, at, "1 3 31")))
+        # the exponent of line `at` as a zero line, once in the first
+        # chunk and again at `at`
+        twice = set_line(set_line(text, 3, f"0 {e}"), at, f"0 {e}")
+        out.append(("zero line", twice))
+    else:
+        out.append(("zero power", set_line(text, at, f"0 {e}")))
+    return out
+
+
+@pytest.mark.parametrize("expanded", [True, False])
+def test_defects_at_chunk_boundaries_raise_as_per_line(expanded):
+    text = long_text(expanded)
+    assert text.count("\n") - 1 > 3 * CHUNK
+    assert assert_reads_as_reference(text) == series_from_text(text)
+    for at in DEFECT_LINES:
+        for name, bad in defects(text, at, expanded):
+            got = assert_reads_as_reference(bad)
+            assert isinstance(got, str), (name, at)
+
+
+def test_chunks_of_only_comments_and_blank_lines_are_skipped():
+    text = long_text(True)
+    lines = text.splitlines()
+    filler = ["# comment", "", "  \t "] * CHUNK
+    # a whole chunk of filler right after the header, and more at the end
+    bent = "\n".join(lines[:1] + filler + lines[1:] + filler) + "\n"
+    assert assert_reads_as_reference(bent) == series_from_text(text)
+
+
+def test_reading_takes_no_more_memory_than_the_per_line_reader():
+    # 47^3 = 103,823 term lines, all of coefficient 1
+    f = FactoredSeries(3, {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+    text = series_to_text(expand(f, 46))
+    peaks = []
+    for reader in (series_from_text, reference_reader):
+        tracemalloc.start()
+        try:
+            s = reader(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(s._terms) == 47 ** 3
+        del s
+    assert peaks[0] <= peaks[1]
 
 
 def test_zero_lines_drop_and_duplicates_are_refused():
@@ -556,6 +746,19 @@ def test_each_path_matches_pure_python(monkeypatch, ratio, nvars, bound):
         else:
             # a factor's first step always lands in the box here
             assert ran and not ran[0]
+
+
+@pytest.mark.parametrize("nvars,bound", PATH_GRIDS)
+def test_grid_supports_come_in_glex_order(monkeypatch, nvars, bound):
+    log = record_steps(monkeypatch, ALL_GRID)
+    rng = random.Random(f"glex:{nvars}")
+    for count in (1, 3, 5):
+        f = random_factored(rng, nvars, bound, count)
+        log.clear()
+        terms = list(expand(f, bound)._terms)
+        # the first factor went to the grid, so the support is the grid's
+        assert log and not log[0][1]
+        assert len(terms) > 1 and terms == sorted(terms, key=glex_key)
 
 
 def test_expand_hands_off_partway_through_the_product(monkeypatch):
