@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import planevals
-from planevals import cli, equivalent, graph_from_json, series_from_text
+from planevals import (cli, equivalent, graph_from_json, reconstruct,
+                       series_from_text)
 from planevals.cli import main
 from planevals.dualgraph import MAX_VERTICES
 from planevals.series import MAX_CELLS
@@ -360,6 +361,59 @@ def test_roundtrip_names_the_failure_reason(capsys, monkeypatch):
                  "--seed", "11", "--max-vertices", "12"]) == 3
     assert capsys.readouterr().out.splitlines()[0].endswith(
         " status=FAIL reason=NotEquivalent")
+
+
+# -- a failed self-check exits 3 ------------------------------------------------
+
+
+@pytest.mark.parametrize("text,assemblies", [
+    # one branch decomposition, whose graph reproduces (1, 1, 1) instead
+    ("vars 3 mode factored bound 0\n1 1 1 2\n", 1),
+    # two decompositions, so reconstruct_curve tries again after the first
+    ("vars 4 mode factored bound 0\n1 1 1 1 2\n1 1 2 2 1\n", 2),
+])
+def test_tampered_curve_series_fail_the_self_check(tmp_path, capsys,
+                                                   monkeypatch, text,
+                                                   assemblies):
+    calls = []
+    real = reconstruct.assemble
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "assemble", spy)
+    path = write(tmp_path, "p.txt", text)
+    assert main(["reconstruct", path, "--mode", "curve"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("verification failure: no branch decomposition "
+                           "assembles back to the series (last failure: ")
+    assert len(calls) == assemblies
+
+
+def test_oracle_check_reports_a_mismatch(tmp_path, capsys, monkeypatch):
+    # a formula off by one factor disagrees with the definition
+    real = cli.poincare_series
+    monkeypatch.setattr(cli, "poincare_series",
+                        lambda g, spec: real(g, spec).with_factor((1, 1), -1))
+    path = write(tmp_path, "g.json", graph_to_json(TACNODE))
+    assert main(["oracle-check", path, "--bound", "10"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "mismatch at (1, 1): formula 2 definition 1"
+    assert all(ln.startswith("mismatch at ") for ln in lines[:-1])
+    assert lines[-1] == "MISMATCH region 0..8x0..8 count=8"
+    assert captured.err == ""
+
+
+def test_fig2_reports_a_wrong_series(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "poincare_series",
+                        lambda g, spec: FactoredSeries(2, {(1, 1): -1}))
+    assert main(["fig2", "--p", "2"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "verification failure: series is not (1 - t u^2)^-1"]
 
 
 # -- numpy is loaded by the first grid, not by the package --------------------

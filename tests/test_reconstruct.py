@@ -118,6 +118,46 @@ def test_decode_rejects_non_branch_series(factors):
         branch_from_univariate(p, "divisorial")
 
 
+def univariate_corpus(count):
+    """Seeded one-variable series: a third are random sets of small
+    factors, the rest the series of a random branch or divisor with one
+    exponent moved by at most 2."""
+    out = []
+    for s in range(count):
+        rng = random.Random(s)
+        if s % 3 == 0:
+            items = [((rng.randint(1, 24),),
+                      rng.choice((-1, -1, -1, 1, 1, -2)))
+                     for _ in range(rng.randint(1, 6))]
+        else:
+            g = random_instance(s, 24, 1, ("divisorial", "curve")[s % 3 - 1])
+            items = list(series_of(g).factors().items())
+            i = rng.randrange(len(items))
+            (m,), k = items[i]
+            d = rng.randint(-2, 2)
+            if m + d >= 1:
+                items[i] = ((m + d,), k)
+        out.append(FactoredSeries(1, items))
+    return out
+
+
+def test_univariate_decoding_golden_digest():
+    # class and message of every refusal, or the decoded BranchData, in
+    # both modes; 289 of the 6000 end in "zeros ... disagree with dead
+    # values ...", on curve shapes and on both divisorial shapes
+    outcomes = []
+    for p in univariate_corpus(3000):
+        for mode in ("curve", "divisorial"):
+            try:
+                outcomes.append(repr(branch_from_univariate(p, mode)))
+            except DecodeError as exc:
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert sum(o.startswith("DecodeError: zeros ") for o in outcomes) == 289
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == (
+        "f32a349f0c1472c246810e66186ba037eaf993238f3e78aa53f6e10bc3e4e473")
+
+
 def test_single_branch_graphs():
     assert equivalent(graph_from_branch(
         BranchData.from_generators((2, 3)), "curve"), CUSP_CURVE)
