@@ -100,11 +100,14 @@ def _cmd_roundtrip(args) -> int:
     if args.trials < 0:
         print("error: --trials must not be negative", file=sys.stderr)
         return BAD_INPUT
+    if args.r is not None and args.r < 1:
+        print("error: --r must be at least 1", file=sys.stderr)
+        return BAD_INPUT
     mode = _MODES[args.mode]
     failures = 0
     for k in range(args.trials):
         seed = args.seed + k
-        r = args.r if args.r else (k % _DEFAULT_R[mode]) + 1
+        r = args.r or (k % _DEFAULT_R[mode]) + 1
         graph = random_instance(seed, args.max_vertices, r, mode)
         status = "ok"
         try:

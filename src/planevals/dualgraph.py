@@ -609,33 +609,42 @@ def graph_to_json(graph: DualGraph) -> str:
 def graph_from_json(text: str) -> DualGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep to decode
         raise GraphError(f"bad graph JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise GraphError("graph JSON needs a 'vertices' list")
     verts = doc["vertices"]
     if not isinstance(verts, list):
         raise GraphError("'vertices' must be a list")
+    bad = (TypeError, KeyError, ValueError, OverflowError)
     try:
         rows = sorted(({"id": int(v["id"]),
                         "parents": [int(p) for p in v.get("parents", [])],
-                        "si": v.get("self_intersection")}
+                        "si": (None if v.get("self_intersection") is None
+                               else int(v["self_intersection"]))}
                        for v in verts), key=lambda d: d["id"])
-    except (TypeError, KeyError, ValueError) as exc:
+    except bad as exc:
         raise GraphError(f"bad vertex entry: {exc}") from exc
     if [d["id"] for d in rows] != list(range(1, len(rows) + 1)):
         raise GraphError("vertex ids must be exactly 1..n")
     parents = tuple(tuple(d["parents"]) for d in rows)
-    marks = tuple(int(v) for v in doc.get("marked_divisors", []))
-    arrows = []
-    for a in doc.get("arrows", []):
-        try:
-            arrows.append((int(a["vertex"]), int(a["branch"])))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise GraphError(f"bad arrow entry: {exc}") from exc
-    g = DualGraph(parents, marks, tuple(arrows))
+    marks = doc.get("marked_divisors", [])
+    arrows = doc.get("arrows", [])
+    for key, entries in (("marked_divisors", marks), ("arrows", arrows)):
+        if not isinstance(entries, list):
+            raise GraphError(f"'{key}' must be a list")
+    try:
+        marks = tuple(int(v) for v in marks)
+    except bad as exc:
+        raise GraphError(f"bad marked divisor: {exc}") from exc
+    try:
+        arrows = tuple((int(a["vertex"]), int(a["branch"])) for a in arrows)
+    except bad as exc:
+        raise GraphError(f"bad arrow entry: {exc}") from exc
+    g = DualGraph(parents, marks, arrows)
     for d in rows:
-        if d["si"] is not None and int(d["si"]) != g.self_intersection(d["id"]):
+        if d["si"] is not None and d["si"] != g.self_intersection(d["id"]):
             raise GraphError(
                 f"vertex {d['id']}: declared self-intersection {d['si']} "
                 f"disagrees with replay ({g.self_intersection(d['id'])})")

@@ -1,21 +1,24 @@
 """Recovering minimal resolutions from Poincare series.
 
 The univariate series of one valuation decodes to numerical branch data
-(semigroup generators, dead-end values, free tail).  A Euclidean state
+(semigroup generators, dead-end values, free tail); branch_from_univariate
+holds the only check of that data against its series.  A Euclidean state
 machine rebuilds the blowup sequence from that data.  Pairwise contacts
-come from the shape of the two-variable series; a candidate must fit the
-pair's two chains (shared depth, point kinds), which needs no graph.  A
-Noether walk merges per-branch infinitely-near-point chains into the
-final graph, and a single chain is the same walk with one branch.  Every
-decoded graph has its forward series recomputed and compared with the
-input, so wrong guesses surface as errors instead of wrong graphs.
+come from the shape of the two-variable series, projected once per pair,
+through one candidate loop: a candidate must fit the pair's two chains
+(shared depth, point kinds), which needs no graph, or, on the fallback,
+reproduce the pair's series.  A Noether walk merges per-branch
+infinitely-near-point chains into the final graph, and a single chain is
+the same walk with one branch.  Every decoded graph has its forward
+series recomputed and compared with the input, so wrong guesses surface
+as errors instead of wrong graphs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -132,6 +135,12 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
     marked vertex is the last rupture (gcd > 1, no free tail) or lies
     past it (gcd = 1, tail length recovered from the top exponent).  The
     double pole (1-t)^(-2) is the single-vertex modification.
+
+    The result's own series must be p; this is the only check of a
+    decoded branch against its series.  The poles are b's by
+    construction and every power is +-1, and a dead value is never a
+    generator or the top value (m_i < dead_i < m_{i+1}, dead_g < top), so
+    the check fails exactly when the zeros are not b's.
     """
     if p.nvars != 1:
         raise DecodeError("univariate series expected")
@@ -150,34 +159,24 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
                 f"curve shape needs g+1 poles vs g zeros, got "
                 f"{len(denoms)} vs {len(numers)}")
         b = BranchData.from_generators(denoms, 0)
-        if list(b.dead_values) != numers:
-            raise DecodeError(
-                f"zeros {numers} disagree with dead values {b.dead_values}")
-        return b
-    if mode != "divisorial":
+    elif mode != "divisorial":
         raise DecodeError(f"unknown mode {mode!r}")
-    if len(denoms) != len(numers) + 2:
+    elif len(denoms) != len(numers) + 2:
         raise DecodeError(
             f"divisorial shape needs l+1 poles vs l-1 zeros, got "
             f"{len(denoms)} vs {len(numers)}")
-    e = 0
-    for m in denoms[:-1]:
-        e = gcd(e, m)
-    if e > 1:
+    elif gcd(*denoms[:-1]) > 1:
         b = BranchData.from_generators(denoms, 0)
-        if list(b.dead_values[:-1]) != numers:
+    else:
+        gens = denoms[:-1]
+        base = BranchData.from_generators(gens, 0)
+        c = denoms[-1] - base.top_value
+        if c < 1:
             raise DecodeError(
-                f"zeros {numers} disagree with dead values {b.dead_values}")
-        return b
-    gens = denoms[:-1]
-    base = BranchData.from_generators(gens, 0)
-    c = denoms[-1] - base.top_value
-    if c < 1:
-        raise DecodeError(
-            f"top exponent {denoms[-1]} not past the last dead value "
-            f"{base.top_value}")
-    b = BranchData.from_generators(gens, c)
-    if list(b.dead_values) != numers:
+                f"top exponent {denoms[-1]} not past the last dead value "
+                f"{base.top_value}")
+        b = BranchData.from_generators(gens, c)
+    if b.univariate_series(mode) != p:
         raise DecodeError(
             f"zeros {numers} disagree with dead values {b.dead_values}")
     return b
@@ -430,19 +429,14 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
                 sat_seen[ps] = True
             parents.append(ps)
             vmap[(i, d)] = len(parents)
-        for i in range(r):
-            if d <= total[i] and rep(i, d) != i:
-                vmap[(i, d)] = vmap[(rep(i, d), d)]
 
+    refs = tuple(vmap[(rep(i, total[i]), total[i])] for i in range(r))
     try:
         if mode == "divisorial":
-            marks = tuple(vmap[(i, lengths[i])] for i in range(r))
-            graph = DualGraph(tuple(parents), marks, ())
-            refs = marks
+            graph = DualGraph(tuple(parents), refs, ())
         else:
-            arrows = tuple((vmap[(i, total[i])], i + 1) for i in range(r))
-            graph = DualGraph(tuple(parents), (), arrows)
-            refs = tuple(v for v, _ in sorted(arrows, key=lambda a: a[1]))
+            graph = DualGraph(tuple(parents), (),
+                              tuple(zip(refs, range(1, r + 1))))
         mm = multiplicity_matrix(graph, refs)
     except GraphError as exc:
         raise ContactError(f"merged chains are not a blowup sequence: "
@@ -551,6 +545,26 @@ def _contact_candidates(p2: FactoredSeries, b1: BranchData,
     return out
 
 
+def _first_contact(p2: FactoredSeries, b1: BranchData, b2: BranchData,
+                   check) -> int:
+    """The first candidate contact of the pair that ``check`` accepts.
+
+    check(branches, contacts, mode) raises one of _REJECTED on a
+    candidate it refuses; the pair's contact matrix is passed to it.
+    """
+    last: Optional[Exception] = None
+    for cand in _contact_candidates(p2, b1, b2):
+        try:
+            check([b1, b2], [[b1.top_value, cand], [cand, b2.top_value]],
+                  "divisorial")
+            return cand
+        except _REJECTED as exc:
+            last = exc
+    raise DecodeError(
+        f"no structural case yields a contact consistent with the series"
+        f"{'' if last is None else f' (last failure: {last})'}")
+
+
 def pairwise_contact(p2: FactoredSeries, b1: BranchData,
                      b2: BranchData) -> int:
     """Intersection value of curvettes of two marked divisors.
@@ -563,89 +577,47 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
     """
     if p2.nvars != 2:
         raise DecodeError("pairwise contact needs a two-variable series")
-    last: Optional[Exception] = None
-    for cand in _contact_candidates(p2, b1, b2):
-        cm = [[b1.top_value, cand], [cand, b2.top_value]]
-        try:
-            assemble([b1, b2], cm, "divisorial", expect=p2)
-            return cand
-        except _REJECTED as exc:
-            last = exc
-    raise DecodeError(
-        f"no structural case yields a contact consistent with the series"
-        f"{'' if last is None else f' (last failure: {last})'}")
-
-
-def _decode_once(p: FactoredSeries, branches: List[BranchData]
-                 ) -> DualGraph:
-    """Assemble from the first candidates that fit the chains; check p once.
-
-    Each pair takes the first candidate contact that passes _fit_chains
-    on the pair's two chains; no pair graph is built and no pair's
-    series is compared.  Raises one of _REJECTED when a pair has no such
-    candidate or the assembled graph does not reproduce p.
-    """
-    r = len(branches)
-    cm = [[b.top_value if i == j else 0 for j in range(r)]
-          for i, b in enumerate(branches)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            bi, bj = branches[i], branches[j]
-            pij = project(p, {i + 1, j + 1}) if r > 2 else p
-            for cand in _contact_candidates(pij, bi, bj):
-                try:
-                    _fit_chains([bi, bj], [[bi.top_value, cand],
-                                           [cand, bj.top_value]],
-                                "divisorial")
-                    break
-                except DecodeError:
-                    pass
-            else:
-                raise DecodeError(f"no candidate contact fits chains "
-                                  f"{i + 1} and {j + 1}")
-            cm[i][j] = cm[j][i] = cand
-    return assemble(branches, cm, "divisorial", expect=p)
+    return _first_contact(p2, b1, b2, partial(assemble, expect=p2))
 
 
 def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a set of divisorial valuations from its series.
 
-    Each valuation decodes from its one-variable projection.  Each pair
-    takes the first candidate contact that fits the two chains
-    (_fit_chains: shared depth, point kinds, no whole shared chain), and
-    the one graph assembled from these contacts is checked against the
-    whole input series.  That series determines the minimal resolution,
-    and its projection to two valuations is the series of the pair
+    Each valuation decodes from its one-variable projection, and each
+    pair's two-variable projection is taken once.  Each pair takes the
+    first candidate contact that fits the two chains (_fit_chains: shared
+    depth, point kinds, no whole shared chain), and the one graph
+    assembled from these contacts is checked against the whole input
+    series.  That series determines the minimal resolution, and its
+    projection to two valuations is the series of the pair
     (Campillo-Delgado-Gusein-Zade), so the one check proves every pair's
-    contact.  If it fails for any reason, the decode runs again with
-    every candidate checked against its pair's series by pairwise_contact
-    and the result checked against p, so an input that fails ends in the
-    same error as with that path alone.
+    contact.  If it fails for any reason, the contacts are chosen again,
+    each by pairwise_contact against its pair's series, and the result
+    is checked against p, so an input that fails ends in the same error
+    as with that path alone.  Both paths run the one candidate loop.
     """
     r = p.nvars
     if r < 1:
         raise DecodeError("need at least one variable")
-    branches = []
-    for i in range(1, r + 1):
-        pi = project(p, {i}) if r > 1 else p
-        b = branch_from_univariate(pi, "divisorial")
-        if b.univariate_series("divisorial") != pi:
-            raise DecodeError(
-                f"projection to variable {i} is not a valid divisorial "
-                "series")
-        branches.append(b)
+    branches = [branch_from_univariate(project(p, {i}) if r > 1 else p,
+                                       "divisorial")
+                for i in range(1, r + 1)]
+    # every factor has all coordinates nonzero once the variables
+    # project, so no pair's projection can fail
+    pairs = [(i, j, project(p, {i + 1, j + 1}) if r > 2 else p)
+             for i in range(r) for j in range(i + 1, r)]
+
+    def decode(contact) -> DualGraph:
+        cm = [[b.top_value if i == j else 0 for j in range(r)]
+              for i, b in enumerate(branches)]
+        for i, j, pij in pairs:
+            cm[i][j] = cm[j][i] = contact(pij, branches[i], branches[j])
+        return assemble(branches, cm, "divisorial", expect=p)
+
     try:
-        return _decode_once(p, branches)
+        return decode(partial(_first_contact, check=_fit_chains))
     except _REJECTED:
-        pass
-    cm = [[b.top_value if i == j else 0 for j in range(r)]
-          for i, b in enumerate(branches)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            pij = project(p, {i + 1, j + 1}) if r > 2 else p
-            cm[i][j] = cm[j][i] = pairwise_contact(
-                pij, branches[i], branches[j])
-    return assemble(branches, cm, "divisorial", expect=p)
+        return decode(pairwise_contact)
 
 
 # -- curve reconstruction ---------------------------------------------------
@@ -709,8 +681,7 @@ def _solve_curve(p: FactoredSeries):
     r = p.nvars
     if r == 1:
         b = branch_from_univariate(p, "curve")
-        if b.univariate_series("curve") == p:
-            yield [b], [[b.top_value]]
+        yield [b], [[b.top_value]]
         return
     if not p.factors():
         if r == 2:
@@ -725,20 +696,17 @@ def _solve_curve(p: FactoredSeries):
             p_rest = projection_formula_curve(p, cand, i0)
         except (DecodeError, SeriesError):
             continue
-        others = [j for j in range(1, r + 1) if j != i0]
+        # the peeled branch's row and column are the exponent, but its own
+        # coordinate counts shared extension steps on top of the solo
+        # self-value; the diagonal stores the latter
+        col = list(cand)
+        col[i0 - 1] = bd.top_value
         for sub_b, sub_c in _solve_curve(p_rest):
             branches = list(sub_b)
             branches.insert(i0 - 1, bd)
-            cm = [[0] * r for _ in range(r)]
-            for a, ja in enumerate(others):
-                for bcol, jb in enumerate(others):
-                    cm[ja - 1][jb - 1] = sub_c[a][bcol]
-            for j in range(1, r + 1):
-                cm[i0 - 1][j - 1] = cand[j - 1]
-                cm[j - 1][i0 - 1] = cand[j - 1]
-            # the exponent's own coordinate counts shared extension steps
-            # on top of the solo self-value; the diagonal stores the latter
-            cm[i0 - 1][i0 - 1] = bd.top_value
+            cm = [row[:i0 - 1] + [v] + row[i0 - 1:]
+                  for row, v in zip(sub_c, col[:i0 - 1] + col[i0:])]
+            cm.insert(i0 - 1, col)
             yield branches, cm
 
 

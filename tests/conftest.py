@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from planevals import DualGraph, default_spec, poincare_series, random_instance
+from planevals import (DualGraph, default_spec, poincare_series,
+                       random_instance, reconstruct)
 
 settings.register_profile("suite", deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
@@ -85,6 +86,19 @@ def small_corpus():
 
 def series_of(graph: DualGraph):
     return poincare_series(graph, default_spec(graph))
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments of every call of reconstruct.<name>."""
+    calls = []
+    real = getattr(reconstruct, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, name, spy)
+    return calls
 
 
 @pytest.fixture(params=sorted(NAMED))

@@ -10,13 +10,12 @@ from pathlib import Path
 import pytest
 
 import planevals
-from planevals import (cli, equivalent, graph_from_json, reconstruct,
-                       series_from_text)
+from planevals import cli, equivalent, graph_from_json, series_from_text
 from planevals.cli import main
 from planevals.dualgraph import MAX_VERTICES
 from planevals.series import MAX_CELLS
 
-from conftest import CUSP_DIV, CUSP_PAIR, TACNODE, series_of
+from conftest import CUSP_DIV, CUSP_PAIR, TACNODE, series_of, spy_on
 from planevals import (FactoredSeries, default_spec, expand, factorize,
                        graph_to_json, random_instance, series_to_text)
 from planevals.reconstruct import BranchData, graph_from_branch
@@ -159,6 +158,17 @@ def test_roundtrip_refuses_a_negative_trial_count(capsys):
         "error: --trials must not be negative"]
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_roundtrip_refuses_a_valuation_count_below_one(capsys, r):
+    # refused before any trial runs, whatever the trial count
+    for trials in ("3", "0"):
+        assert main(["roundtrip", "--mode", "div", "--trials", trials,
+                     "--seed", "1", "--r", r]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --r must be at least 1"]
+
+
 def test_oracle_check_reports_match(tmp_path, capsys):
     path = write(tmp_path, "g.json", graph_to_json(TACNODE))
     assert main(["oracle-check", path, "--bound", "10"]) == 0
@@ -194,6 +204,35 @@ def test_missing_file_is_input_error(capsys):
 def test_malformed_graph_json(tmp_path):
     path = write(tmp_path, "g.json", "{\"vertices\": []}")
     assert main(["series", path]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("marked_divisors", 5), ("marked_divisors", None),
+    ("marked_divisors", [None]), ("marked_divisors", [{"a": 1}]),
+    ("marked_divisors", [1e400]),
+    ("arrows", 5), ("arrows", None),
+    ("self_intersection", [1]), ("self_intersection", {}),
+    ("self_intersection", 1e400),
+])
+def test_hostile_graph_json_is_an_input_error(tmp_path, capsys, key, value):
+    data = json.loads(graph_to_json(CUSP_DIV))
+    if key == "self_intersection":
+        data["vertices"][0][key] = value
+    else:
+        data[key] = value
+    path = write(tmp_path, "g.json", json.dumps(data))
+    assert main(["series", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+def test_deeply_nested_graph_json_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, "g.json", "[" * 100000 + "]" * 100000)
+    assert main(["series", path]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: bad graph JSON: ")
 
 
 def test_tampered_self_intersection_rejected(tmp_path):
@@ -375,14 +414,7 @@ def test_roundtrip_names_the_failure_reason(capsys, monkeypatch):
 def test_tampered_curve_series_fail_the_self_check(tmp_path, capsys,
                                                    monkeypatch, text,
                                                    assemblies):
-    calls = []
-    real = reconstruct.assemble
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(reconstruct, "assemble", spy)
+    calls = spy_on(monkeypatch, "assemble")
     path = write(tmp_path, "p.txt", text)
     assert main(["reconstruct", path, "--mode", "curve"]) == 3
     captured = capsys.readouterr()

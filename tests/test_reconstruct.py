@@ -19,7 +19,7 @@ from planevals.reconstruct import (_branch_of_values, _contact_candidates,
 from planevals.series import glex_key
 
 from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, NAMED, NODE, SINGLE,
-                      TACNODE, TRANSVERSAL_CUSPS, series_of)
+                      TACNODE, TRANSVERSAL_CUSPS, series_of, spy_on)
 
 
 # -- numerical branch data -----------------------------------------------
@@ -289,19 +289,6 @@ AMBIGUOUS = [
     (DualGraph(((), (1,), (2,), (1,)), (4, 3), ()), (1, 2)),
     (DualGraph(((), (1,), (1,), (3,)), (2, 3, 4), ()), (1, 3)),
 ]
-
-
-def spy_on(monkeypatch, name):
-    """Record the arguments of every call of reconstruct.<name>."""
-    calls = []
-    real = getattr(reconstruct, name)
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(reconstruct, name, spy)
-    return calls
 
 
 @pytest.fixture
