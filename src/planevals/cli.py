@@ -14,8 +14,9 @@ import itertools
 import sys
 from typing import Optional
 
-from .dualgraph import (DualGraph, GraphError, canonical_code, equivalent,
-                        graph_from_json, graph_to_json, random_instance)
+from .dualgraph import (MAX_VERTICES, DualGraph, GraphError, canonical_code,
+                        equivalent, graph_from_json, graph_to_json,
+                        random_instance)
 from .oracle import OracleError, definitional_poincare
 from .poincare import default_spec, poincare_series
 from .reconstruct import (DecodeError, VerificationError, reconstruct_curve,
@@ -157,6 +158,10 @@ def _fig2_graph(p: int) -> DualGraph:
 def _cmd_fig2(args) -> int:
     if args.p < 1:
         print("error: p must be at least 1", file=sys.stderr)
+        return BAD_INPUT
+    # the graph has p + 2 vertices
+    if args.p > MAX_VERTICES - 2:
+        print(f"error: p must be at most {MAX_VERTICES - 2}", file=sys.stderr)
         return BAD_INPUT
     graph = _fig2_graph(args.p)
     series = poincare_series(graph, default_spec(graph))

@@ -606,6 +606,22 @@ def graph_to_json(graph: DualGraph) -> str:
             f'  "vertices": {_json_array(verts, "  ")}\n}}\n')
 
 
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer.  What ``int()`` refuses raises
+    ``int()``'s own error; what it would coerce (a float, ``true``, a
+    numeric string) raises ValueError."""
+    number = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"'parents' must be a list, got {value!r}")
+    return value
+
+
 def graph_from_json(text: str) -> DualGraph:
     try:
         doc = json.loads(text)
@@ -619,10 +635,11 @@ def graph_from_json(text: str) -> DualGraph:
         raise GraphError("'vertices' must be a list")
     bad = (TypeError, KeyError, ValueError, OverflowError)
     try:
-        rows = sorted(({"id": int(v["id"]),
-                        "parents": [int(p) for p in v.get("parents", [])],
+        rows = sorted(({"id": _json_int(v["id"]),
+                        "parents": [_json_int(p) for p in
+                                    _json_list(v.get("parents", []))],
                         "si": (None if v.get("self_intersection") is None
-                               else int(v["self_intersection"]))}
+                               else _json_int(v["self_intersection"]))}
                        for v in verts), key=lambda d: d["id"])
     except bad as exc:
         raise GraphError(f"bad vertex entry: {exc}") from exc
@@ -635,11 +652,12 @@ def graph_from_json(text: str) -> DualGraph:
         if not isinstance(entries, list):
             raise GraphError(f"'{key}' must be a list")
     try:
-        marks = tuple(int(v) for v in marks)
+        marks = tuple(_json_int(v) for v in marks)
     except bad as exc:
         raise GraphError(f"bad marked divisor: {exc}") from exc
     try:
-        arrows = tuple((int(a["vertex"]), int(a["branch"])) for a in arrows)
+        arrows = tuple((_json_int(a["vertex"]), _json_int(a["branch"]))
+                       for a in arrows)
     except bad as exc:
         raise GraphError(f"bad arrow entry: {exc}") from exc
     g = DualGraph(parents, marks, arrows)

@@ -13,16 +13,23 @@ package calls it any more, but the benchmark's tracer still wraps it.
 All three run on the support.  Multiplying by ``(1 - t^m)^k`` adds
 ``coef_j * c`` at ``e + j*m`` for each term ``c * t^e`` and each step
 ``j`` that stays in the box, so a factor costs about ``terms * steps``
-dict updates.  Before each factor (each peel, in ``factorize``) that
-prediction is compared with ``max(cells, _MIN_GRID_CELLS) //
-_CELLS_PER_TERM``, where ``_CELLS_PER_TERM`` is the measured cost of one
-dict update in grid cells of a factor's numpy passes and
-``_MIN_GRID_CELLS`` the fixed cost of a trip through the grid.  Once the
-prediction passes that limit, the support is scattered into a dense grid
-once and the rest runs as in-place shift-add passes on it, whose nonzero
-cells are the result.  A product of a few binomials with large exponents
-stays on its few terms; one that fills the box, as peeling a numerator
-does, moves to the grid.
+dict updates.  The first factor that runs there packs each exponent into
+one integer key, with the total degree in the top field (``_Terms``): a
+step is one integer add, the box test one mask, and integer order is
+glex order.  The support is unpacked once, when it leaves: sorted, as a
+result, so that it comes out in glex order, or unsorted, into the grid.
+Before each factor (each peel, in ``factorize``) the prediction is
+compared with ``max(cells, _MIN_GRID_CELLS) // _CELLS_PER_TERM``, where
+``_CELLS_PER_TERM`` is the measured cost of one dict update in grid cells
+of a factor's numpy passes and ``_MIN_GRID_CELLS`` the fixed cost of a
+trip through the grid.  Once the prediction passes that limit, the
+support is scattered into a dense grid once and the rest runs as
+in-place passes on it, whose nonzero cells are the result.  A unit of a
+pole ``(1 - t^m)^-1`` is one running sum, swept slab by slab along an
+axis that ``m`` moves, where the slabs hold at least ``_MIN_SLAB_CELLS``
+cells, and ``log2(bound // max(m))`` doubling passes otherwise.  A
+product of a few binomials with large exponents stays on its few terms;
+one that fills the box, as peeling a numerator does, moves to the grid.
 
 numpy is a dependency of this module, but it is imported by the first
 grid, not with the module: the closed form, its text and every product
@@ -37,10 +44,10 @@ there is no floating point and no overflow, and every coefficient handed
 out is a Python int.  A box may have at most ``MAX_CELLS`` cells; larger
 ones are refused before any support or grid is built.
 
-The text format has one line per term, in glex order.  A support read
-off the grid already comes in that order (row-major order is lex order,
-and a stable sort on degree makes it glex), so the writer's one sort
-meets a presorted run.  The reader splits and converts the term lines
+The text format has one line per term, in glex order.  A result already
+comes in that order, whether unpacked from sorted keys or read off the
+grid (row-major order is lex order, and a stable sort on degree makes it
+glex), so the writer's one sort meets a presorted run.  The reader splits and converts the term lines
 in chunks of at most ``_CHUNK_LINES`` lines and checks each chunk by
 columns; only when a chunk fails a check does it read the text again
 one line at a time, to name the first bad line.
@@ -48,8 +55,9 @@ one line at a time, to name the first bad line.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import add, floordiv, sub
+from itertools import chain, compress
+from math import prod
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 if TYPE_CHECKING:
@@ -80,12 +88,13 @@ _MAX_AXES = 32
 _INT64_LIMIT = 2 ** 63
 # Cost of one dict update of the sparse kernel in grid cells: the
 # support goes to the grid once a factor would make more than
-# cells // _CELLS_PER_TERM updates.  An update (a shifted exponent tuple,
-# a get and a set) took about 1.3 us and one cell of an int64 shift-add
-# pass 1.8 ns, but a factor on the grid makes several passes and copies;
-# on the 60 expand ops of the dense benchmark corpora of seeds 7 and 12,
-# expand plus factorize took the same time, within noise, for every
-# value from 50 to 400 (x86_64, Python 3.11, numpy 2.4).
+# cells // _CELLS_PER_TERM updates.  An update on packed keys (an add, a
+# mask, a get and a set) took 0.2 to 0.4 us at r = 1..4 and one cell of
+# an int64 shift-add pass 1.8 ns, but a factor on the grid makes several
+# passes and copies; on the 120 expand ops of the dense benchmark corpora
+# of seeds 7 and 12 (expand, text, read and factorize, interleaved, median
+# of 7), the totals were 215, 205, 204, 211 and 237 ms at 25, 50, 100,
+# 200 and 400 (x86_64, Python 3.11, numpy 2.4).
 _CELLS_PER_TERM = 100
 # Fixed cost of a trip through the grid in cells: a factor goes to the
 # grid only if its predicted updates pass max(cells, _MIN_GRID_CELLS) //
@@ -99,6 +108,15 @@ _CELLS_PER_TERM = 100
 # B = 40 expands 1.5 times as slow, as their products fill the box
 # (x86_64, Python 3.11, numpy 2.4).
 _MIN_GRID_CELLS = 4096
+# Fewest cells in a slab of _Kernel._sweep; below it a pole runs as
+# doubling passes.  A sweep pass costs about 4 us on top of its cells, so
+# thin slabs lose: at r = 1, B = 4096 and m = (1,) a sweep took 18.6 ms
+# against 0.16 ms for doubling.  On 1 <= r <= 4 boxes from B = 4 to 4000,
+# doubling won below about 300 cells per slab (at r = 2, B = 100 and
+# m = (0, 1): 612 against 201 us) and the sweep from about 400 up (at
+# r = 3, B = 60 and m = (1, 0, 0): 0.37 against 2.1 ms) (x86_64,
+# Python 3.11, numpy 2.4).
+_MIN_SLAB_CELLS = 400
 # Most term lines that series_from_text splits and converts at once: a
 # chunk's tokens and ints are held beside the terms, so this bounds the
 # memory the reader needs past the text and the terms.
@@ -261,20 +279,85 @@ def _support(arr: np.ndarray) -> dict:
 
 
 class _Terms:
-    """Sparse truncated series: ``terms`` maps exponent tuples in the box
-    ``[0, bound]^nvars`` to nonzero Python ints.
+    """Sparse truncated series on the box ``[0, bound]^nvars``.
 
-    ``power`` multiplies only while the predicted number of dict updates
-    stays within ``max(cells, _MIN_GRID_CELLS) // _CELLS_PER_TERM``; past
-    it the caller scatters ``terms`` into the grid and goes on there.
+    It starts from a support of exponent tuples and is packed by the
+    first factor that runs on it: each exponent ``e`` becomes the integer
+    key ``deg(e) * 2^(nvars*w) + sum_i (e_i + o) * 2^((nvars-1-i)*w)``,
+    with fields of ``w = (2*bound).bit_length() + 1`` bits and the bias
+    ``o = 2^(w-1) - 1 - bound``.  Multiplying by ``t^m`` adds the key of
+    ``m`` without its bias, and as every field then holds at most
+    ``2*bound + o < 2^w`` no field carries into the next; ``e_i <= bound``
+    exactly when the top bit of field ``i`` is clear, so one mask tests
+    the box; and integer order is glex order.
+
+    ``terms`` reads the support back as exponent tuples, in glex order
+    once packed.  ``power`` multiplies only while the predicted number of
+    dict updates stays within ``max(cells, _MIN_GRID_CELLS) //
+    _CELLS_PER_TERM``; past it the caller scatters ``unordered()`` into
+    the grid and goes on there.
     """
 
-    __slots__ = ("terms", "bound", "cells")
+    __slots__ = ("_terms", "_keys", "bound", "cells", "_shifts", "_weights",
+                 "_bias", "_high", "_mask", "_unit")
 
     def __init__(self, terms: dict, nvars: int, bound: int):
-        self.terms = terms
+        self._terms = terms
+        self._keys = None
         self.bound = bound
         self.cells = (bound + 1) ** nvars
+        w = (2 * bound).bit_length() + 1
+        self._shifts = [(nvars - 1 - i) * w for i in range(nvars)]
+        # one unit of degree, and a one in every field
+        self._unit = 1 << (nvars * w)
+        ones = sum(1 << s for s in self._shifts)
+        # the key of e without its bias is sum_i e_i * weights[i]
+        self._weights = [self._unit + (1 << s) for s in self._shifts]
+        self._bias = ((1 << (w - 1)) - 1 - bound) * ones
+        self._high = (1 << (w - 1)) * ones
+        self._mask = (1 << w) - 1
+
+    @property
+    def terms(self) -> dict:
+        """The support, exponent tuple -> nonzero Python int; in glex
+        order once packed."""
+        if self._keys is None:
+            return self._terms
+        return self._unpack(sorted(self._keys))
+
+    def unordered(self) -> dict:
+        """The support as ``terms``, in no particular order."""
+        if self._keys is None:
+            return self._terms
+        return self._unpack(list(self._keys))
+
+    def _unpack(self, keys: list) -> dict:
+        bias, mask = self._bias, self._mask
+        values = list(map(self._keys.__getitem__, keys))
+        keys = [key - bias for key in keys]
+        cols = [[(key >> s) & mask for key in keys] for s in self._shifts]
+        return dict(zip(zip(*cols), values))
+
+    def lowest(self) -> list:
+        """The terms ``(m, c)`` of the lowest nonzero total degree.
+
+        Once packed, that degree is the top field of the least key that
+        is not the origin's; the origin alone is below one unit of it.
+        """
+        keys = self._keys
+        if keys is None:
+            degs = list(map(sum, self._terms))
+            low = min(filter(None, degs), default=0)
+            if not low:
+                return []
+            return list(compress(self._terms.items(), map(low.__eq__, degs)))
+        unit = self._unit
+        low = min(filter(unit.__le__, keys), default=0)
+        if not low:
+            return []
+        low -= low % unit
+        batch = [key for key in keys if low <= key < low + unit]
+        return list(self._unpack(batch).items())
 
     def power(self, m, k: int) -> bool:
         """Multiply by ``(1 - t^m)^k``; return False, changing nothing,
@@ -283,31 +366,35 @@ class _Terms:
 
         Only the terms ``j <= bound // max(m)`` (and ``j <= k`` for a
         positive power) of the binomial series can land in the box, and a
-        term ``c * t^e`` spreads over the steps that keep ``e + j*m`` in it.
+        term ``c * t^e`` spreads over the steps that keep ``e + j*m`` in
+        it: those before the first that leaves the box.
         """
         bound = self.bound
         top = max(m)
         if top > bound or k == 0:
             return True
         steps = bound // top if k < 0 else min(bound // top, k)
+        size = len(self._terms if self._keys is None else self._keys)
         # for whole numbers, n > cells // C exactly when n * C > cells
-        if (len(self.terms) * steps * _CELLS_PER_TERM
-                > max(self.cells, _MIN_GRID_CELLS)):
+        if size * steps * _CELLS_PER_TERM > max(self.cells, _MIN_GRID_CELLS):
             return False
-        coefs = _coefs(k, steps)
-        shifts = [tuple(j * e for e in m) for j in range(steps + 1)]
-        # room along axis i is (cap_i - e_i) // step_i; an axis that m
-        # does not move gets more room than any factor has steps
-        caps = tuple(bound if e else bound + steps for e in m)
-        step = tuple(e or 1 for e in m)
-        out = dict(self.terms)
+        if self._keys is None:
+            weights, bias = self._weights, self._bias
+            self._keys = {sum(map(mul, e, weights)) + bias: c
+                          for e, c in self._terms.items()}
+            self._terms = None
+        shift = sum(map(mul, m, self._weights))
+        high = self._high
+        coefs = _coefs(k, steps)[1:]
+        out = dict(self._keys)
         get = out.get
-        for e, c in self.terms.items():
-            room = min(steps, *map(floordiv, map(sub, caps, e), step))
-            for j in range(1, room + 1):
-                key = tuple(map(add, e, shifts[j]))
-                out[key] = get(key, 0) + coefs[j] * c
-        self.terms = {e: c for e, c in out.items() if c}
+        for key, c in self._keys.items():
+            for a in coefs:
+                key += shift
+                if key & high:
+                    break
+                out[key] = get(key, 0) + a * c
+        self._keys = {key: c for key, c in out.items() if c}
         return True
 
 
@@ -331,9 +418,10 @@ class _Kernel:
     While the buffer is int64, ``mag`` is a certified upper bound on its
     ``max |c|``, measured from the buffer itself on entry.  A pass adds or
     subtracts a shifted copy of the buffer, so it at most doubles
-    ``max |c|``.  Before a pass the bound could not certify, the buffer is
-    measured again, and if its values really are that large it is
-    promoted to ``object``; ``arr`` may therefore be replaced by a new
+    ``max |c|``; a sweep or a binomial multiplies it by at most a factor
+    known beforehand.  Before a step the bound could not certify, the
+    buffer is measured again, and if its values really are that large it
+    is promoted to ``object``; ``arr`` may therefore be replaced by a new
     array.
     """
 
@@ -381,32 +469,60 @@ class _Kernel:
                 src, dst = _views(self.arr.shape, tuple(j * e for e in m))
                 self.arr[dst] += c * orig[src]
 
+    def _sweep(self, m, reach: int) -> None:
+        """Multiply by ``1/(1 - t^m)`` as the running sum ``out[x] = in[x]
+        + out[x - m]``, in one ascending sweep over the slabs of width
+        ``m_a`` along the first axis ``a`` that ``m`` moves.
+
+        Slab ``i`` adds slab ``i - 1``, already final, shifted by ``m``,
+        so no pass reads what it writes.  Each cell ends as a sum of at
+        most ``reach + 1`` old cells, and every partial sum is one too.
+        """
+        self._grow(reach + 1)
+        arr = self.arr
+        n = arr.shape[0]
+        a = next(i for i, e in enumerate(m) if e)
+        width = m[a]
+        src, dst = _views(arr.shape, m)
+        for lo in range(width, n, width):
+            hi = min(lo + width, n)
+            arr[dst[:a] + (slice(lo, hi),) + dst[a + 1:]] += arr[
+                src[:a] + (slice(lo - width, hi - width),) + src[a + 1:]]
+
     def power(self, m, k: int) -> None:
         """Multiply by ``(1 - t^m)^k`` for any integer ``k``.
 
         Two schedules.  Unit by unit, a positive power subtracts one
         shifted copy per unit, and a negative power multiplies by
-        ``1/(1 - t^m) = sum_j t^{jm}`` once per unit by the doubling
-        trick: adding a copy of the partial sum shifted by ``2^i * m``
-        doubles the number of geometric terms accumulated, so a unit takes
-        O(log bound) passes.  Binomially, only the terms
-        ``j <= bound // max(m)`` of ``sum_j binom(k, j) (-t^m)^j`` reach
-        the grid, so that many scaled passes do any ``k``, however large;
-        they read from a copy of the whole grid, so this schedule runs
-        only where it takes at most half the passes of the other.
+        ``1/(1 - t^m) = sum_j t^{jm}`` once per unit: by one sweep of
+        ``_sweep`` when its slabs hold at least ``_MIN_SLAB_CELLS`` cells,
+        and otherwise by the doubling trick, where adding a copy of the
+        partial sum shifted by ``2^i * m`` doubles the number of geometric
+        terms accumulated, so a unit takes O(log bound) passes.
+        Binomially, only the terms ``j <= bound // max(m)`` of ``sum_j
+        binom(k, j) (-t^m)^j`` reach the grid, so that many scaled passes
+        do any ``k``, however large; they read from a copy of the whole
+        grid, so this schedule runs only where it takes at most half the
+        passes of the other.
         """
-        bound = self.arr.shape[0] - 1
+        n = self.arr.shape[0]
+        bound = n - 1
         top = max(m)
         if top > bound or k == 0:
             return
         reach = bound // top
-        unit = 1 if k > 0 else reach.bit_length()
+        a = next(i for i, e in enumerate(m) if e)
+        slab = m[a] * prod(n - e for i, e in enumerate(m) if i != a)
+        sweep = k < 0 and slab >= _MIN_SLAB_CELLS
+        unit = 1 if k > 0 or sweep else reach.bit_length()
         if 2 * (reach + 1) <= abs(k) * unit:
             self._binomial(m, _coefs(k, reach))
             return
         for _ in range(abs(k)):
             if k > 0:
                 self._shift_add(m, -1)
+            elif sweep:
+                self._sweep(m, reach)
             else:
                 step = m
                 while all(s <= bound for s in step):
@@ -501,7 +617,7 @@ def _multiply(terms: dict, nvars: int, bound: int, factors) -> dict:
     kernel = None
     for m, k in factors:
         if kernel is None and not sparse.power(m, k):
-            kernel = _Kernel(_grid(sparse.terms, nvars, bound))
+            kernel = _Kernel(_grid(sparse.unordered(), nvars, bound))
         if kernel is not None:
             kernel.power(m, k)
     return sparse.terms if kernel is None else _support(kernel.arr)
@@ -537,7 +653,7 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
     sparse = _Terms(s._terms, s.nvars, s.bound)
     if _peel_sparse(sparse, factors):
         return FactoredSeries(s.nvars, factors)
-    kernel = _Kernel(_grid(sparse.terms, s.nvars, s.bound))
+    kernel = _Kernel(_grid(sparse.unordered(), s.nvars, s.bound))
     while True:
         # the origin comes first, and peeling keeps it at 1
         idx, coords = _nonzero_cells(kernel.arr)
@@ -558,10 +674,7 @@ def _peel_sparse(sparse: _Terms, factors: dict) -> bool:
     peeled factor; False at the first peel over the limit, which is left
     undone.  Peels of one degree change only higher degrees, so the
     batch read before them stays valid throughout."""
-    while len(sparse.terms) > 1:
-        # the origin, of degree 0, is the one term that peeling keeps
-        low = min(filter(None, map(sum, sparse.terms)))
-        batch = [(m, c) for m, c in sparse.terms.items() if sum(m) == low]
+    while batch := sparse.lowest():
         for m, c in batch:
             if not sparse.power(m, c):
                 return False

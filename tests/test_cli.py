@@ -196,6 +196,20 @@ def test_fig2_family(capsys):
     assert main(["fig2", "--p", "0"]) == 2
 
 
+def test_fig2_refuses_p_past_the_vertex_limit(capsys):
+    # the graph has p + 2 vertices
+    top = MAX_VERTICES - 2
+    assert main(["fig2", "--p", str(top)]) == 0
+    assert capsys.readouterr().err == ""
+    for p in (top + 1, 10 ** 8):
+        start = time.perf_counter()
+        assert main(["fig2", "--p", str(p)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: p must be at most {top}"]
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["series", "/nonexistent/g.json"]) == 2
     assert main(["equiv", "/nonexistent/a", "/nonexistent/b"]) == 2
@@ -233,6 +247,41 @@ def test_deeply_nested_graph_json_is_an_input_error(tmp_path, capsys):
     assert main(["series", path]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: bad graph JSON: ")
+
+
+# a value that int() would coerce, at each integer field of a graph file,
+# and parents that are not a list; each was read silently before
+@pytest.mark.parametrize("path,value", [
+    (("vertices", 0, "id"), 1.0),
+    (("vertices", 0, "id"), True),
+    (("vertices", 1, "parents"), "1"),
+    (("vertices", 2, "parents"), "12"),
+    (("vertices", 2, "parents"), {"1": 0, "2": 0}),
+    (("vertices", 1, "parents", 0), 1.7),
+    (("vertices", 1, "parents", 0), True),
+    (("vertices", 2, "self_intersection"), -1.0),
+    (("vertices", 2, "self_intersection"), "-1"),
+    (("marked_divisors", 0), 3.0),
+    (("marked_divisors", 0), "3"),
+    (("marked_divisors", 0), True),
+    (("arrows",), [{"vertex": 3.0, "branch": 1}]),
+    (("arrows",), [{"vertex": 3, "branch": True}]),
+])
+def test_non_integer_graph_json_values_are_input_errors(tmp_path, capsys,
+                                                        path, value):
+    data = json.loads(graph_to_json(CUSP_DIV))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    path = write(tmp_path, "g.json", json.dumps(data))
+    start = time.perf_counter()
+    assert main(["series", path]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: bad ")
 
 
 def test_tampered_self_intersection_rejected(tmp_path):

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from planevals import (FactoredSeries, SeriesError, TruncatedSeries,
@@ -832,6 +832,123 @@ def test_factors_within_the_grid_floor_stay_on_the_support():
         sparse = series_module._Terms({(0,): 1}, 1, bound)
         assert sparse.power((1,), -1) is stays
         assert len(sparse.terms) == (bound + 1 if stays else 1)
+
+
+def reference_power(terms, bound, m, k):
+    """``terms`` times ``(1 - t^m)^k`` on the box, by the sparse kernel on
+    exponent tuples that the packed one replaced."""
+    top = max(m)
+    if top > bound or k == 0:
+        return dict(terms)
+    steps = bound // top if k < 0 else min(bound // top, k)
+    coefs = [(-1) ** j * math.comb(k, j) if k > 0
+             else math.comb(-k + j - 1, j) for j in range(steps + 1)]
+    shifts = [tuple(j * e for e in m) for j in range(steps + 1)]
+    # room along axis i is (cap_i - e_i) // step_i; an axis that m does
+    # not move gets more room than any factor has steps
+    caps = tuple(bound if e else bound + steps for e in m)
+    step = tuple(e or 1 for e in m)
+    out = dict(terms)
+    for e, c in terms.items():
+        room = min(steps, *((cap - a) // b
+                            for cap, a, b in zip(caps, e, step)))
+        for j in range(1, room + 1):
+            key = tuple(a + b for a, b in zip(e, shifts[j]))
+            out[key] = out.get(key, 0) + coefs[j] * c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def sparse_products(draw):
+    """(nvars, bound, support, factors): a support in the box and factors
+    whose exponents have zero coordinates often and may pass the box."""
+    nvars = draw(st.integers(1, 5))
+    bound = draw(st.integers(0, 60))
+    coord = st.integers(0, bound)
+    # small values, values around 2^63, and values past 2^80
+    coef = st.one_of(st.integers(-3, 3), st.integers(2 ** 63 - 2, 2 ** 63 + 2),
+                     st.integers(-2 ** 81, 2 ** 81)).filter(bool)
+    terms = draw(st.dictionaries(st.tuples(*[coord] * nvars), coef,
+                                 max_size=6))
+    step = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, bound + 2))
+    factors = draw(st.lists(st.tuples(
+        st.tuples(*[step] * nvars).filter(any), st.integers(-4, 4)),
+        min_size=1, max_size=2))
+    return nvars, bound, terms, factors
+
+
+@given(sparse_products())
+# a term at the edge of the box on one axis only, and a step along both
+@example((2, 10, {(10, 0): 1, (3, 4): 2 ** 80}, [((1, 1), -3)]))
+@example((3, 60, {(0, 0, 0): 2 ** 63 - 1, (0, 60, 2): -1},
+          [((0, 0, 1), -2), ((2, 0, 0), 4)]))
+def test_packed_kernel_matches_the_tuple_kernel(case):
+    nvars, bound, terms, factors = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_CELLS_PER_TERM", ALL_SPARSE)
+        sparse = series_module._Terms(dict(terms), nvars, bound)
+        want = terms
+        for m, k in factors:
+            assert sparse.power(m, k)
+            want = reference_power(want, bound, m, k)
+            assert sparse.terms == want
+    assert sparse.unordered() == want
+    # a support that a factor ran on comes back in glex order
+    if any(k and max(m) <= bound for m, k in factors):
+        got = list(sparse.terms)
+        assert got == sorted(got, key=glex_key)
+
+
+def test_pole_sweep_certifies_reach_plus_one():
+    # a pole of reach 20 along the first axis, on slabs of 21 * 21 cells:
+    # one sweep sums 21 cells where doubling certifies 2^5 of them
+    assert 21 * 21 >= series_module._MIN_SLAB_CELLS
+    below = (2 ** 63 - 1) // 21
+    for c, dtype in ((below, np.int64), (below + 1, object)):
+        arr = np.full((21, 21, 21), c, np.int64)
+        sweep = series_module._Kernel(arr.copy())
+        sweep.power((1, 0, 0), -1)
+        assert sweep.arr.dtype == dtype
+        doubling = series_module._Kernel(arr.copy())
+        for i in range(5):
+            doubling._shift_add((2 ** i, 0, 0), 1)
+        assert doubling.arr.dtype == object
+        want = [[[c * (i + 1)] * 21] * 21 for i in range(21)]
+        assert sweep.arr.tolist() == doubling.arr.tolist() == want
+
+
+@pytest.mark.parametrize("nvars,bound,sweeps", [(1, 60, False),
+                                                (3, 60, True)])
+def test_poles_sweep_only_on_wide_slabs(monkeypatch, nvars, bound, sweeps):
+    calls = []
+    for name in ("_sweep", "_shift_add"):
+        method = getattr(series_module._Kernel, name)
+
+        def spy(self, m, arg, method=method, name=name):
+            calls.append(name)
+            return method(self, m, arg)
+
+        monkeypatch.setattr(series_module._Kernel, name, spy)
+    # one variable per pole; the product fills the box, so it ends on the
+    # grid
+    f = FactoredSeries(nvars, {tuple(int(i == j) for j in range(nvars)): -1
+                               for i in range(nvars)})
+    s = expand(f, bound)
+    assert len(s._terms) == (bound + 1) ** nvars
+    assert calls and set(calls) == {"_sweep" if sweeps else "_shift_add"}
+
+
+@pytest.mark.parametrize("nvars,bound", PATH_GRIDS)
+def test_sparse_supports_come_in_glex_order(monkeypatch, nvars, bound):
+    log = record_steps(monkeypatch, ALL_SPARSE)
+    rng = random.Random(f"glex:{nvars}")
+    for count in (1, 3, 5):
+        f = random_factored(rng, nvars, bound, count)
+        log.clear()
+        terms = list(expand(f, bound)._terms)
+        # every factor ran on the support, so the support is its own
+        assert log and all(ran for _, ran, _ in log)
+        assert len(terms) > 1 and terms == sorted(terms, key=glex_key)
 
 
 # sha256 over the expanded and the factored text of each instance below,
