@@ -126,8 +126,6 @@ class DualGraph:
         for v, _ in self.arrows:
             if not 1 <= v <= n:
                 raise GraphError(f"arrow vertex {v} out of range")
-        if n == 0 and (marks or self.arrows):
-            raise GraphError("decorations on an empty graph")
 
     # -- basic queries ----------------------------------------------------
 
@@ -492,10 +490,10 @@ def canonical_code(graph: DualGraph) -> str:
         elif len(ps) == 1:
             tag = "F"
         else:
+            # the smaller parent of a satellite is a parent of the larger
+            # one: a vertex gains only neighbours created after it
             other, tree_parent = ps
             pp = graph.parents[tree_parent - 1]
-            if other not in pp:
-                raise GraphError("satellite parents out of order")
             if len(pp) == 1:
                 tag = "S1"
             else:

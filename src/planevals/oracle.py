@@ -68,6 +68,10 @@ MAX_WORK = 10 ** 6
 
 
 def _pmul(a: Poly, b: Poly, cap: int) -> Poly:
+    # chart polynomials start at s and s*t and every substitution adds
+    # theta >= 0, so their coefficients stay positive and _pmul and _subst
+    # keep no zero; a caller's Parametrization can leave zeros here, which
+    # valuation's _padd_scaled drops
     if len(a) > len(b):
         a, b = b, a
     out: Poly = {}
@@ -77,11 +81,7 @@ def _pmul(a: Poly, b: Poly, cap: int) -> Poly:
             if s > cap:
                 continue
             key = (s, j + l)
-            v = out.get(key, 0) + c * d
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + c * d
     return out
 
 
@@ -105,11 +105,7 @@ def _subst(p: Poly, umono: Tuple[int, int], vpoly: Poly, cap: int) -> Poly:
         for a, c in rows.get(b, {}).items():
             i, j = a * umono[0], a * umono[1]
             if i <= cap:
-                v = acc.get((i, j), 0) + c
-                if v:
-                    acc[(i, j)] = v
-                elif (i, j) in acc:
-                    del acc[(i, j)]
+                acc[(i, j)] = acc.get((i, j), 0) + c
     return acc
 
 

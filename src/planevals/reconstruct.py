@@ -106,23 +106,17 @@ class BranchData:
 
     def univariate_series(self, mode: str) -> FactoredSeries:
         """Factored series of this single valuation (the forward map)."""
-        if mode == "curve":
-            if self.c != 0:
-                raise DecodeError("curve branches have no free tail")
-            items = [((m,), -1) for m in self.generators]
-            items += [((m,), 1) for m in self.dead_values]
-            return FactoredSeries(1, items)
-        if mode != "divisorial":
+        if mode not in ("curve", "divisorial"):
             raise DecodeError(f"unknown mode {mode!r}")
-        if self.g == 0 and self.c == 0:
-            return FactoredSeries(1, {(1,): -2})
-        if self.c == 0:
-            items = [((m,), -1) for m in self.generators]
-            items += [((m,), 1) for m in self.dead_values[:-1]]
-        else:
-            items = [((m,), -1) for m in self.generators]
+        if mode == "curve" and self.c != 0:
+            raise DecodeError("curve branches have no free tail")
+        items = [((m,), -1) for m in self.generators]
+        if mode == "divisorial":
+            # with no free tail the top value is the last dead value (or
+            # m_0 = 1 when g = 0), so this pole cancels that zero (or
+            # squares the pole at t)
             items.append(((self.top_value,), -1))
-            items += [((m,), 1) for m in self.dead_values]
+        items += [((m,), 1) for m in self.dead_values]
         return FactoredSeries(1, items)
 
 
@@ -200,22 +194,25 @@ def _branch_profile(b: BranchData, mode: str):
     the vanishing orders of the two local coordinate axes together with
     the divisor each axis belongs to; subtract the smaller order, give
     the freed slot to the newly created divisor.  Order equality is the
-    rupture of the current pair.  A pair (a, w) takes as many steps as
-    the quotients of Euclid's algorithm on it add up to, so the length of
-    the chain is known first, and a chain longer than MAX_VERTICES raises
-    DecodeError before it is built.  Results are cached per (b, mode), so
-    the pairs of one decode share each branch's chain.
+    rupture of the current pair.  The pairs are (beta_0, beta_1), then
+    (e_{i-1}, beta_i - beta_{i-1}) for i = 2..g; the smooth branch
+    (g = 0, beta_0 = 1) is the one pair (1, 1), a single point.  Euclid
+    on a pair ends at its gcd, and the last one's is e_g = 1, so every
+    chain ends at a point of multiplicity 1.  A pair (a, w) takes as many
+    steps as the quotients of Euclid's algorithm on it add up to, so the
+    length of the chain is known first, and a chain longer than
+    MAX_VERTICES raises DecodeError before it is built.  Results are
+    cached per (b, mode), so the pairs of one decode share each branch's
+    chain.
     """
     gens, e, g, c = b.generators, b.gcds, b.g, b.c
     beta = list(gens[:2])
     for i in range(1, g):
         beta.append(gens[i + 1] - (e[i - 1] // e[i]) * gens[i] + beta[i])
-    runs = []
-    if g >= 1:
-        runs.append((beta[0], beta[1]))
-        runs += [(e[i], beta[i + 1] - beta[i]) for i in range(1, g)]
+    runs = [(beta[0], beta[1] if g else beta[0])]
+    runs += [(e[i], beta[i + 1] - beta[i]) for i in range(1, g)]
 
-    length = (1 if g == 0 else 0) + (c if mode == "divisorial" else 0)
+    length = c if mode == "divisorial" else 0
     for a, w in runs:
         while w:
             q, rem = divmod(a, w)
@@ -230,9 +227,9 @@ def _branch_profile(b: BranchData, mode: str):
     mu: list = []
     depth = 0
     rupture = None
-    for idx, (a_val, b_val) in enumerate(runs):
-        a, la = a_val, (None if idx == 0 else rupture)
-        w, lw = b_val, None
+    for a, w in runs:
+        # the first pair starts at the origin, on no divisor
+        la, lw = rupture, None
         while True:
             depth += 1
             labels = [x for x in (la, lw) if x is not None]
@@ -250,17 +247,10 @@ def _branch_profile(b: BranchData, mode: str):
                 la, w = depth, w - a
             else:
                 a, lw = a - w, depth
-    if g == 0:
-        depth += 1
-        kinds.append(("origin",))
-        mu.append(1)
-        rupture = depth
     for _ in range(c if mode == "divisorial" else 0):
         depth += 1
         kinds.append(("free", depth - 1))
         mu.append(1)
-    if mode == "curve" and mu[-1] != 1:
-        raise DecodeError("branch data does not resolve to a smooth end")
     return tuple(kinds), tuple(mu)
 
 
@@ -375,10 +365,13 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
 
     contacts[i][j] is the pairwise intersection value m_{alpha_i alpha_j}
     (diagonal: the valuation's own top value).  _fit_chains checks the
-    contacts against the chains; the union of the chains is then
-    replayed, and the merged graph must realize every contact.  With
-    ``expect`` given, the forward series of the result is compared
-    against it.
+    contacts against the chains and finds the shared depths s.  Chain i
+    takes its first share[i] = max_{j<i} s[i][j] points from an earlier
+    chain attaining that maximum (by the hierarchy every chain through a
+    point has it at the same depth) and creates the rest; points are
+    numbered by depth, then by chain.  The merged graph must realize
+    every contact.  With ``expect`` given, the forward series of the
+    result is compared against it.
     """
     branches = list(branches)
     r = len(branches)
@@ -395,42 +388,31 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
     else:
         total = lengths
 
-    def rep(i: int, d: int) -> int:
-        # smallest branch index sharing depth d with branch i
-        out = i
-        for j in range(i):
-            if s[j][i] >= d:
-                out = j
-                break
-        return out
-
-    vmap = {}
+    src = [0] * r
+    share = [0] * r
+    for i in range(1, r):
+        src[i] = max(range(i), key=s[i].__getitem__)
+        share[i] = s[i][src[i]]
+    ids: List[List[int]] = [[] for _ in range(r)]
     parents: List[tuple] = []
-    sat_seen = {}
-    for d in range(1, max(total, default=0) + 1):
+    sat_seen = set()
+    for d in range(1, max(total) + 1):
         for i in range(r):
-            if d > total[i] or rep(i, d) != i:
-                continue
-            kind = _kind_at(profiles[i][0], d)
-            if kind[0] == "origin":
-                if d != 1:
-                    raise ContactError("origin point not at depth 1")
-                ps = ()
-            elif kind[0] == "free":
-                ps = (vmap[(rep(i, d - 1), d - 1)],)
-            else:
-                other = vmap[(rep(i, kind[1]), kind[1])]
-                prev = vmap[(rep(i, kind[2]), kind[2])]
-                ps = tuple(sorted((other, prev)))
-                if ps in sat_seen:
-                    raise ContactError(
-                        f"two distinct points claim the satellite position "
-                        f"on components {ps}")
-                sat_seen[ps] = True
-            parents.append(ps)
-            vmap[(i, d)] = len(parents)
+            if d <= share[i]:
+                ids[i].append(ids[src[i]][d - 1])
+            elif d <= total[i]:
+                kind = _kind_at(profiles[i][0], d)
+                ps = tuple(sorted(ids[i][k - 1] for k in kind[1:]))
+                if len(ps) == 2:
+                    if ps in sat_seen:
+                        raise ContactError(
+                            f"two distinct points claim the satellite "
+                            f"position on components {ps}")
+                    sat_seen.add(ps)
+                parents.append(ps)
+                ids[i].append(len(parents))
 
-    refs = tuple(vmap[(rep(i, total[i]), total[i])] for i in range(r))
+    refs = tuple(chain[-1] for chain in ids)
     try:
         if mode == "divisorial":
             graph = DualGraph(tuple(parents), refs, ())

@@ -24,6 +24,11 @@ from conftest import CUSP_CURVE, CUSP_DIV, TACNODE, small_corpus
 def test_empty_and_single():
     g = DualGraph((), (), ())
     assert g.n == 0
+    # an empty graph has no vertex for a decoration to sit on
+    with pytest.raises(GraphError, match="marked divisor 1 out of range"):
+        DualGraph((), (1,), ())
+    with pytest.raises(GraphError, match="arrow vertex 1 out of range"):
+        DualGraph((), (), ((1, 1),))
     g, v = blowup(g, "origin")
     assert (g.n, v) == (1, 1)
     assert g.neighbors(1) == ()
@@ -75,6 +80,24 @@ def test_parent_validation():
         DualGraph(((1,),), (), ())
     with pytest.raises(GraphError):
         DualGraph(((), ()), (), ())
+
+
+@given(st.data())
+def test_satellite_parents_are_nested(data):
+    # whatever earlier vertices are given as parents, an accepted graph
+    # has the smaller parent of each satellite among the larger one's
+    # parents, which the tags of canonical_code read
+    rows = [()]
+    for v in range(2, data.draw(st.integers(1, 8)) + 1):
+        rows.append(tuple(data.draw(st.lists(st.integers(1, v - 1),
+                                             min_size=1, max_size=2))))
+    try:
+        g = DualGraph(tuple(rows), (), ())
+    except GraphError:
+        return
+    for lo, hi in (ps for ps in g.parents if len(ps) == 2):
+        assert lo in g.parents[hi - 1]
+    assert canonical_code(g).startswith("(R;")
 
 
 def test_decoration_validation():
@@ -560,3 +583,7 @@ def test_json_rejects_malformed_documents():
     with pytest.raises((GraphError, ValueError)):
         graph_from_json(json.dumps({"vertices": [], "marked_divisors": [1],
                                     "arrows": []}))
+    with pytest.raises(GraphError, match="'vertices' must be a list"):
+        graph_from_json(json.dumps({"vertices": {"id": 1}}))
+    with pytest.raises(GraphError, match="vertex ids must be exactly 1..n"):
+        graph_from_json(json.dumps({"vertices": [{"id": 1}, {"id": 3}]}))

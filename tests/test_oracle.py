@@ -91,6 +91,33 @@ def test_valuation_decides_cancellation_identically():
     assert valuation(p, g) == 3
 
 
+def test_valuation_reads_past_products_that_cancel():
+    # x = t + t^2 and y = t - t^2: x*y has a zero t^3 term, and
+    # (x - y)^2 = 4 t^4 once the t^2 and t^3 terms of the powers cancel
+    p = oracle.Parametrization._make({(1, 0): 1, (2, 0): 1},
+                                     {(1, 0): 1, (2, 0): -1}, 10)
+    assert valuation(p, {(1, 1): 1}) == 2
+    assert valuation(p, {(2, 0): 1, (1, 1): -2, (0, 2): 1}) == 4
+    assert valuation(p, {(1, 1): 1, (2, 0): -1}) == 3
+
+
+def test_chart_polynomials_have_positive_coefficients():
+    # _pmul and _subst keep no zero coefficient, which holds because no
+    # sum over a chart can cancel
+    graphs = small_corpus() + [
+        random_instance(seed, 12, 1 + seed % 3, mode)
+        for seed in range(40) for mode in ("divisorial", "curve")]
+    polys = []
+    for g in graphs:
+        charts, _, _ = oracle._charts(g, 16)
+        polys += [p for v in g.vertex_ids() for xy in charts[v].values()
+                  for p in xy]
+        polys += [p for xy in oracle._spec_pullback_sources(
+            g, default_spec(g), 16) for p in xy]
+    assert len(polys) == 1782
+    assert all(c > 0 for p in polys for c in p.values())
+
+
 def test_curvette_orders_match_matrix_entries():
     # in this embedding {x=0} is a generic curvette of E_1 and {y=0} one
     # of E_2 (the cusp tangent), so their orders read off matrix columns
@@ -355,6 +382,13 @@ def test_definitional_poincare_guards():
         definitional_poincare(NODE, default_spec(NODE), 200)
     with pytest.raises(OracleError):
         definitional_poincare(NODE, (), 10)
+    with pytest.raises(OracleError, match="bound must be positive"):
+        definitional_poincare(NODE, default_spec(NODE), 0)
+    with pytest.raises(OracleError, match=r"value vector \(1,\) does not "
+                       "match the spec"):
+        ideal_dim(NODE, default_spec(NODE), (1,))
+    with pytest.raises(OracleError, match="does not match the spec"):
+        ideal_dim(NODE, default_spec(NODE), (1, -1))
     g = DualGraph(((), (1,), (1,)), (1, 2, 3), ())
     assert agrees_with_formula(g, default_spec(g), 8)
 

@@ -11,8 +11,8 @@ from planevals import (Branch, Divisorial, DualGraph, FactoredSeries,
 from planevals.dualgraph import euler_smooth
 from planevals.reconstruct import BranchData, graph_from_branch
 
-from conftest import (CUSP_CURVE, CUSP_DIV, FROZEN_SERIES, NAMED, TACNODE,
-                      TRANSVERSAL_CUSPS, series_of)
+from conftest import (CUSP_CURVE, CUSP_DIV, FROZEN_SERIES, NAMED, NODE,
+                      TACNODE, TRANSVERSAL_CUSPS, series_of)
 
 
 def test_frozen_examples(named_graph):
@@ -58,19 +58,29 @@ def test_spec_validation():
         poincare_series(CUSP_DIV, (Branch(1),))
     with pytest.raises(GraphError):
         poincare_series(CUSP_DIV, (Divisorial(3), Divisorial(3)))
+    with pytest.raises(GraphError, match="must reference every arrow"):
+        poincare_series(NODE, (Branch(1),))
 
 
 def test_nonminimal_divisorial_graph_rejected():
     # an unmarked maximal vertex cannot influence the filtration
     g = DualGraph(((), (1,)), (1,), ())
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="vertex 2 lies under no referenced"):
         poincare_series(g, default_spec(g))
 
 
 def test_nonminimal_curve_graph_rejected():
     g, _ = blowup(DualGraph(CUSP_CURVE.parents, (), ()), ("free", 3))
     g = DualGraph(g.parents, (), ((3, 1),))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="vertex 4 lies under no referenced"):
+        poincare_series(g, default_spec(g))
+
+
+def test_contractible_curve_graph_rejected():
+    # a smooth branch through a free point of E_1: E_2 meets E_1 and the
+    # arrow only, so it blows down
+    g = DualGraph(((), (1,)), (), ((2, 1),))
+    with pytest.raises(GraphError, match="vertex 2 is contractible"):
         poincare_series(g, default_spec(g))
 
 

@@ -446,6 +446,15 @@ def test_reconstruct_divisorial_rejects_mixed_series():
         reconstruct_divisorial(FactoredSeries(2, {(1, 2): -1}))
 
 
+def test_decoders_refuse_the_wrong_number_of_variables():
+    for decode in (reconstruct_divisorial, reconstruct_curve):
+        with pytest.raises(DecodeError, match="need at least one variable"):
+            decode(FactoredSeries(0, ()))
+    for mode in ("curve", "divisorial"):
+        with pytest.raises(DecodeError, match="univariate series expected"):
+            branch_from_univariate(series_of(NODE), mode)
+
+
 def test_reconstruct_rejects_tampered_series():
     p = series_of(TACNODE)
     bad = p.with_factor((1, 1), -1)
