@@ -969,3 +969,54 @@ def test_expand_and_factorize_match_pinned_digest():
                 h.update(series_to_text(s).encode())
                 h.update(series_to_text(factorize(s)).encode())
     assert h.hexdigest() == EXPAND_FACTORIZE_DIGEST
+
+
+def unit(nvars, i):
+    return tuple(int(j == i) for j in range(nvars))
+
+
+def pinned_cases():
+    """(name, series) for the expanded texts pinned below."""
+    g = random_instance(1, 12, 3, "divisorial")
+    # the command-line smoke test's r = 3 instance at bound 60: 10,853
+    # terms, read off the grid
+    yield "r3-B60", expand(poincare_series(g, default_spec(g)), 60)
+    g = random_instance(7, 12, 4, "divisorial")
+    yield "r4-B25", expand(poincare_series(g, default_spec(g)), 25)
+    # coefficients up to 2^104, on an object grid
+    yield "object", expand(FactoredSeries(2, {(0, 1): -3, (1, 0): -40}), 60)
+    # boxes whose packed exponents pass 2^63: one on the support, and one
+    # of 32,768 terms read off the grid
+    yield "wide-support", expand(FactoredSeries(24, {
+        (1,) * 24: -1, (1, 0) * 12: 3, (0, 1) * 12: -2, unit(24, 5): -1}), 1)
+    yield "wide-grid", expand(FactoredSeries(20, {unit(20, i): -1
+                                                  for i in range(15)}), 1)
+
+
+# sha256 of the expanded text and of the factored text of each case above
+PINNED_TEXT_DIGESTS = {
+    "r3-B60": (
+        "08ce01a79fa03b86ad55a54796eaa564377472a09a22f47565e192d6a9e25a01",
+        "113d9ed396156039208c7ffc827f29102e83d8b93264d0ae81a62adb8f515001"),
+    "r4-B25": (
+        "32b3119a75a2c3230c5b6f6b7e094cd82e7d5a028bdb1a8a29872ad1dd87ce04",
+        "7b8d6af0307dab9975e7b5fa546aca9b0fdf0672ac277a6adb4483c7261f5e83"),
+    "object": (
+        "c88ffc99f06fc26099b1d9b9faaa13f63442c9ea9e9c6324ea286fcd353cbe45",
+        "375af573055cbae821ede53ef68bef0cb60f8b88dea7a793b2ec7443654e7cea"),
+    "wide-support": (
+        "8dc46110678dff7940dc83107ec88b0c399b1c5be1cdf247945b254e0960ede5",
+        "f1737235852f7f24bc99af9426b5224ebf6c5e39307eeeea96d8e8a02db9428b"),
+    "wide-grid": (
+        "d4c115b71ee170187e89b207acb57886e521c63a7770b1f8fbc5e8fb3440eae1",
+        "56ec4185d17452f0befe48a1f8491b894eeb760a2d0e0162741c40bd9d9eebfd"),
+}
+
+
+def test_expanded_texts_match_pinned_digests():
+    for name, s in pinned_cases():
+        text = series_to_text(s)
+        assert series_from_text(text) == s
+        got = tuple(hashlib.sha256(t.encode()).hexdigest()
+                    for t in (text, series_to_text(factorize(s))))
+        assert got == PINNED_TEXT_DIGESTS[name], name
