@@ -481,7 +481,8 @@ def _two_flags(ech: Dict[int, Dict[int, int]], rank: int, a_levels,
 
 
 def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
-    """counts[w] = dim J(w) on the jets, for w on the grid [0, top]^r.
+    """counts[w] = dim J(w) on the jets, for w on the grid [0, top]^r, for
+    a spec of r >= 1 valuations (its caller refuses an empty one).
 
     dim J(w) is the number of jets minus the rank of the rows of every
     valuation k at the levels below w_k.  A depth-first walk over the
@@ -499,8 +500,6 @@ def _counts(graph: DualGraph, spec, W: int, top: int) -> np.ndarray:
     import numpy as np
 
     r = len(spec)
-    if r < 1:
-        raise OracleError("empty valuation spec")
     jets = _feasible_jets(W, (top + 1) ** (r - 1))
     levels = _level_rows(graph, spec, W, top)
     if r == 1:
@@ -583,7 +582,7 @@ def definitional_poincare(graph: DualGraph, spec: ValuationSpec,
     grid = sum((-1) ** sum(corner)
                * counts[tuple(slice(c, c + bound + 1) for c in corner)]
                for corner in product((0, 1), repeat=r))
-    return TruncatedSeries(r, bound, _support(grid))
+    return TruncatedSeries._from_keys(r, bound, _support(grid))
 
 
 def semigroup_series(generators: Sequence[int], bound: int) -> TruncatedSeries:

@@ -3,9 +3,17 @@
 Two representations are used throughout the package: a factored form
 ``prod (1 - t^m)^k`` with integer exponent vectors ``m`` and integer powers
 ``k``, and a truncation to the box ``[0, bound]^nvars`` held as its
-support: a dict from exponent tuple inside the box to nonzero Python int.
+support: a dict from packed exponent inside the box to nonzero Python int.
 
-Two operations connect them: ``expand`` multiplies out a product, and
+An exponent ``e`` is packed into one integer key with the total degree in
+the top field and one biased field per variable (``_Layout``, computed once
+per box): integer order is glex order, a step by ``t^m`` is one integer
+add, and the box test is one mask.  The key is the one form of a
+truncated support, from ``expand`` through the text format to
+``factorize``; exponent tuples exist only at the edge, where a caller
+builds a ``TruncatedSeries`` from them, indexes it or reads its terms.
+
+Two operations connect the forms: ``expand`` multiplies out a product, and
 ``factorize`` peels the product back off a unit series.  A third,
 ``divide_torus``, divides by ``(t_1 ... t_r - 1)``; nothing in the
 package calls it any more, but the benchmark's tracer still wraps it.
@@ -13,23 +21,24 @@ package calls it any more, but the benchmark's tracer still wraps it.
 All three run on the support.  Multiplying by ``(1 - t^m)^k`` adds
 ``coef_j * c`` at ``e + j*m`` for each term ``c * t^e`` and each step
 ``j`` that stays in the box, so a factor costs about ``terms * steps``
-dict updates.  The first factor that runs there packs each exponent into
-one integer key, with the total degree in the top field (``_Terms``): a
-step is one integer add, the box test one mask, and integer order is
-glex order.  The support is unpacked once, when it leaves: sorted, as a
-result, so that it comes out in glex order, or unsorted, into the grid.
-Before each factor (each peel, in ``factorize``) the prediction is
-compared with ``max(cells, _MIN_GRID_CELLS) // _CELLS_PER_TERM``, where
-``_CELLS_PER_TERM`` is the measured cost of one dict update in grid cells
-of a factor's numpy passes and ``_MIN_GRID_CELLS`` the fixed cost of a
-trip through the grid.  Once the prediction passes that limit, the
-support is scattered into a dense grid once and the rest runs as
-in-place passes on it, whose nonzero cells are the result.  A unit of a
-pole ``(1 - t^m)^-1`` is one running sum, swept slab by slab along an
-axis that ``m`` moves, where the slabs hold at least ``_MIN_SLAB_CELLS``
-cells, and ``log2(bound // max(m))`` doubling passes otherwise.  A
-product of a few binomials with large exponents stays on its few terms;
-one that fills the box, as peeling a numerator does, moves to the grid.
+dict updates (``_Terms``).  Before each factor (each peel, in
+``factorize``) the prediction is compared with ``max(cells,
+_MIN_GRID_CELLS) // _CELLS_PER_TERM``, where ``_CELLS_PER_TERM`` is the
+measured cost of one dict update in grid cells of a factor's numpy passes
+and ``_MIN_GRID_CELLS`` the fixed cost of a trip through the grid.  Once
+the prediction passes that limit, the keys are scattered into a dense grid
+once and the rest runs as in-place passes on it, whose nonzero cells are
+packed back into keys, in key order.  Keys are unpacked to grid indices
+and packed from them in int64 numpy when every key of the box is below
+``2^63``, and in Python ints otherwise (wide boxes such as 24 variables at
+bound 1).  A unit of a pole ``(1 - t^m)^-1`` is one running sum, swept
+slab by slab along an axis that ``m`` moves, where the slabs hold at least
+``_MIN_SLAB_CELLS`` cells, and ``log2(bound // max(m))`` doubling passes
+otherwise; slabs whose contiguous run is shorter than ``_MIN_SLAB_RUN``
+cells are swept as one running sum along the last axis per residue class
+instead.  A product of a few binomials with large exponents stays on its
+few terms; one that fills the box, as peeling a numerator does, moves to
+the grid.
 
 numpy is a dependency of this module, but it is imported by the first
 grid, not with the module: the closed form, its text and every product
@@ -44,20 +53,22 @@ there is no floating point and no overflow, and every coefficient handed
 out is a Python int.  A box may have at most ``MAX_CELLS`` cells; larger
 ones are refused before any support or grid is built.
 
-The text format has one line per term, in glex order.  A result already
-comes in that order, whether unpacked from sorted keys or read off the
-grid (row-major order is lex order, and a stable sort on degree makes it
-glex), so the writer's one sort meets a presorted run.  The reader splits and converts the term lines
-in chunks of at most ``_CHUNK_LINES`` lines and checks each chunk by
-columns; only when a chunk fails a check does it read the text again
-one line at a time, to name the first bad line.
+The text format has one line per term, in glex order.  The writer sorts
+the keys, which a support read off the grid already holds in order,
+unpacks one column per variable and fills a repeated row pattern.  The
+reader splits and converts the term lines in chunks of at most
+``_CHUNK_LINES`` lines, checks each chunk by columns and packs an
+expanded series' columns straight into keys; only when a chunk fails a
+check does it read the text again one line at a time, to name the first
+bad line.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from functools import lru_cache
+from itertools import chain, repeat
 from math import prod
-from operator import mul
+from operator import add, index, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 if TYPE_CHECKING:
@@ -117,6 +128,15 @@ _MIN_GRID_CELLS = 4096
 # r = 3, B = 60 and m = (1, 0, 0): 0.37 against 2.1 ms) (x86_64,
 # Python 3.11, numpy 2.4).
 _MIN_SLAB_CELLS = 400
+# Shortest contiguous run of a slab of _Kernel._sweep.  The slabs along
+# the last axis are columns, with runs of m's last entry only; below this
+# run the pole is summed along the last axis, one residue class of that
+# entry at a time, whose cost grows with the entry instead.  At B = 4095
+# (r = 2), 255 (r = 3) and 63 (r = 4), the residue sums took 60 to 160 ms
+# and the slabs 130 to 910 ms for entries 1 to 8, and the slabs won from
+# 16 up: 200 against 230 ms at r = 2, 70 against 310 ms at r = 4
+# (x86_64, Python 3.11, numpy 2.4).
+_MIN_SLAB_RUN = 8
 # Most term lines that series_from_text splits and converts at once: a
 # chunk's tokens and ints are held beside the terms, so this bounds the
 # memory the reader needs past the text and the terms.
@@ -244,120 +264,139 @@ def _coefs(k: int, n: int) -> list:
     return coefs
 
 
-def _grid(terms: dict, nvars: int, bound: int) -> np.ndarray:
-    """Scatter a support into a new dense grid, ``int64`` exactly when
-    every ``|c| < 2^63``.
+class _Layout:
+    """The packed keys of the box ``[0, bound]^nvars``.
 
-    The exponents are read into one flat integer array: building an
-    array from the list of tuples costs several times as much.
+    Each exponent ``e`` becomes the integer key ``deg(e) * 2^(nvars*w) +
+    sum_i (e_i + o) * 2^((nvars-1-i)*w)``, with fields of ``w =
+    (2*bound).bit_length() + 1`` bits and the bias ``o = 2^(w-1) - 1 -
+    bound``.  Multiplying by ``t^m`` adds the key of ``m`` without its
+    bias, and as every field then holds at most ``2*bound + o < 2^w`` no
+    field carries into the next; ``e_i <= bound`` exactly when the top bit
+    of field ``i`` is clear, so one mask tests the box; and integer order
+    is glex order.  ``int64`` tells whether every key of the box is below
+    ``2^63``, so that numpy can pack and unpack them.
     """
+
+    __slots__ = ("nvars", "bound", "cells", "shifts", "weights", "bias",
+                 "high", "mask", "unit", "int64")
+
+    def __init__(self, nvars: int, bound: int):
+        self.nvars = nvars
+        self.bound = bound
+        self.cells = (bound + 1) ** nvars
+        w = (2 * bound).bit_length() + 1
+        self.shifts = [(nvars - 1 - i) * w for i in range(nvars)]
+        # one unit of degree, and a one in every field
+        self.unit = 1 << (nvars * w)
+        ones = sum(1 << s for s in self.shifts)
+        # the key of e without its bias is sum_i e_i * weights[i]
+        self.weights = [self.unit + (1 << s) for s in self.shifts]
+        self.bias = ((1 << (w - 1)) - 1 - bound) * ones
+        self.high = (1 << (w - 1)) * ones
+        self.mask = (1 << w) - 1
+        # the largest key is that of (bound, ..., bound)
+        self.int64 = self.bias + bound * sum(self.weights) < _INT64_LIMIT
+
+    def key(self, m) -> int:
+        """The key of the exponent ``m``; SeriesError if it is not in the
+        box."""
+        m = tuple(m)
+        if (len(m) != self.nvars
+                or not all(0 <= e <= self.bound for e in m)):
+            raise SeriesError(f"exponent {m} outside grid "
+                              f"[0, {self.bound}]^{self.nvars}")
+        return sum(map(mul, map(index, m), self.weights)) + self.bias
+
+    def pack(self, cols: list) -> list:
+        """The keys of the exponents whose ``i``-th entries are
+        ``cols[i]``, entries known to be in the box."""
+        acc = map(mul, cols[0], repeat(self.weights[0]))
+        for col, weight in zip(cols[1:], self.weights[1:]):
+            acc = map(add, acc, map(mul, col, repeat(weight)))
+        return list(map(add, acc, repeat(self.bias)))
+
+    def unpack(self, keys: list) -> list:
+        """One list per variable of the entries of the exponents of
+        ``keys``."""
+        bias, mask = self.bias, self.mask
+        keys = [key - bias for key in keys]
+        return [[(key >> s) & mask for key in keys] for s in self.shifts]
+
+
+# a process sees a few boxes, each many times
+_layout = lru_cache(maxsize=64)(_Layout)
+
+
+def _grid(keys: dict, layout: _Layout) -> np.ndarray:
+    """Scatter a support into a new dense grid, ``int64`` exactly when
+    every ``|c| < 2^63``."""
     import numpy as np
 
-    values = list(terms.values())
+    values = list(keys.values())
     top = max(map(abs, values), default=0)
-    arr = np.zeros((bound + 1,) * nvars,
+    arr = np.zeros((layout.bound + 1,) * layout.nvars,
                    dtype=np.int64 if top < _INT64_LIMIT else object)
-    if values:
-        exps = np.fromiter(chain.from_iterable(terms), np.int64,
-                           len(values) * nvars).reshape(-1, nvars)
-        arr[tuple(exps.T)] = values
+    if not values:
+        return arr
+    if layout.int64:
+        flat = np.fromiter(keys, np.int64, len(values)) - layout.bias
+        at = tuple((flat >> s) & layout.mask for s in layout.shifts)
+    else:
+        at = tuple(np.array(col, np.int64)
+                   for col in layout.unpack(list(keys)))
+    arr[at] = values
     return arr
 
 
 def _support(arr: np.ndarray) -> dict:
-    """The nonzero cells of a grid in glex order, exponent tuple ->
-    Python int.
+    """The nonzero cells of a grid as a support, key -> Python int, in
+    key order, which ``series_to_text`` then sorts as one presorted run.
 
     Row-major order is lex order, so a stable sort of the cells on their
-    degree alone gives glex order; ``series_to_text`` then sorts one
-    presorted run.
+    degree alone gives glex order, which is key order.
     """
+    layout = _layout(arr.ndim, arr.shape[0] - 1)
     idx, coords = _nonzero_cells(arr)
     order = sum(coords).argsort(kind="stable")
-    exps = zip(*(ax[order].tolist() for ax in coords))
-    return dict(zip(exps, arr.reshape(-1)[idx[order]].tolist()))
+    if layout.int64:
+        keys = sum(ax[order] * weight
+                   for ax, weight in zip(coords, layout.weights))
+        keys = (keys + layout.bias).tolist()
+    else:
+        keys = layout.pack([ax[order].tolist() for ax in coords])
+    return dict(zip(keys, arr.reshape(-1)[idx[order]].tolist()))
 
 
 class _Terms:
-    """Sparse truncated series on the box ``[0, bound]^nvars``.
+    """Sparse truncated series on a box, as its support of packed keys.
 
-    It starts from a support of exponent tuples and is packed by the
-    first factor that runs on it: each exponent ``e`` becomes the integer
-    key ``deg(e) * 2^(nvars*w) + sum_i (e_i + o) * 2^((nvars-1-i)*w)``,
-    with fields of ``w = (2*bound).bit_length() + 1`` bits and the bias
-    ``o = 2^(w-1) - 1 - bound``.  Multiplying by ``t^m`` adds the key of
-    ``m`` without its bias, and as every field then holds at most
-    ``2*bound + o < 2^w`` no field carries into the next; ``e_i <= bound``
-    exactly when the top bit of field ``i`` is clear, so one mask tests
-    the box; and integer order is glex order.
-
-    ``terms`` reads the support back as exponent tuples, in glex order
-    once packed.  ``power`` multiplies only while the predicted number of
-    dict updates stays within ``max(cells, _MIN_GRID_CELLS) //
-    _CELLS_PER_TERM``; past it the caller scatters ``unordered()`` into
-    the grid and goes on there.
+    ``power`` multiplies only while the predicted number of dict updates
+    stays within ``max(cells, _MIN_GRID_CELLS) // _CELLS_PER_TERM``; past
+    it the caller scatters ``keys`` into the grid and goes on there.
     """
 
-    __slots__ = ("_terms", "_keys", "bound", "cells", "_shifts", "_weights",
-                 "_bias", "_high", "_mask", "_unit")
+    __slots__ = ("keys", "layout")
 
-    def __init__(self, terms: dict, nvars: int, bound: int):
-        self._terms = terms
-        self._keys = None
-        self.bound = bound
-        self.cells = (bound + 1) ** nvars
-        w = (2 * bound).bit_length() + 1
-        self._shifts = [(nvars - 1 - i) * w for i in range(nvars)]
-        # one unit of degree, and a one in every field
-        self._unit = 1 << (nvars * w)
-        ones = sum(1 << s for s in self._shifts)
-        # the key of e without its bias is sum_i e_i * weights[i]
-        self._weights = [self._unit + (1 << s) for s in self._shifts]
-        self._bias = ((1 << (w - 1)) - 1 - bound) * ones
-        self._high = (1 << (w - 1)) * ones
-        self._mask = (1 << w) - 1
-
-    @property
-    def terms(self) -> dict:
-        """The support, exponent tuple -> nonzero Python int; in glex
-        order once packed."""
-        if self._keys is None:
-            return self._terms
-        return self._unpack(sorted(self._keys))
-
-    def unordered(self) -> dict:
-        """The support as ``terms``, in no particular order."""
-        if self._keys is None:
-            return self._terms
-        return self._unpack(list(self._keys))
-
-    def _unpack(self, keys: list) -> dict:
-        bias, mask = self._bias, self._mask
-        values = list(map(self._keys.__getitem__, keys))
-        keys = [key - bias for key in keys]
-        cols = [[(key >> s) & mask for key in keys] for s in self._shifts]
-        return dict(zip(zip(*cols), values))
+    def __init__(self, keys: dict, layout: _Layout):
+        self.keys = keys
+        self.layout = layout
 
     def lowest(self) -> list:
         """The terms ``(m, c)`` of the lowest nonzero total degree.
 
-        Once packed, that degree is the top field of the least key that
-        is not the origin's; the origin alone is below one unit of it.
+        That degree is the top field of the least key that is not the
+        origin's; the origin alone is below one unit of it.
         """
-        keys = self._keys
-        if keys is None:
-            degs = list(map(sum, self._terms))
-            low = min(filter(None, degs), default=0)
-            if not low:
-                return []
-            return list(compress(self._terms.items(), map(low.__eq__, degs)))
-        unit = self._unit
+        keys = self.keys
+        unit = self.layout.unit
         low = min(filter(unit.__le__, keys), default=0)
         if not low:
             return []
         low -= low % unit
         batch = [key for key in keys if low <= key < low + unit]
-        return list(self._unpack(batch).items())
+        return list(zip(zip(*self.layout.unpack(batch)),
+                        map(keys.__getitem__, batch)))
 
     def power(self, m, k: int) -> bool:
         """Multiply by ``(1 - t^m)^k``; return False, changing nothing,
@@ -369,32 +408,29 @@ class _Terms:
         term ``c * t^e`` spreads over the steps that keep ``e + j*m`` in
         it: those before the first that leaves the box.
         """
-        bound = self.bound
+        layout = self.layout
+        bound = layout.bound
         top = max(m)
         if top > bound or k == 0:
             return True
         steps = bound // top if k < 0 else min(bound // top, k)
-        size = len(self._terms if self._keys is None else self._keys)
+        keys = self.keys
         # for whole numbers, n > cells // C exactly when n * C > cells
-        if size * steps * _CELLS_PER_TERM > max(self.cells, _MIN_GRID_CELLS):
+        if (len(keys) * steps * _CELLS_PER_TERM
+                > max(layout.cells, _MIN_GRID_CELLS)):
             return False
-        if self._keys is None:
-            weights, bias = self._weights, self._bias
-            self._keys = {sum(map(mul, e, weights)) + bias: c
-                          for e, c in self._terms.items()}
-            self._terms = None
-        shift = sum(map(mul, m, self._weights))
-        high = self._high
+        shift = sum(map(mul, m, layout.weights))
+        high = layout.high
         coefs = _coefs(k, steps)[1:]
-        out = dict(self._keys)
+        out = dict(keys)
         get = out.get
-        for key, c in self._keys.items():
+        for key, c in keys.items():
             for a in coefs:
                 key += shift
                 if key & high:
                     break
                 out[key] = get(key, 0) + a * c
-        self._keys = {key: c for key, c in out.items() if c}
+        self.keys = {key: c for key, c in out.items() if c}
         return True
 
 
@@ -477,12 +513,22 @@ class _Kernel:
         Slab ``i`` adds slab ``i - 1``, already final, shifted by ``m``,
         so no pass reads what it writes.  Each cell ends as a sum of at
         most ``reach + 1`` old cells, and every partial sum is one too.
+        If ``a`` is the last axis, ``m`` moves no other, and a slab thinner
+        than ``_MIN_SLAB_RUN`` is swept as one running sum along that axis
+        per residue class of ``m_a``: the same sums, read row by row.
         """
+        import numpy as np
+
         self._grow(reach + 1)
         arr = self.arr
         n = arr.shape[0]
         a = next(i for i, e in enumerate(m) if e)
         width = m[a]
+        if a == arr.ndim - 1 and width < _MIN_SLAB_RUN:
+            for rho in range(width):
+                column = arr[..., rho::width]
+                np.add.accumulate(column, axis=-1, out=column)
+            return
         src, dst = _views(arr.shape, m)
         for lo in range(width, n, width):
             hi = min(lo + width, n)
@@ -534,40 +580,51 @@ class TruncatedSeries:
     """Series truncated to the box ``[0, bound]^nvars``, held as its support.
 
     ``terms`` maps exponent tuples inside the box to nonzero Python ints;
-    it is kept as given, not copied or checked, and instances are treated
-    as immutable.  Indexing and ``nonzero_terms`` return Python ints.
-    ``coeffs`` builds a read-only dense grid of the coefficients, ``int64``
-    exactly when every ``|c| < 2^63`` and ``object`` otherwise; it is kept
-    for the benchmark, which compares grids.
+    each exponent is checked and packed into its key, and an exponent of
+    the wrong arity or outside the box raises ``SeriesError``.  Instances
+    are treated as immutable.  Indexing and ``nonzero_terms`` return
+    Python ints.  ``coeffs`` builds a read-only dense grid of the
+    coefficients, ``int64`` exactly when every ``|c| < 2^63`` and
+    ``object`` otherwise; it is kept for the benchmark, which compares
+    grids.
     """
 
-    __slots__ = ("nvars", "bound", "_terms")
+    __slots__ = ("nvars", "bound", "_layout", "_keys")
 
-    def __init__(self, nvars: int, bound: int, terms: dict):
+    def __init__(self, nvars: int, bound: int, terms: Mapping):
         _check_grid(nvars, bound)
         self.nvars = nvars
         self.bound = bound
-        self._terms = terms
+        self._layout = _layout(nvars, bound)
+        key = self._layout.key
+        self._keys = {key(m): c for m, c in terms.items()}
+
+    @classmethod
+    def _from_keys(cls, nvars: int, bound: int,
+                   keys: dict) -> "TruncatedSeries":
+        """Wrap a support of keys of the box, made by this module."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.bound = bound
+        out._layout = _layout(nvars, bound)
+        out._keys = keys
+        return out
 
     @property
     def coeffs(self) -> np.ndarray:
         """A new read-only dense grid of the coefficients."""
-        arr = _grid(self._terms, self.nvars, self.bound)
+        arr = _grid(self._keys, self._layout)
         arr.flags.writeable = False
         return arr
 
     def __getitem__(self, m) -> int:
-        m = tuple(m)
-        if len(m) != self.nvars or not all(0 <= e <= self.bound for e in m):
-            raise SeriesError(f"exponent {m} outside grid "
-                              f"[0, {self.bound}]^{self.nvars}")
-        return self._terms.get(m, 0)
+        return self._keys.get(self._layout.key(m), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.nvars == other.nvars and self.bound == other.bound
-                and self._terms == other._terms)
+                and self._keys == other._keys)
 
     def __repr__(self) -> str:
         terms = list(self.nonzero_terms())
@@ -578,8 +635,9 @@ class TruncatedSeries:
 
     def nonzero_terms(self) -> Iterator:
         """Yield ``(exponent, coefficient)`` in glex order."""
-        return iter(sorted(self._terms.items(),
-                           key=lambda mc: glex_key(mc[0])))
+        keys = sorted(self._keys)
+        return zip(zip(*self._layout.unpack(keys)),
+                   map(self._keys.__getitem__, keys))
 
 
 def project(f: FactoredSeries, keep) -> FactoredSeries:
@@ -606,30 +664,31 @@ def project(f: FactoredSeries, keep) -> FactoredSeries:
     return FactoredSeries._from_valid(len(keep), merged)
 
 
-def _multiply(terms: dict, nvars: int, bound: int, factors) -> dict:
-    """Support of ``terms`` times the product of the ``(m, k)`` factors
+def _multiply(keys: dict, layout: _Layout, factors) -> dict:
+    """Support of ``keys`` times the product of the ``(m, k)`` factors
     ``(1 - t^m)^k``, in the order given, on the box.
 
     Factors run on the support until one would cost more than its limit;
     that one and the rest run on the dense grid.
     """
-    sparse = _Terms(terms, nvars, bound)
+    sparse = _Terms(keys, layout)
     kernel = None
     for m, k in factors:
         if kernel is None and not sparse.power(m, k):
-            kernel = _Kernel(_grid(sparse.unordered(), nvars, bound))
+            kernel = _Kernel(_grid(sparse.keys, layout))
         if kernel is not None:
             kernel.power(m, k)
-    return sparse.terms if kernel is None else _support(kernel.arr)
+    return sparse.keys if kernel is None else _support(kernel.arr)
 
 
 def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
     """Expansion on ``[0, bound]^nvars``, exact within the box; factors
     run in glex order."""
     _check_grid(f.nvars, bound)
-    one = {(0,) * f.nvars: 1}
-    return TruncatedSeries(f.nvars, bound,
-                           _multiply(one, f.nvars, bound, f.items()))
+    layout = _layout(f.nvars, bound)
+    # the origin's key is the bias
+    keys = _multiply({layout.bias: 1}, layout, f.items())
+    return TruncatedSeries._from_keys(f.nvars, bound, keys)
 
 
 def factorize(s: TruncatedSeries) -> FactoredSeries:
@@ -647,13 +706,13 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
     Peels run on the support of ``s`` until one would cost more than its
     limit; from there the sweep goes on over the dense grid.
     """
-    if s._terms.get((0,) * s.nvars) != 1:
+    if s._keys.get(s._layout.bias) != 1:
         raise SeriesError("factorization needs constant term 1")
     factors: dict = {}
-    sparse = _Terms(s._terms, s.nvars, s.bound)
+    sparse = _Terms(s._keys, s._layout)
     if _peel_sparse(sparse, factors):
         return FactoredSeries(s.nvars, factors)
-    kernel = _Kernel(_grid(sparse.unordered(), s.nvars, s.bound))
+    kernel = _Kernel(_grid(sparse.keys, s._layout))
     while True:
         # the origin comes first, and peeling keeps it at 1
         idx, coords = _nonzero_cells(kernel.arr)
@@ -689,8 +748,9 @@ def divide_torus(p_prime: TruncatedSeries) -> TruncatedSeries:
     ``(1 - t^1)^-1`` followed by a sign flip of the Python ints.
     """
     r, bound = p_prime.nvars, p_prime.bound
-    terms = _multiply(p_prime._terms, r, bound, [((1,) * r, -1)])
-    return TruncatedSeries(r, bound, {m: -c for m, c in terms.items()})
+    keys = _multiply(p_prime._keys, p_prime._layout, [((1,) * r, -1)])
+    return TruncatedSeries._from_keys(r, bound,
+                                      {key: -c for key, c in keys.items()})
 
 
 def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
@@ -698,24 +758,31 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
 
     Header ``vars R mode {factored|expanded} bound B`` (bound 0 for the
     factored form), then one ``k e1 ... eR`` line per term in glex order.
-    The terms are sorted once on (degree, exponent), which for a support
-    read off the grid is one presorted run, and written by one ``%`` of
-    a repeated row pattern over their flattened integers.
+    An expanded series' keys are sorted, which for a support read off the
+    grid is one presorted run, and unpacked one column per variable; a
+    factored series' exponents are sorted on (degree, exponent).  The
+    columns fill the slots of a repeated row pattern by slice assignment,
+    and one ``%`` writes it.
     """
     if isinstance(series, FactoredSeries):
         head = f"vars {series.nvars} mode factored bound 0\n"
         terms = series._factors
+        exps = [m for _, m in sorted(zip(map(sum, terms), terms))]
+        cols = list(zip(*exps))
     elif isinstance(series, TruncatedSeries):
         head = f"vars {series.nvars} mode expanded bound {series.bound}\n"
-        terms = series._terms
+        terms = series._keys
+        exps = sorted(terms)
+        cols = series._layout.unpack(exps)
     else:
         raise SeriesError(f"not a series: {series!r}")
-    flat = []
-    for _, m in sorted(zip(map(sum, terms), terms)):
-        flat.append(terms[m])
-        flat.extend(m)
+    width = series.nvars + 1
+    flat = [0] * (len(exps) * width)
+    flat[::width] = map(terms.__getitem__, exps)
+    for i, col in enumerate(cols, 1):
+        flat[i::width] = col
     row = "%d" + " %d" * series.nvars + "\n"
-    return head + row * len(terms) % tuple(flat)
+    return head + row * len(exps) % tuple(flat)
 
 
 def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
@@ -759,19 +826,22 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     elif bound != 0:
         raise SeriesError("factored series must declare bound 0")
 
-    terms = _read_chunks(lines, nvars + 1, bound, expanded, "#" in text)
+    layout = _layout(nvars, bound) if expanded else None
+    terms = _read_chunks(lines, nvars + 1, layout, "#" in text)
     if terms is None:
         _raise_first_bad_line(text, nvars + 1, bound, expanded)
     if not expanded:
         return FactoredSeries(nvars, terms)
-    return TruncatedSeries(nvars, bound, terms)
+    return TruncatedSeries._from_keys(nvars, bound, terms)
 
 
-def _read_chunks(lines: list, width: int, bound: int, expanded: bool,
+def _read_chunks(lines: list, width: int, layout: Union[_Layout, None],
                  comments: bool) -> Union[dict, None]:
     """The terms of the reversed term lines ``lines``, which are used up,
     read ``_CHUNK_LINES`` lines at a time; None once a chunk fails a
-    check.
+    check.  ``layout`` is the box of an expanded series, whose terms are
+    keyed by packed exponent, and None for a factored one, keyed by
+    exponent tuple.
 
     A chunk is split, converted by one ``map(int)`` over its tokens and
     checked on its columns, then added to the terms by one
@@ -798,15 +868,17 @@ def _read_chunks(lines: list, width: int, bound: int, expanded: bool,
             return None
         coefs = vals[::width]
         cols = [vals[i::width] for i in range(1, width)]
-        if expanded and (min(map(min, cols)) < 0
-                         or max(map(max, cols)) > bound):
-            return None
-        if 0 in coefs:
-            if not expanded:
+        if layout is None:
+            if 0 in coefs:
                 return None
-            zero = True
+            exps = zip(*cols)
+        else:
+            if min(map(min, cols)) < 0 or max(map(max, cols)) > layout.bound:
+                return None
+            zero = zero or 0 in coefs
+            exps = layout.pack(cols)
         size = len(terms) + len(coefs)
-        terms.update(zip(zip(*cols), coefs))
+        terms.update(zip(exps, coefs))
         if len(terms) != size:
             return None
     return {m: c for m, c in terms.items() if c} if zero else terms

@@ -23,7 +23,7 @@ from planevals import (Branch, Divisorial, DualGraph, OracleError,
                        multiplicity_matrix, multiplicity_sequence,
                        noether_contact, poincare_series, random_instance,
                        semigroup_series, series_to_text, valuation)
-from planevals.series import _support, glex_key
+from planevals.series import glex_key
 
 from conftest import (CUSP_CURVE, CUSP_DIV, NODE, SMOOTH, TACNODE,
                       TRANSVERSAL_CUSPS, ladder_graph, series_of,
@@ -373,7 +373,8 @@ def test_definitional_poincare_matches_formula_on_node():
                                         ((5, 12, 3, "divisorial"), 20)])
 def test_definitional_support_comes_in_glex_order(args, bound):
     g = random_instance(*args)
-    terms = list(definitional_poincare(g, default_spec(g), bound)._terms)
+    q = definitional_poincare(g, default_spec(g), bound)
+    terms = [m for m, _ in q.nonzero_terms()]
     assert len(terms) > 30 and terms == sorted(terms, key=glex_key)
 
 
@@ -488,7 +489,8 @@ def staged_poincare(counts, bound):
     prime = dims[(slice(0, -1),) * r] - dims[(slice(1, None),) * r]
     for axis in range(r):
         prime = -np.diff(prime, axis=axis)
-    return divide_torus(TruncatedSeries(r, bound, _support(prime)))
+    support = {tuple(w): int(prime[tuple(w)]) for w in np.argwhere(prime)}
+    return divide_torus(TruncatedSeries(r, bound, support))
 
 
 @pytest.mark.parametrize("r,bound", [(1, 30), (2, 12), (3, 7), (4, 5)])

@@ -471,7 +471,7 @@ def test_reading_takes_no_more_memory_than_the_per_line_reader():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(s._terms) == 47 ** 3
+        assert len(list(s.nonzero_terms())) == 47 ** 3
         del s
     assert peaks[0] <= peaks[1]
 
@@ -491,6 +491,19 @@ def test_indexing_outside_the_box_is_refused(m):
     assert s[(5,)] == 1
     with pytest.raises(SeriesError, match="outside grid"):
         s[m]
+
+
+def test_exponents_are_checked_on_construction():
+    # the box edge is admitted on either axis, and read back as given
+    edge = {(4, 4): 3, (0, 4): -1, (4, 0): 2, (0, 0): 1}
+    s = TruncatedSeries(2, 4, edge)
+    assert dict(s.nonzero_terms()) == edge and s[(4, 4)] == 3
+    # one past the edge, a negative entry and the wrong arity would each
+    # pack into some other cell's key, or into none
+    for m in ((5, 0), (0, 5), (5, 5), (-1, 0), (0, -1), (1,), (1, 2, 3),
+              ()):
+        with pytest.raises(SeriesError, match="outside grid"):
+            TruncatedSeries(2, 4, {(0, 0): 1, m: 7})
 
 
 def test_coeffs_is_a_read_only_view():
@@ -704,7 +717,7 @@ def record_steps(monkeypatch, cells_per_term):
 
     def spy(self, m, k):
         ran = power(self, m, k)
-        log.append((sum(m), ran, len(self.terms)))
+        log.append((sum(m), ran, len(self.keys)))
         return ran
 
     monkeypatch.setattr(series_module._Terms, "power", spy)
@@ -755,7 +768,7 @@ def test_grid_supports_come_in_glex_order(monkeypatch, nvars, bound):
     for count in (1, 3, 5):
         f = random_factored(rng, nvars, bound, count)
         log.clear()
-        terms = list(expand(f, bound)._terms)
+        terms = [m for m, _ in expand(f, bound).nonzero_terms()]
         # the first factor went to the grid, so the support is the grid's
         assert log and not log[0][1]
         assert len(terms) > 1 and terms == sorted(terms, key=glex_key)
@@ -823,15 +836,26 @@ def test_support_stays_within_its_bound(monkeypatch, ratio):
     assert log == [(1, False, 61 ** 3)]
 
 
-def test_factors_within_the_grid_floor_stay_on_the_support():
+def test_factors_within_the_grid_floor_stay_on_the_support(monkeypatch):
     # one term over `steps` steps of (1 - t)^-1 is predicted at `steps`
     # updates; in a box smaller than the floor, the floor alone decides
     steps = series_module._MIN_GRID_CELLS // series_module._CELLS_PER_TERM
     assert steps + 2 < series_module._MIN_GRID_CELLS
+    log = []
+    power = series_module._Terms.power
+
+    def spy(self, m, k):
+        ran = power(self, m, k)
+        log.append((ran, len(self.keys)))
+        return ran
+
+    monkeypatch.setattr(series_module._Terms, "power", spy)
     for bound, stays in ((steps, True), (steps + 1, False)):
-        sparse = series_module._Terms({(0,): 1}, 1, bound)
-        assert sparse.power((1,), -1) is stays
-        assert len(sparse.terms) == (bound + 1 if stays else 1)
+        log.clear()
+        s = expand(FactoredSeries(1, {(1,): -1}), bound)
+        # a factor over its limit leaves the support as it was
+        assert log == [(stays, bound + 1 if stays else 1)]
+        assert len(list(s.nonzero_terms())) == bound + 1
 
 
 def reference_power(terms, bound, m, k):
@@ -884,19 +908,25 @@ def sparse_products(draw):
           [((0, 0, 1), -2), ((2, 0, 0), 4)]))
 def test_packed_kernel_matches_the_tuple_kernel(case):
     nvars, bound, terms, factors = case
+    # the boxes pass MAX_CELLS, which the support alone never checks
+    layout = series_module._layout(nvars, bound)
+
+    def pack(support):
+        return {layout.key(m): c for m, c in support.items()}
+
+    keys = pack(terms)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series_module, "_CELLS_PER_TERM", ALL_SPARSE)
-        sparse = series_module._Terms(dict(terms), nvars, bound)
+        sparse = series_module._Terms(keys, layout)
         want = terms
         for m, k in factors:
             assert sparse.power(m, k)
             want = reference_power(want, bound, m, k)
-            assert sparse.terms == want
-    assert sparse.unordered() == want
-    # a support that a factor ran on comes back in glex order
-    if any(k and max(m) <= bound for m, k in factors):
-        got = list(sparse.terms)
-        assert got == sorted(got, key=glex_key)
+            assert sparse.keys == pack(want)
+    # the input is left as it was, and key order is glex order
+    assert keys == pack(terms)
+    exps = list(zip(*layout.unpack(sorted(sparse.keys))))
+    assert exps == sorted(want, key=glex_key)
 
 
 def test_pole_sweep_certifies_reach_plus_one():
@@ -917,6 +947,37 @@ def test_pole_sweep_certifies_reach_plus_one():
         assert sweep.arr.tolist() == doubling.arr.tolist() == want
 
 
+# poles that leave some axes alone: along the last axis only, with runs
+# below and above _MIN_SLAB_RUN, along a leading axis only, and mixed
+ZERO_ENTRY_POLES = ((0, 1), (0, 3), (0, 9), (1, 0), (3, 0), (0, 1, 0),
+                    (0, 0, 1), (0, 0, 7), (0, 0, 8), (2, 0, 1), (0, 2, 1))
+
+
+def cell_support(arr):
+    return {tuple(map(int, w)): int(arr[tuple(w)]) for w in np.argwhere(arr)}
+
+
+@pytest.mark.parametrize("m", ZERO_ENTRY_POLES)
+def test_poles_with_zero_entries_agree_on_every_schedule(monkeypatch, m):
+    nvars = len(m)
+    bound = 30 if nvars == 2 else 12
+    rng = np.random.default_rng(list(m))
+    start = rng.integers(-9, 10, size=(bound + 1,) * nvars)
+    # slab sweeps, running sums per residue class along the last axis,
+    # and doubling passes
+    schedules = ((0, 0), (0, 2 ** 30), (2 ** 30, 0))
+    for k in (-1, -2):
+        want = reference_power(cell_support(start), bound, m, k)
+        for cells, run in schedules:
+            monkeypatch.setattr(series_module, "_MIN_SLAB_CELLS", cells)
+            monkeypatch.setattr(series_module, "_MIN_SLAB_RUN", run)
+            for dtype in (np.int64, object):
+                kernel = series_module._Kernel(start.astype(dtype))
+                kernel.power(m, k)
+                assert kernel.arr.dtype == dtype
+                assert cell_support(kernel.arr) == want, (cells, run, dtype)
+
+
 @pytest.mark.parametrize("nvars,bound,sweeps", [(1, 60, False),
                                                 (3, 60, True)])
 def test_poles_sweep_only_on_wide_slabs(monkeypatch, nvars, bound, sweeps):
@@ -934,7 +995,7 @@ def test_poles_sweep_only_on_wide_slabs(monkeypatch, nvars, bound, sweeps):
     f = FactoredSeries(nvars, {tuple(int(i == j) for j in range(nvars)): -1
                                for i in range(nvars)})
     s = expand(f, bound)
-    assert len(s._terms) == (bound + 1) ** nvars
+    assert len(list(s.nonzero_terms())) == (bound + 1) ** nvars
     assert calls and set(calls) == {"_sweep" if sweeps else "_shift_add"}
 
 
@@ -945,7 +1006,7 @@ def test_sparse_supports_come_in_glex_order(monkeypatch, nvars, bound):
     for count in (1, 3, 5):
         f = random_factored(rng, nvars, bound, count)
         log.clear()
-        terms = list(expand(f, bound)._terms)
+        terms = [m for m, _ in expand(f, bound).nonzero_terms()]
         # every factor ran on the support, so the support is its own
         assert log and all(ran for _, ran, _ in log)
         assert len(terms) > 1 and terms == sorted(terms, key=glex_key)
