@@ -279,7 +279,7 @@ class _Layout:
     """
 
     __slots__ = ("nvars", "bound", "cells", "shifts", "weights", "bias",
-                 "high", "mask", "unit", "int64")
+                 "high", "mask", "unit", "int64", "_tables")
 
     def __init__(self, nvars: int, bound: int):
         self.nvars = nvars
@@ -297,6 +297,7 @@ class _Layout:
         self.mask = (1 << w) - 1
         # the largest key is that of (bound, ..., bound)
         self.int64 = self.bias + bound * sum(self.weights) < _INT64_LIMIT
+        self._tables = None
 
     def key(self, m) -> int:
         """The key of the exponent ``m``; SeriesError if it is not in the
@@ -315,6 +316,30 @@ class _Layout:
         for col, weight in zip(cols[1:], self.weights[1:]):
             acc = map(add, acc, map(mul, col, repeat(weight)))
         return list(map(add, acc, repeat(self.bias)))
+
+    def read(self, cols: list) -> Union[list, None]:
+        """The keys of the exponents whose ``i``-th entries are the
+        tokens ``cols[i]``, or None if a token is not the decimal text of
+        an entry in the box.
+
+        Each variable's share of a key is looked up by its text in a
+        table of the box's entries, built once, so an entry needs no
+        ``int`` and no box check.
+        """
+        if self._tables is None:
+            # the bias rides on the first variable's share
+            offsets = [self.bias] + [0] * (self.nvars - 1)
+            self._tables = [{str(e): e * weight + offset
+                             for e in range(self.bound + 1)}
+                            for weight, offset in zip(self.weights, offsets)]
+        tables = self._tables
+        try:
+            acc = map(tables[0].__getitem__, cols[0])
+            for table, col in zip(tables[1:], cols[1:]):
+                acc = map(add, acc, map(table.__getitem__, col))
+            return list(acc)
+        except KeyError:
+            return None
 
     def unpack(self, keys: list) -> list:
         """One list per variable of the entries of the exponents of
@@ -843,14 +868,19 @@ def _read_chunks(lines: list, width: int, layout: Union[_Layout, None],
     keyed by packed exponent, and None for a factored one, keyed by
     exponent tuple.
 
-    A chunk is split, converted by one ``map(int)`` over its tokens and
-    checked on its columns, then added to the terms by one
-    ``dict.update``; a repeated exponent shows as a dict that grew by
-    less than the chunk.  Lines with coefficient 0 are kept until the
-    end, so that a repeat of one is still a duplicate.
+    A chunk is split, its tokens converted by ``map(int)`` and checked
+    on their columns, then added to the terms by one ``dict.update``; a
+    repeated exponent shows as a dict that grew by less than the chunk.
+    An expanded text with at least as many lines as its box has entries
+    reads the exponents off ``_Layout.read`` instead, and converts and
+    checks only the chunks where that misses.  Lines with coefficient 0
+    are kept until the end, so that a repeat of one is still a duplicate.
     """
     terms: dict = {}
     zero = False
+    # the tables then cost no more than the text
+    tables = (layout is not None
+              and layout.nvars * (layout.bound + 1) <= len(lines))
     while lines:
         chunk = lines[-_CHUNK_LINES:]
         del lines[-_CHUNK_LINES:]
@@ -862,21 +892,26 @@ def _read_chunks(lines: list, width: int, layout: Union[_Layout, None],
             continue
         if set(map(len, rows)) != {width}:
             return None
+        tokens = list(chain.from_iterable(rows))
+        cols = [tokens[i::width] for i in range(1, width)]
+        exps = layout.read(cols) if tables else None
         try:
-            vals = list(map(int, chain.from_iterable(rows)))
+            coefs = list(map(int, tokens[::width]))
+            if exps is None:
+                cols = [list(map(int, col)) for col in cols]
         except ValueError:
             return None
-        coefs = vals[::width]
-        cols = [vals[i::width] for i in range(1, width)]
         if layout is None:
             if 0 in coefs:
                 return None
             exps = zip(*cols)
         else:
-            if min(map(min, cols)) < 0 or max(map(max, cols)) > layout.bound:
-                return None
+            if exps is None:
+                if (min(map(min, cols)) < 0
+                        or max(map(max, cols)) > layout.bound):
+                    return None
+                exps = layout.pack(cols)
             zero = zero or 0 in coefs
-            exps = layout.pack(cols)
         size = len(terms) + len(coefs)
         terms.update(zip(exps, coefs))
         if len(terms) != size:
