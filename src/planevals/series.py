@@ -783,31 +783,32 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
 
     Header ``vars R mode {factored|expanded} bound B`` (bound 0 for the
     factored form), then one ``k e1 ... eR`` line per term in glex order.
-    An expanded series' keys are sorted, which for a support read off the
-    grid is one presorted run, and unpacked one column per variable; a
-    factored series' exponents are sorted on (degree, exponent).  The
-    columns fill the slots of a repeated row pattern by slice assignment,
-    and one ``%`` writes it.
+    A factored series' exponents are sorted on (degree, exponent) and
+    flattened term by term.  An expanded series' keys are sorted, which
+    for a support read off the grid is one presorted run, and unpacked
+    one column per variable into the slots of the flattened terms by
+    slice assignment.  One ``%`` of a repeated row pattern writes them.
     """
     if isinstance(series, FactoredSeries):
         head = f"vars {series.nvars} mode factored bound 0\n"
         terms = series._factors
-        exps = [m for _, m in sorted(zip(map(sum, terms), terms))]
-        cols = list(zip(*exps))
+        flat = []
+        for _, m in sorted(zip(map(sum, terms), terms)):
+            flat.append(terms[m])
+            flat.extend(m)
     elif isinstance(series, TruncatedSeries):
         head = f"vars {series.nvars} mode expanded bound {series.bound}\n"
         terms = series._keys
-        exps = sorted(terms)
-        cols = series._layout.unpack(exps)
+        keys = sorted(terms)
+        width = series.nvars + 1
+        flat = [0] * (len(keys) * width)
+        flat[::width] = map(terms.__getitem__, keys)
+        for i, col in enumerate(series._layout.unpack(keys), 1):
+            flat[i::width] = col
     else:
         raise SeriesError(f"not a series: {series!r}")
-    width = series.nvars + 1
-    flat = [0] * (len(exps) * width)
-    flat[::width] = map(terms.__getitem__, exps)
-    for i, col in enumerate(cols, 1):
-        flat[i::width] = col
     row = "%d" + " %d" * series.nvars + "\n"
-    return head + row * len(exps) % tuple(flat)
+    return head + row * len(terms) % tuple(flat)
 
 
 def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
@@ -892,13 +893,17 @@ def _read_chunks(lines: list, width: int, layout: Union[_Layout, None],
             continue
         if set(map(len, rows)) != {width}:
             return None
-        tokens = list(chain.from_iterable(rows))
-        cols = [tokens[i::width] for i in range(1, width)]
-        exps = layout.read(cols) if tables else None
+        exps = None
+        if tables:
+            tokens = list(chain.from_iterable(rows))
+            exps = layout.read([tokens[i::width] for i in range(1, width)])
         try:
-            coefs = list(map(int, tokens[::width]))
             if exps is None:
-                cols = [list(map(int, col)) for col in cols]
+                vals = list(map(int, chain.from_iterable(rows)))
+                coefs = vals[::width]
+                cols = [vals[i::width] for i in range(1, width)]
+            else:
+                coefs = list(map(int, tokens[::width]))
         except ValueError:
             return None
         if layout is None:
