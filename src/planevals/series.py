@@ -275,7 +275,9 @@ class _Layout:
     field carries into the next; ``e_i <= bound`` exactly when the top bit
     of field ``i`` is clear, so one mask tests the box; and integer order
     is glex order.  ``int64`` tells whether every key of the box is below
-    ``2^63``, so that numpy can pack and unpack them.
+    ``2^63``, so that numpy can pack and unpack them.  Instances are
+    shared between callers (``_layout``); only ``read`` adds to one, when
+    it builds its tables.
     """
 
     __slots__ = ("nvars", "bound", "cells", "shifts", "weights", "bias",
@@ -286,12 +288,12 @@ class _Layout:
         self.bound = bound
         self.cells = (bound + 1) ** nvars
         w = (2 * bound).bit_length() + 1
-        self.shifts = [(nvars - 1 - i) * w for i in range(nvars)]
+        self.shifts = tuple((nvars - 1 - i) * w for i in range(nvars))
         # one unit of degree, and a one in every field
         self.unit = 1 << (nvars * w)
         ones = sum(1 << s for s in self.shifts)
         # the key of e without its bias is sum_i e_i * weights[i]
-        self.weights = [self.unit + (1 << s) for s in self.shifts]
+        self.weights = tuple(self.unit + (1 << s) for s in self.shifts)
         self.bias = ((1 << (w - 1)) - 1 - bound) * ones
         self.high = (1 << (w - 1)) * ones
         self.mask = (1 << w) - 1
