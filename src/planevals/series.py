@@ -34,9 +34,8 @@ and packed from them in int64 numpy when every key of the box is below
 bound 1).  A unit of a pole ``(1 - t^m)^-1`` is one running sum, swept
 slab by slab along an axis that ``m`` moves, where the slabs hold at least
 ``_MIN_SLAB_CELLS`` cells, and ``log2(bound // max(m))`` doubling passes
-otherwise; slabs whose contiguous run is shorter than ``_MIN_SLAB_RUN``
-cells are swept as one running sum along the last axis per residue class
-instead.  A product of a few binomials with large exponents stays on its
+otherwise; a pole ``(0, ..., 0, 1)``, whose slabs would be strided
+columns, is summed along the rows instead.  A product of a few binomials with large exponents stays on its
 few terms; one that fills the box, as peeling a numerator does, moves to
 the grid.
 
@@ -57,10 +56,10 @@ The text format has one line per term, in glex order.  The writer sorts
 the keys, which a support read off the grid already holds in order,
 unpacks one column per variable and fills a repeated row pattern.  The
 reader splits and converts the term lines in chunks of at most
-``_CHUNK_LINES`` lines, checks each chunk by columns and packs an
-expanded series' columns straight into keys; only when a chunk fails a
-check does it read the text again one line at a time, to name the first
-bad line.
+``_CHUNK_LINES`` lines, checks each chunk by columns and reads an
+expanded series' exponents straight into keys, converting each distinct
+token of a column once; only when a chunk fails a check does it read
+the text again one line at a time, to name the first bad line.
 """
 
 from __future__ import annotations
@@ -128,15 +127,6 @@ _MIN_GRID_CELLS = 4096
 # r = 3, B = 60 and m = (1, 0, 0): 0.37 against 2.1 ms) (x86_64,
 # Python 3.11, numpy 2.4).
 _MIN_SLAB_CELLS = 400
-# Shortest contiguous run of a slab of _Kernel._sweep.  The slabs along
-# the last axis are columns, with runs of m's last entry only; below this
-# run the pole is summed along the last axis, one residue class of that
-# entry at a time, whose cost grows with the entry instead.  At B = 4095
-# (r = 2), 255 (r = 3) and 63 (r = 4), the residue sums took 60 to 160 ms
-# and the slabs 130 to 910 ms for entries 1 to 8, and the slabs won from
-# 16 up: 200 against 230 ms at r = 2, 70 against 310 ms at r = 4
-# (x86_64, Python 3.11, numpy 2.4).
-_MIN_SLAB_RUN = 8
 # Most term lines that series_from_text splits and converts at once: a
 # chunk's tokens and ints are held beside the terms, so this bounds the
 # memory the reader needs past the text and the terms.
@@ -276,12 +266,11 @@ class _Layout:
     of field ``i`` is clear, so one mask tests the box; and integer order
     is glex order.  ``int64`` tells whether every key of the box is below
     ``2^63``, so that numpy can pack and unpack them.  Instances are
-    shared between callers (``_layout``); only ``read`` adds to one, when
-    it builds its tables.
+    shared between callers (``_layout``) and never change.
     """
 
     __slots__ = ("nvars", "bound", "cells", "shifts", "weights", "bias",
-                 "high", "mask", "unit", "int64", "_tables")
+                 "high", "mask", "unit", "int64")
 
     def __init__(self, nvars: int, bound: int):
         self.nvars = nvars
@@ -299,17 +288,21 @@ class _Layout:
         self.mask = (1 << w) - 1
         # the largest key is that of (bound, ..., bound)
         self.int64 = self.bias + bound * sum(self.weights) < _INT64_LIMIT
-        self._tables = None
 
     def key(self, m) -> int:
         """The key of the exponent ``m``; SeriesError if it is not in the
         box."""
         m = tuple(m)
-        if (len(m) != self.nvars
-                or not all(0 <= e <= self.bound for e in m)):
+        try:
+            entries = list(map(index, m))
+        except TypeError:
+            # 1.0 or "1" is no entry of the box either
+            entries = None
+        if (entries is None or len(entries) != self.nvars
+                or not all(0 <= e <= self.bound for e in entries)):
             raise SeriesError(f"exponent {m} outside grid "
                               f"[0, {self.bound}]^{self.nvars}")
-        return sum(map(mul, map(index, m), self.weights)) + self.bias
+        return sum(map(mul, entries, self.weights)) + self.bias
 
     def pack(self, cols: list) -> list:
         """The keys of the exponents whose ``i``-th entries are
@@ -321,27 +314,29 @@ class _Layout:
 
     def read(self, cols: list) -> Union[list, None]:
         """The keys of the exponents whose ``i``-th entries are the
-        tokens ``cols[i]``, or None if a token is not the decimal text of
-        an entry in the box.
+        tokens ``cols[i]``, or None if a token is not an integer in the
+        box.
 
-        Each variable's share of a key is looked up by its text in a
-        table of the box's entries, built once, so an entry needs no
-        ``int`` and no box check.
+        Each distinct token of a column is converted and checked once,
+        into a table of its share of a key that the column then looks
+        up; the tables are as large as ``cols`` at most, and go with it.
         """
-        if self._tables is None:
-            # the bias rides on the first variable's share
-            offsets = [self.bias] + [0] * (self.nvars - 1)
-            self._tables = [{str(e): e * weight + offset
-                             for e in range(self.bound + 1)}
-                            for weight, offset in zip(self.weights, offsets)]
-        tables = self._tables
+        # the bias rides on the first variable's share
+        offsets = [self.bias] + [0] * (self.nvars - 1)
+        acc = None
         try:
-            acc = map(tables[0].__getitem__, cols[0])
-            for table, col in zip(tables[1:], cols[1:]):
-                acc = map(add, acc, map(table.__getitem__, col))
-            return list(acc)
-        except KeyError:
+            for col, weight, offset in zip(cols, self.weights, offsets):
+                tokens = set(col)
+                entries = list(map(int, tokens))
+                if min(entries) < 0 or max(entries) > self.bound:
+                    return None
+                table = dict(zip(tokens, [e * weight + offset
+                                          for e in entries]))
+                shares = map(table.__getitem__, col)
+                acc = shares if acc is None else map(add, acc, shares)
+        except ValueError:
             return None
+        return list(acc)
 
     def unpack(self, keys: list) -> list:
         """One list per variable of the entries of the exponents of
@@ -540,9 +535,9 @@ class _Kernel:
         Slab ``i`` adds slab ``i - 1``, already final, shifted by ``m``,
         so no pass reads what it writes.  Each cell ends as a sum of at
         most ``reach + 1`` old cells, and every partial sum is one too.
-        If ``a`` is the last axis, ``m`` moves no other, and a slab thinner
-        than ``_MIN_SLAB_RUN`` is swept as one running sum along that axis
-        per residue class of ``m_a``: the same sums, read row by row.
+        If ``m`` is ``(0, ..., 0, 1)``, the slabs are single strided
+        columns, and the same sums run as one ``np.add.accumulate`` along
+        the rows instead.
         """
         import numpy as np
 
@@ -551,10 +546,8 @@ class _Kernel:
         n = arr.shape[0]
         a = next(i for i, e in enumerate(m) if e)
         width = m[a]
-        if a == arr.ndim - 1 and width < _MIN_SLAB_RUN:
-            for rho in range(width):
-                column = arr[..., rho::width]
-                np.add.accumulate(column, axis=-1, out=column)
+        if a == arr.ndim - 1 and width == 1:
+            np.add.accumulate(arr, axis=-1, out=arr)
             return
         src, dst = _views(arr.shape, m)
         for lo in range(width, n, width):
@@ -871,19 +864,16 @@ def _read_chunks(lines: list, width: int, layout: Union[_Layout, None],
     keyed by packed exponent, and None for a factored one, keyed by
     exponent tuple.
 
-    A chunk is split, its tokens converted by ``map(int)`` and checked
-    on their columns, then added to the terms by one ``dict.update``; a
-    repeated exponent shows as a dict that grew by less than the chunk.
-    An expanded text with at least as many lines as its box has entries
-    reads the exponents off ``_Layout.read`` instead, and converts and
-    checks only the chunks where that misses.  Lines with coefficient 0
+    A chunk is split and checked on its columns, then added to the terms
+    by one ``dict.update``; a repeated exponent shows as a dict that grew
+    by less than the chunk.  A factored chunk's tokens are converted by
+    one ``map(int)``.  An expanded chunk's coefficients are, and its
+    exponents are read by ``_Layout.read``, which converts each distinct
+    token of a column once.  Lines with coefficient 0
     are kept until the end, so that a repeat of one is still a duplicate.
     """
     terms: dict = {}
     zero = False
-    # the tables then cost no more than the text
-    tables = (layout is not None
-              and layout.nvars * (layout.bound + 1) <= len(lines))
     while lines:
         chunk = lines[-_CHUNK_LINES:]
         del lines[-_CHUNK_LINES:]
@@ -895,29 +885,24 @@ def _read_chunks(lines: list, width: int, layout: Union[_Layout, None],
             continue
         if set(map(len, rows)) != {width}:
             return None
-        exps = None
-        if tables:
-            tokens = list(chain.from_iterable(rows))
-            exps = layout.read([tokens[i::width] for i in range(1, width)])
-        try:
-            if exps is None:
-                vals = list(map(int, chain.from_iterable(rows)))
-                coefs = vals[::width]
-                cols = [vals[i::width] for i in range(1, width)]
-            else:
-                coefs = list(map(int, tokens[::width]))
-        except ValueError:
-            return None
         if layout is None:
+            try:
+                vals = list(map(int, chain.from_iterable(rows)))
+            except ValueError:
+                return None
+            coefs = vals[::width]
             if 0 in coefs:
                 return None
-            exps = zip(*cols)
+            exps = zip(*(vals[i::width] for i in range(1, width)))
         else:
+            tokens = list(chain.from_iterable(rows))
+            try:
+                coefs = list(map(int, tokens[::width]))
+            except ValueError:
+                return None
+            exps = layout.read([tokens[i::width] for i in range(1, width)])
             if exps is None:
-                if (min(map(min, cols)) < 0
-                        or max(map(max, cols)) > layout.bound):
-                    return None
-                exps = layout.pack(cols)
+                return None
             zero = zero or 0 in coefs
         size = len(terms) + len(coefs)
         terms.update(zip(exps, coefs))

@@ -453,8 +453,8 @@ def test_defects_at_chunk_boundaries_raise_as_per_line(expanded):
 @pytest.mark.parametrize("one,zero", [("+1", "-0"), ("01", "00"),
                                       ("0_1", "+0"), ("\u0661", "\u0660")])
 def test_entries_in_any_integer_spelling_read_as_per_line(one, zero):
-    # int() reads these spellings; the reader's tables hold only the
-    # plain decimal text of each entry, so their chunks take the int path
+    # int() reads these spellings, and the reader converts each one apart
+    # from the plain decimal text of the same entry
     text = long_text(True)
     lines = text.splitlines()
     for at, line in enumerate(lines[1:], 1):
@@ -475,11 +475,10 @@ def test_chunks_of_only_comments_and_blank_lines_are_skipped():
     assert assert_reads_as_reference(bent) == series_from_text(text)
 
 
-def test_reading_takes_no_more_memory_than_the_per_line_reader():
-    # 47^3 = 103,823 term lines, all of coefficient 1
-    f = FactoredSeries(3, {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
-    text = series_to_text(expand(f, 46))
-    peaks = []
+def assert_no_more_memory_than_per_line(text):
+    """Read ``text`` with both readers, to the same series, and compare
+    their peaks of traced memory."""
+    peaks, terms = [], []
     for reader in (series_from_text, reference_reader):
         tracemalloc.start()
         try:
@@ -487,9 +486,28 @@ def test_reading_takes_no_more_memory_than_the_per_line_reader():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(list(s.nonzero_terms())) == 47 ** 3
+        terms.append(list(s.nonzero_terms()))
         del s
+    assert terms[0] == terms[1]
     assert peaks[0] <= peaks[1]
+    return terms[0]
+
+
+def test_reading_takes_no_more_memory_than_the_per_line_reader():
+    # 47^3 = 103,823 term lines, all of coefficient 1
+    f = FactoredSeries(3, {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+    terms = assert_no_more_memory_than_per_line(series_to_text(expand(f,
+                                                                     46)))
+    assert len(terms) == 47 ** 3
+
+
+def test_blank_lines_at_a_large_bound_take_no_more_memory_than_per_line():
+    # a box of 2^20 cells, one term line behind 2^20 blank ones: what the
+    # reader keeps beside the lines grows with the terms, not the box
+    bound = 2 ** 20 - 1
+    text = f"vars 1 mode expanded bound {bound}\n" + "\n" * (bound + 1)
+    terms = assert_no_more_memory_than_per_line(text + f"5 {bound}\n")
+    assert terms == [((bound,), 5)]
 
 
 def test_zero_lines_drop_and_duplicates_are_refused():
@@ -500,9 +518,12 @@ def test_zero_lines_drop_and_duplicates_are_refused():
         series_from_text("vars 1 mode expanded bound 3\n0 2\n5 2\n")
 
 
-@pytest.mark.parametrize("m", [(-1,), (6,), (0, 0), ()])
+@pytest.mark.parametrize("m", [(-1,), (6,), (0, 0), (), (1.0,), ("2",),
+                               (0.5,)])
 def test_indexing_outside_the_box_is_refused(m):
-    # numpy's negative indexing once read (-1,) as the coefficient at 5
+    # numpy's negative indexing once read (-1,) as the coefficient at 5;
+    # a key packs integers only, so 1.0 is refused, where a dict of
+    # exponent tuples once matched it to 1
     s = expand(FactoredSeries(1, {(1,): -1}), 5)
     assert s[(5,)] == 1
     with pytest.raises(SeriesError, match="outside grid"):
@@ -514,10 +535,12 @@ def test_exponents_are_checked_on_construction():
     edge = {(4, 4): 3, (0, 4): -1, (4, 0): 2, (0, 0): 1}
     s = TruncatedSeries(2, 4, edge)
     assert dict(s.nonzero_terms()) == edge and s[(4, 4)] == 3
-    # one past the edge, a negative entry and the wrong arity would each
-    # pack into some other cell's key, or into none
+    assert s[(np.int64(4), np.int64(0))] == 2
+    # one past the edge, a negative entry, the wrong arity and an entry
+    # that is no integer would each pack into some other cell's key, or
+    # into none
     for m in ((5, 0), (0, 5), (5, 5), (-1, 0), (0, -1), (1,), (1, 2, 3),
-              ()):
+              (), (1.0, 2.0), (1, "2")):
         with pytest.raises(SeriesError, match="outside grid"):
             TruncatedSeries(2, 4, {(0, 0): 1, m: 7})
 
@@ -963,8 +986,9 @@ def test_pole_sweep_certifies_reach_plus_one():
         assert sweep.arr.tolist() == doubling.arr.tolist() == want
 
 
-# poles that leave some axes alone: along the last axis only, with runs
-# below and above _MIN_SLAB_RUN, along a leading axis only, and mixed
+# poles that leave some axes alone: along the last axis only, by 1 (summed
+# along the rows when swept) and by more, along a leading axis only, and
+# mixed
 ZERO_ENTRY_POLES = ((0, 1), (0, 3), (0, 9), (1, 0), (3, 0), (0, 1, 0),
                     (0, 0, 1), (0, 0, 7), (0, 0, 8), (2, 0, 1), (0, 2, 1))
 
@@ -979,19 +1003,16 @@ def test_poles_with_zero_entries_agree_on_every_schedule(monkeypatch, m):
     bound = 30 if nvars == 2 else 12
     rng = np.random.default_rng(list(m))
     start = rng.integers(-9, 10, size=(bound + 1,) * nvars)
-    # slab sweeps, running sums per residue class along the last axis,
-    # and doubling passes
-    schedules = ((0, 0), (0, 2 ** 30), (2 ** 30, 0))
     for k in (-1, -2):
         want = reference_power(cell_support(start), bound, m, k)
-        for cells, run in schedules:
+        # sweeps, and doubling passes
+        for cells in (0, 2 ** 30):
             monkeypatch.setattr(series_module, "_MIN_SLAB_CELLS", cells)
-            monkeypatch.setattr(series_module, "_MIN_SLAB_RUN", run)
             for dtype in (np.int64, object):
                 kernel = series_module._Kernel(start.astype(dtype))
                 kernel.power(m, k)
                 assert kernel.arr.dtype == dtype
-                assert cell_support(kernel.arr) == want, (cells, run, dtype)
+                assert cell_support(kernel.arr) == want, (cells, dtype)
 
 
 @pytest.mark.parametrize("nvars,bound,sweeps", [(1, 60, False),
