@@ -419,6 +419,19 @@ def test_divisorial_decoding_golden_digest():
         "ef9de55eb4d2739087c6d60ee6f63ff5164f66147e600c2d7edc8174a5051336")
 
 
+def test_curve_decoding_golden_digest():
+    # as decoded by the decoder that searched over peel orders and
+    # assembled each decomposition it found until one reproduced the series
+    h = hashlib.sha256()
+    cases = [(11_000 + s, 1 + s % 8) for s in range(160)]
+    cases += [(12_000 + 100 * r + s, r) for r in (16, 24, 32) for s in range(3)]
+    for seed, r in cases:
+        g = random_instance(seed, 40, r, "curve")
+        h.update(graph_to_json(reconstruct_curve(series_of(g))).encode())
+    assert h.hexdigest() == (
+        "a080f72c3675c1ec82288d788aff5dc9742a15cf04467c0e76f35bb7501fb2b4")
+
+
 # -- full reconstruction ------------------------------------------------------
 
 
