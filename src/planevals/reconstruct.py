@@ -9,9 +9,11 @@ through one candidate loop: a candidate must fit the pair's two chains
 (shared depth, point kinds), which needs no graph, or, on the fallback,
 reproduce the pair's series.  A Noether walk merges per-branch
 infinitely-near-point chains into the final graph, and a single chain is
-the same walk with one branch.  Every decoded graph has its forward
-series recomputed and compared with the input, so wrong guesses surface
-as errors instead of wrong graphs.
+the same walk with one branch.  A curve series gives up one branch at a
+time through the projection formula, with no search over peel orders, and
+its one decomposition is assembled once.  Every decoded graph has its
+forward series recomputed and compared with the input, so a wrong decode
+surfaces as an error instead of a wrong graph.
 """
 
 from __future__ import annotations
@@ -659,17 +661,18 @@ def _peel_at(q: FactoredSeries, cand: tuple):
 
 
 def _solve_curve(p: FactoredSeries):
-    """Yield (branches, contacts) decompositions of a curve series."""
-    r = p.nvars
-    if r == 1:
+    """The (branches, contacts) decomposition of a curve series.
+
+    Peels the branch at the first maximal exponent that peels and decodes
+    the rest.  A valid series has one decomposition (Yamamoto), so no other
+    peel is tried; the caller checks the result against the series.
+    """
+    if p.nvars == 1:
         b = branch_from_univariate(p, "curve")
-        yield [b], [[b.top_value]]
-        return
-    if not p.factors():
-        if r == 2:
-            sm = BranchData.from_generators((1,), 0)
-            yield [sm, sm], [[1, 1], [1, 1]]
-        return
+        return [b], [[b.top_value]]
+    if p.nvars == 2 and not p.factors():
+        sm = BranchData.from_generators((1,), 0)
+        return [sm, sm], [[1, 1], [1, 1]]
     for cand in _maximal_exponents(list(p.factors())):
         try:
             i0, bd = _peel_at(p, cand)
@@ -683,32 +686,28 @@ def _solve_curve(p: FactoredSeries):
         # self-value; the diagonal stores the latter
         col = list(cand)
         col[i0 - 1] = bd.top_value
-        for sub_b, sub_c in _solve_curve(p_rest):
-            branches = list(sub_b)
-            branches.insert(i0 - 1, bd)
-            cm = [row[:i0 - 1] + [v] + row[i0 - 1:]
-                  for row, v in zip(sub_c, col[:i0 - 1] + col[i0:])]
-            cm.insert(i0 - 1, col)
-            yield branches, cm
+        branches, sub_c = _solve_curve(p_rest)
+        branches.insert(i0 - 1, bd)
+        cm = [row[:i0 - 1] + [v] + row[i0 - 1:]
+              for row, v in zip(sub_c, col[:i0 - 1] + col[i0:])]
+        cm.insert(i0 - 1, col)
+        return branches, cm
+    raise DecodeError("series does not decompose into plane curve branches")
 
 
 def reconstruct_curve(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a plane curve from its Poincare series.
 
-    Peels one branch at a time from a maximal exponent, recurses on the
-    projection, and accepts the first decomposition whose assembled
-    graph reproduces the input series exactly.
+    Peels each branch once, at a maximal exponent, and assembles the one
+    decomposition once; the graph is returned only if its series
+    reproduces the input exactly.
     """
     if p.nvars < 1:
         raise DecodeError("need at least one variable")
-    last: Optional[Exception] = None
-    for branches, cm in _solve_curve(p):
-        try:
-            return assemble(branches, cm, "curve", expect=p)
-        except (ContactError, VerificationError, GraphError) as exc:
-            last = exc
-    if last is not None:
+    branches, cm = _solve_curve(p)
+    try:
+        return assemble(branches, cm, "curve", expect=p)
+    except (ContactError, VerificationError, GraphError) as exc:
         raise VerificationError(
             f"no branch decomposition assembles back to the series "
-            f"(last failure: {last})")
-    raise DecodeError("series does not decompose into plane curve branches")
+            f"(last failure: {exc})") from exc

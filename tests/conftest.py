@@ -88,6 +88,30 @@ def series_of(graph: DualGraph):
     return poincare_series(graph, default_spec(graph))
 
 
+def bareiss_det(rows) -> int:
+    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    a = [list(map(int, r)) for r in rows]
+    n = len(a)
+    if any(len(r) != n for r in a):
+        raise ValueError("square matrix required")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def spy_on(monkeypatch, name):
     """Record the arguments of every call of reconstruct.<name>."""
     calls = []

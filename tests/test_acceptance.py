@@ -14,10 +14,10 @@ from planevals import (BranchData, FactoredSeries, default_spec,
                        noether_contact, poincare_series, project,
                        random_instance, semigroup_series)
 from planevals.cli import main
-from planevals.dualgraph import bareiss_det, euler_smooth
+from planevals.dualgraph import euler_smooth
 
 from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, NODE, SMOOTH, TACNODE,
-                      series_of, small_corpus)
+                      bareiss_det, series_of, small_corpus)
 
 
 def test_01_same_series_different_graphs(capsys):

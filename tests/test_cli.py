@@ -457,8 +457,9 @@ def test_roundtrip_names_the_failure_reason(capsys, monkeypatch):
 @pytest.mark.parametrize("text,assemblies", [
     # one branch decomposition, whose graph reproduces (1, 1, 1) instead
     ("vars 3 mode factored bound 0\n1 1 1 2\n", 1),
-    # two decompositions, so reconstruct_curve tries again after the first
-    ("vars 4 mode factored bound 0\n1 1 1 1 2\n1 1 2 2 1\n", 2),
+    # both maximal exponents peel, in either order to the same
+    # decomposition, which is assembled once
+    ("vars 4 mode factored bound 0\n1 1 1 1 2\n1 1 2 2 1\n", 1),
 ])
 def test_tampered_curve_series_fail_the_self_check(tmp_path, capsys,
                                                    monkeypatch, text,
@@ -472,6 +473,30 @@ def test_tampered_curve_series_fail_the_self_check(tmp_path, capsys,
     assert line.startswith("verification failure: no branch decomposition "
                            "assembles back to the series (last failure: ")
     assert len(calls) == assemblies
+
+
+def test_tampered_sixteen_branch_series_is_assembled_once(tmp_path, capsys,
+                                                          monkeypatch):
+    # the series of 16 branches with its first term line's coordinate 5
+    # raised by one: its one decomposition, reached by tens of thousands of
+    # peel orders, is assembled once
+    graph = str(tmp_path / "g.json")
+    assert main(["gen", "--mode", "curve", "--seed", "43", "--max-vertices",
+                 "40", "--r", "16", "--out", graph]) == 0
+    assert main(["series", graph]) == 0
+    header, first, *rest = capsys.readouterr().out.splitlines()
+    assert first == "2 1 1 1 2 1 1 2 2 1 2 1 1 1 3 2 1"
+    tokens = first.split()
+    tokens[5] = str(int(tokens[5]) + 1)
+    path = write(tmp_path, "p.txt",
+                 "\n".join([header, " ".join(tokens), *rest]) + "\n")
+    calls = spy_on(monkeypatch, "assemble")
+    assert main(["reconstruct", path, "--mode", "curve"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("verification failure: no branch decomposition ")
+    assert len(calls) == 1
 
 
 def test_oracle_check_reports_a_mismatch(tmp_path, capsys, monkeypatch):

@@ -13,9 +13,10 @@ from planevals import (DualGraph, GraphError, blowup, canonical_code,
                        downward_closure, equivalent, graph_from_json,
                        graph_to_json, minimize_curve_resolution,
                        multiplicity_matrix, random_instance)
-from planevals.dualgraph import MAX_VERTICES, bareiss_det, euler_smooth
+from planevals.dualgraph import MAX_VERTICES, euler_smooth
 
-from conftest import CUSP_CURVE, CUSP_DIV, TACNODE, small_corpus
+from conftest import (CUSP_CURVE, CUSP_DIV, TACNODE, bareiss_det,
+                      small_corpus)
 
 
 # -- construction and replay ----------------------------------------------
