@@ -1,10 +1,10 @@
 """Decoding series back into graphs: branches, contacts, full assembly."""
 
 import hashlib
-import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from planevals import (BranchData, ContactError, DecodeError, DualGraph,
                        FactoredSeries, GraphError, VerificationError,
@@ -479,9 +479,9 @@ def test_reconstruct_rejects_tampered_series():
         reconstruct_divisorial(q)
 
 
-# seeds per valuation count and edit in tier-1; the scheduled CI job runs
-# the sweep with PLANEVALS_TAMPER_SEEDS=150
-TAMPER_SEEDS = int(os.environ.get("PLANEVALS_TAMPER_SEEDS", "4"))
+# seeds per valuation count (and edit) in tier-1; the "fuzz" profile, for
+# `pytest --hypothesis-profile fuzz`, runs 150
+TAMPER_SEEDS = 150 if settings.get_current_profile_name() == "fuzz" else 4
 
 
 def tamper(p, seed, edit):
@@ -498,6 +498,18 @@ def tamper(p, seed, edit):
     elif edit == "double":
         facs[m] = 2 * k
     return FactoredSeries(p.nvars, facs)
+
+
+@pytest.mark.parametrize("r", [8, 16, 24, 32])
+def test_untampered_curve_series_decode_after_one_assembly(
+        r, assemble_calls):
+    # the sources of the tamper sweep below: each is decoded on its one
+    # pass, never refused
+    for s in range(TAMPER_SEEDS):
+        g = random_instance(1000 * r + s, 40, r, "curve")
+        assemble_calls.clear()
+        assert equivalent(reconstruct_curve(series_of(g)), g)
+        assert len(assemble_calls) == 1
 
 
 @pytest.mark.parametrize("edit", ["drop", "move", "double"])
