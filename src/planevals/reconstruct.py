@@ -4,16 +4,15 @@ The univariate series of one valuation decodes to numerical branch data
 (semigroup generators, dead-end values, free tail); branch_from_univariate
 holds the only check of that data against its series.  A Euclidean state
 machine rebuilds the blowup sequence from that data.  Pairwise contacts
-come from the shape of the two-variable series, projected once per pair,
-through one candidate loop: a candidate must fit the pair's two chains
-(shared depth, point kinds), which needs no graph, or, on the fallback,
-reproduce the pair's series.  A Noether walk merges per-branch
-infinitely-near-point chains into the final graph, and a single chain is
-the same walk with one branch.  A curve series gives up one branch at a
-time through the projection formula, with no search over peel orders, and
-its one decomposition is assembled once.  Every decoded graph has its
-forward series recomputed and compared with the input, so a wrong decode
-surfaces as an error instead of a wrong graph.
+come from the shape of the two-variable series, projected once per pair:
+each pair takes the first candidate that fits its two chains (shared
+depth, point kinds), which needs no graph.  A Noether walk merges
+per-branch infinitely-near-point chains into the final graph, and a single
+chain is the same walk with one branch.  A curve series gives up one
+branch at a time through the projection formula, with no search over peel
+orders.  Either decode assembles its one graph once, and that graph has
+its forward series recomputed and compared with the input, so a wrong
+decode surfaces as an error instead of a wrong graph.
 """
 
 from __future__ import annotations
@@ -504,8 +503,8 @@ def _contact_candidates(p2: FactoredSeries, b1: BranchData,
     latter case the geodesics separate at or after the last rupture and
     the other coordinate picks up the gcd factor of the deeper chain.
     reconstruct_divisorial keeps the first candidate that fits the two
-    chains (_fit_chains), with no pair graph built; only its fallback,
-    pairwise_contact, assembles each pair and compares its series.
+    chains (_fit_chains), with no pair graph built; pairwise_contact
+    instead assembles each pair and compares its series.
     """
     poles = [m for m, k in p2.factors().items() if k == -1]
     cands: List[int] = []
@@ -555,9 +554,9 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
 
     Tries each structural candidate and keeps the one whose reassembled
     pair reproduces the given two-variable series; at most one can, since
-    the series determines the pair's minimal resolution.  This is the
-    fallback path of reconstruct_divisorial, whose first path only fits
-    each candidate to the two chains and checks the whole series once.
+    the series determines the pair's minimal resolution.
+    reconstruct_divisorial does not call it: it fits each candidate to the
+    two chains only and checks the whole series once.
     """
     if p2.nvars != 2:
         raise DecodeError("pairwise contact needs a two-variable series")
@@ -567,18 +566,15 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
 def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a set of divisorial valuations from its series.
 
-    Each valuation decodes from its one-variable projection, and each
-    pair's two-variable projection is taken once.  Each pair takes the
-    first candidate contact that fits the two chains (_fit_chains: shared
-    depth, point kinds, no whole shared chain), and the one graph
-    assembled from these contacts is checked against the whole input
+    Each valuation decodes from its one-variable projection.  Each pair's
+    two-variable projection is taken in turn, and the pair takes the first
+    candidate contact that fits the two chains (_fit_chains: shared depth,
+    point kinds, no whole shared chain); no pair graph is built.  The one
+    graph assembled from these contacts is checked against the whole input
     series.  That series determines the minimal resolution, and its
     projection to two valuations is the series of the pair
     (Campillo-Delgado-Gusein-Zade), so the one check proves every pair's
-    contact.  If it fails for any reason, the contacts are chosen again,
-    each by pairwise_contact against its pair's series, and the result
-    is checked against p, so an input that fails ends in the same error
-    as with that path alone.  Both paths run the one candidate loop.
+    contact: a wrong choice ends in an error, never in a graph.
     """
     r = p.nvars
     if r < 1:
@@ -586,22 +582,15 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     branches = [branch_from_univariate(project(p, {i}) if r > 1 else p,
                                        "divisorial")
                 for i in range(1, r + 1)]
-    # every factor has all coordinates nonzero once the variables
-    # project, so no pair's projection can fail
-    pairs = [(i, j, project(p, {i + 1, j + 1}) if r > 2 else p)
-             for i in range(r) for j in range(i + 1, r)]
-
-    def decode(contact) -> DualGraph:
-        cm = [[b.top_value if i == j else 0 for j in range(r)]
-              for i, b in enumerate(branches)]
-        for i, j, pij in pairs:
-            cm[i][j] = cm[j][i] = contact(pij, branches[i], branches[j])
-        return assemble(branches, cm, "divisorial", expect=p)
-
-    try:
-        return decode(partial(_first_contact, check=_fit_chains))
-    except _REJECTED:
-        return decode(pairwise_contact)
+    cm = [[b.top_value if i == j else 0 for j in range(r)]
+          for i, b in enumerate(branches)]
+    for i, j in itertools.combinations(range(r), 2):
+        # every factor has all coordinates nonzero once the variables
+        # project, so no pair's projection can fail
+        pij = project(p, {i + 1, j + 1}) if r > 2 else p
+        cm[i][j] = cm[j][i] = _first_contact(pij, branches[i], branches[j],
+                                             _fit_chains)
+    return assemble(branches, cm, "divisorial", expect=p)
 
 
 # -- curve reconstruction ---------------------------------------------------
@@ -673,13 +662,17 @@ def _solve_curve(p: FactoredSeries):
     if p.nvars == 2 and not p.factors():
         sm = BranchData.from_generators((1,), 0)
         return [sm, sm], [[1, 1], [1, 1]]
+    last: Optional[Exception] = None
     for cand in _maximal_exponents(list(p.factors())):
         try:
             i0, bd = _peel_at(p, cand)
             if bd.top_value > cand[i0 - 1]:
-                continue
+                raise DecodeError(
+                    f"peeled branch {bd.generators} has self-value "
+                    f"{bd.top_value} above its exponent {cand[i0 - 1]}")
             p_rest = projection_formula_curve(p, cand, i0)
-        except (DecodeError, SeriesError):
+        except (DecodeError, SeriesError) as exc:
+            last = exc
             continue
         # the peeled branch's row and column are the exponent, but its own
         # coordinate counts shared extension steps on top of the solo
@@ -692,7 +685,10 @@ def _solve_curve(p: FactoredSeries):
               for row, v in zip(sub_c, col[:i0 - 1] + col[i0:])]
         cm.insert(i0 - 1, col)
         return branches, cm
-    raise DecodeError("series does not decompose into plane curve branches")
+    raise DecodeError(
+        f"series does not decompose into plane curve branches: no exponent "
+        f"peels with {p.nvars} branches left"
+        f"{'' if last is None else f' (last failure: {last})'}")
 
 
 def reconstruct_curve(p: FactoredSeries) -> DualGraph:
@@ -709,5 +705,5 @@ def reconstruct_curve(p: FactoredSeries) -> DualGraph:
         return assemble(branches, cm, "curve", expect=p)
     except (ContactError, VerificationError, GraphError) as exc:
         raise VerificationError(
-            f"no branch decomposition assembles back to the series "
-            f"(last failure: {exc})") from exc
+            f"the branch decomposition does not assemble back to the "
+            f"series: {exc}") from exc

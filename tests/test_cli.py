@@ -95,14 +95,16 @@ def test_reconstruct_rejects_undecodable(tmp_path, capsys):
 
 def test_tampered_pair_series_is_undecodable(tmp_path, capsys):
     # both one-variable projections are valid and one candidate contact
-    # passes the structural checks, but no pair reproduces the series: the
-    # failed single check falls back to the per-pair checks, which refuse
-    # the input (exit 2), not report a failed self-check (exit 3)
+    # fits the two chains, but its graph does not reproduce the series:
+    # the one check refuses it as a failed self-check (exit 3)
     spath = write(tmp_path, "p.txt", "vars 2 mode factored bound 0\n"
                   "-1 1 3\n-1 3 1\n-1 3 2\n1 3 3\n")
-    assert main(["reconstruct", spath, "--mode", "div"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: no structural case yields a contact")
+    assert main(["reconstruct", spath, "--mode", "div"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("verification failure: assembled graph "
+                           "reproduces ")
 
 
 def test_many_tampered_poles_are_refused_promptly(tmp_path, capsys):
@@ -119,12 +121,13 @@ def test_many_tampered_poles_are_refused_promptly(tmp_path, capsys):
     assert len(facs) == 8004
     path = write(tmp_path, "p.txt", series_to_text(FactoredSeries(2, facs)))
     start = time.perf_counter()
-    assert main(["reconstruct", path, "--mode", "div"]) == 2
+    assert main(["reconstruct", path, "--mode", "div"]) == 3
     assert time.perf_counter() - start < 1.0
     # the failed check names factor counts and the first difference, not
     # every factor
-    err = capsys.readouterr().err
-    assert "error:" in err and len(err) < 1000
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("verification failure: assembled graph ")
+    assert len(line) < 1000
 
 
 def test_equiv_distinguishes(tmp_path, capsys):
@@ -470,8 +473,8 @@ def test_tampered_curve_series_fail_the_self_check(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith("verification failure: no branch decomposition "
-                           "assembles back to the series (last failure: ")
+    assert line.startswith("verification failure: the branch decomposition "
+                           "does not assemble back to the series: ")
     assert len(calls) == assemblies
 
 
@@ -495,7 +498,7 @@ def test_tampered_sixteen_branch_series_is_assembled_once(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith("verification failure: no branch decomposition ")
+    assert line.startswith("verification failure: the branch decomposition ")
     assert len(calls) == 1
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import settings
@@ -311,16 +312,27 @@ def test_ambiguous_pair_decodes_with_one_series_check(graph, pair,
     assert pairwise_calls == []
 
 
+# what the one assembly raises on the wrong contact, by the number of
+# valuations: the pair graph fails the check against the series, while of
+# three valuations the wrong pair breaks the hierarchy of the three chains
+WRONG_CONTACT_FAILURE = {
+    2: (VerificationError, "^assembled graph reproduces "),
+    3: (ContactError, "^shared depths violate the tree hierarchy$"),
+}
+
+
 @pytest.mark.parametrize("graph,pair", AMBIGUOUS)
-def test_reversed_candidates_decode_through_the_fallback(
-        graph, pair, pairwise_calls, monkeypatch):
-    # reversed, the wrong structural survivor comes first, so the single
-    # check fails and every pair is checked against its own series
+def test_reversed_candidates_fail_after_one_assembly(
+        graph, pair, assemble_calls, pairwise_calls, monkeypatch):
+    # reversed, the wrong structural survivor comes first: the one graph
+    # is refused, and no pair is decoded again
     monkeypatch.setattr(reconstruct, "_contact_candidates",
                         lambda *args: _contact_candidates(*args)[::-1])
-    p = series_of(graph)
-    assert equivalent(reconstruct_divisorial(p), graph)
-    assert len(pairwise_calls) == p.nvars * (p.nvars - 1) // 2
+    error, message = WRONG_CONTACT_FAILURE[len(graph.marked_divisors)]
+    with pytest.raises(error, match=message):
+        reconstruct_divisorial(series_of(graph))
+    assert len(assemble_calls) == 1
+    assert pairwise_calls == []
 
 
 def test_valid_decode_assembles_one_graph(assemble_calls, pairwise_calls):
@@ -377,25 +389,26 @@ def decode_outcome(p, message=False):
 
 def test_tampered_pair_series_fail_as_before():
     series = tampered_pair_series(200)
-    # 56 of them have a single structurally valid contact: decoding ends in
-    # DecodeError there only if a failed single check falls back to the
-    # per-pair path whatever the number of survivors
+    # 56 of them have a single structurally valid contact; those that fit
+    # the chains fail the one check against the whole series
     assert sum(len(structural_survivors(*pair_data(q, (1, 2)))) == 1
                for q in series) == 56
-    outcomes = "\n".join(decode_outcome(q) for q in series)
-    # the outcomes of the decoder that checked every pair's series
-    assert hashlib.sha256(outcomes.encode()).hexdigest() == (
-        "0081960946d8485fa6c5d6473ee26d0e78f4bbdcd3b850e849db19be840e24f1")
+    outcomes = [decode_outcome(q) for q in series]
+    assert Counter(outcomes) == {"DecodeError": 143, "VerificationError": 57}
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
+        "d0ce96d486d8b3b55af53744fb35ad204ece9ecd041a0fb6980a34b135e2cd6f")
 
 
 def test_tampered_triple_series_fail_as_before():
     # the tampered pair (1, 2) of three valuations: outcomes, class and
-    # message, of the decoder that assembled a graph for every candidate
-    # pair; some fail on the chains, others only at the single check
-    outcomes = "\n".join(decode_outcome(q, message=True)
-                         for q in tampered_pair_series(200, r=3))
-    assert hashlib.sha256(outcomes.encode()).hexdigest() == (
-        "d24b82922d5fc3b8452844e8c4529a0aeedf58422b70b30451edde246f8919ea")
+    # message; some fail on the chains, others at the one assembly, on
+    # the hierarchy of the three chains or on the series check
+    outcomes = [decode_outcome(q, message=True)
+                for q in tampered_pair_series(200, r=3)]
+    assert Counter(o.split(":")[0] for o in outcomes) == {
+        "DecodeError": 126, "VerificationError": 65, "ContactError": 9}
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
+        "5f4456103745a20f9f1505d090f3334c4e88127b96e68969556869bc44f41705")
 
 
 def test_failed_checks_quote_at_most_32_factors():
@@ -500,29 +513,39 @@ def tamper(p, seed, edit):
     return FactoredSeries(p.nvars, facs)
 
 
-@pytest.mark.parametrize("r", [8, 16, 24, 32])
+DECODERS = {"curve": reconstruct_curve,
+            "divisorial": reconstruct_divisorial}
+
+# (mode, r) of the sweeps below; the curve cases keep their ids r, the
+# divisorial ones are div-r
+SWEEP = [pytest.param("curve", r, id=str(r)) for r in (8, 16, 24, 32)]
+SWEEP += [pytest.param("divisorial", r, id=f"div-{r}")
+          for r in (8, 16, 24, 32)]
+
+
+@pytest.mark.parametrize("mode,r", SWEEP)
 def test_untampered_curve_series_decode_after_one_assembly(
-        r, assemble_calls):
-    # the sources of the tamper sweep below: each is decoded on its one
-    # pass, never refused
+        mode, r, assemble_calls):
+    # the sources of the tamper sweep below, in both modes despite the
+    # name: each is decoded on its one pass, never refused
     for s in range(TAMPER_SEEDS):
-        g = random_instance(1000 * r + s, 40, r, "curve")
+        g = random_instance(1000 * r + s, 40, r, mode)
         assemble_calls.clear()
-        assert equivalent(reconstruct_curve(series_of(g)), g)
+        assert equivalent(DECODERS[mode](series_of(g)), g)
         assert len(assemble_calls) == 1
 
 
 @pytest.mark.parametrize("edit", ["drop", "move", "double"])
-@pytest.mark.parametrize("r", [8, 16, 24, 32])
+@pytest.mark.parametrize("mode,r", SWEEP)
 def test_tampered_curve_series_decode_or_fail_after_one_assembly(
-        r, edit, assemble_calls):
+        mode, r, edit, assemble_calls):
     for s in range(TAMPER_SEEDS):
-        g = random_instance(1000 * r + s, 40, r, "curve")
+        g = random_instance(1000 * r + s, 40, r, mode)
         q = tamper(series_of(g), 1000 * r + s, edit)
         assemble_calls.clear()
         try:
             # a graph is returned only for the series it reproduces
-            assert series_of(reconstruct_curve(q)) == q
+            assert series_of(DECODERS[mode](q)) == q
         except (DecodeError, VerificationError):
             pass
         assert len(assemble_calls) <= 1
@@ -540,6 +563,24 @@ def test_peel_transversal_cusps():
     branches, cm = _solve_curve(series_of(TRANSVERSAL_CUSPS))
     assert [b.generators for b in branches] == [(2, 3), (2, 3)]
     assert cm == [[6, 4], [4, 6]]
+
+
+@pytest.mark.parametrize("nvars,facs,failure", [
+    # the one maximal exponent peels a branch whose self-value is above
+    # the exponent's own coordinate
+    pytest.param(2, {(2, 1): -1, (4, 2): 1, (5, 2): -1}, "2 branches left "
+                 "(last failure: peeled branch (2, 5) has self-value 10 "
+                 "above its exponent 5)", id="top-level"),
+    # one branch peels, and no exponent of the two branches left does
+    pytest.param(3, {(2, 6, 3): 2}, "2 branches left (last failure: "
+                 "generators (2,) have gcd 2 != 1)", id="one-level-down"),
+])
+def test_curve_dead_end_names_the_branches_left_and_the_last_failure(
+        nvars, facs, failure):
+    with pytest.raises(DecodeError) as info:
+        _solve_curve(FactoredSeries(nvars, facs))
+    assert str(info.value) == ("series does not decompose into plane curve "
+                               f"branches: no exponent peels with {failure}")
 
 
 def table_branch_of_values(values):
