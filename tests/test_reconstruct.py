@@ -12,7 +12,8 @@ from planevals import (BranchData, ContactError, DecodeError, DualGraph,
                        assemble, branch_from_univariate, equivalent,
                        graph_from_branch, graph_to_json, multiplicity_matrix,
                        pairwise_contact, project, random_instance,
-                       reconstruct, reconstruct_curve, reconstruct_divisorial)
+                       reconstruct, reconstruct_curve, reconstruct_divisorial,
+                       series_to_text)
 
 from planevals.dualgraph import MAX_VERTICES
 from planevals.reconstruct import (_branch_of_values, _contact_candidates,
@@ -649,3 +650,26 @@ def test_chain_length_is_bounded_before_building():
     with pytest.raises(DecodeError, match="limit"):
         graph_from_branch(BranchData.from_generators((1,), 10 ** 12),
                           "divisorial")
+
+
+CAMPAIGN_DIGEST = (
+    "4818ae3e52481e0c1556132df41053701b3dc06ed36122c42841f83d1d25cfa7")
+
+
+def test_campaign_round_trips_match_pinned_digest():
+    # the first 1000 items of the seed-1 round-trip campaign: seed
+    # 4 (10^6 + k), modes alternating, r cycling 1..3 (divisorial) and
+    # 1..4 (curve), at most 30 vertices; sha256 over each graph's JSON,
+    # its factored series text and the JSON of its decode
+    h = hashlib.sha256()
+    for k in range(1000):
+        mode, j = ("divisorial", "curve")[k % 2], k // 2
+        r = j % 3 + 1 if mode == "divisorial" else j % 4 + 1
+        g = random_instance(4 * (10 ** 6 + k), 30, r, mode)
+        p = series_of(g)
+        back = (reconstruct_divisorial(p) if mode == "divisorial"
+                else reconstruct_curve(p))
+        for text in (graph_to_json(g), series_to_text(p),
+                     graph_to_json(back)):
+            h.update(text.encode())
+    assert h.hexdigest() == CAMPAIGN_DIGEST
