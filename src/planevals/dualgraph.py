@@ -13,6 +13,8 @@ from __future__ import annotations
 import bisect
 import json
 import random
+from itertools import compress
+from operator import itemgetter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
@@ -52,6 +54,12 @@ class DualGraph:
     strictly smaller).  marked_divisors is an ordered tuple of distinct
     vertex ids; arrows is a tuple of (vertex, branch) pairs whose branch
     indices are exactly 1..b.
+
+    Construction replays the sequence once, in O(n): it checks every
+    vertex's parents and counts each vertex's children, and that count
+    gives the self-intersection (-1 minus the count) and maximality (no
+    child).  The edges are the parent links less those that a satellite
+    replaced, so each adjacency tuple comes out sorted without a sort.
     """
 
     parents: Tuple[Tuple[int, ...], ...] = ()
@@ -59,11 +67,10 @@ class DualGraph:
     arrows: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        parents = tuple(tuple(sorted(int(p) for p in ps))
-                        for ps in self.parents)
-        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "parents", tuple(
+            [tuple(sorted(map(int, ps))) for ps in self.parents]))
         object.__setattr__(self, "marked_divisors",
-                           tuple(int(v) for v in self.marked_divisors))
+                           tuple(map(int, self.marked_divisors)))
         object.__setattr__(self, "arrows",
                            tuple(sorted((int(v), int(b))
                                         for v, b in self.arrows)))
@@ -73,57 +80,59 @@ class DualGraph:
     # -- replay of the blowup sequence -----------------------------------
 
     def _replay(self) -> None:
-        n = len(self.parents)
-        adj = {v: set() for v in range(1, n + 1)}
-        selfint = {}
-        for v in range(1, n + 1):
-            ps = self.parents[v - 1]
-            if v == 1:
-                if ps:
-                    raise GraphError("vertex 1 cannot have parents")
-            elif len(ps) == 1:
+        parents = self.parents
+        n = len(parents)
+        if n and parents[0]:
+            raise GraphError("vertex 1 cannot have parents")
+        kids = [0] * (n + 1)
+        # up[v - 1]: the parents of v still adjacent to it; a satellite on
+        # the point of E_s and E_d (s < d) cuts s from up[d - 1]
+        up = list(map(list, parents))
+        for v in range(2, n + 1):
+            ps = parents[v - 1]
+            if len(ps) == 1:
                 (s,) = ps
-                if not 1 <= s < v:
+                if not 0 < s < v:
                     raise GraphError(f"vertex {v}: bad parent {s}")
-                adj[s].add(v)
-                adj[v].add(s)
+                kids[s] += 1
             elif len(ps) == 2:
                 s, d = ps
-                if not (1 <= s < v and s < d < v):
+                if not 0 < s < d < v:
                     raise GraphError(f"vertex {v}: bad parents {ps}")
-                if d not in adj[s]:
+                if s not in up[d - 1]:
                     raise GraphError(
                         f"vertex {v}: satellite parents {s},{d} not adjacent")
-                adj[s].discard(d)
-                adj[d].discard(s)
-                adj[s].add(v)
-                adj[d].add(v)
-                adj[v].update((s, d))
+                up[d - 1].remove(s)
+                kids[s] += 1
+                kids[d] += 1
             else:
                 raise GraphError(f"vertex {v}: needs 0, 1, or 2 parents")
+        # parents come before v and children after it, each in id order
+        adj: List[List[int]] = [[] for _ in range(n + 1)]
+        for v, ps in enumerate(up, 1):
             for p in ps:
-                selfint[p] -= 1
-            selfint[v] = -1
-        children = set(p for ps in self.parents for p in ps)
+                adj[p].append(v)
+                adj[v].append(p)
         object.__setattr__(self, "_adj",
-                           {v: tuple(sorted(adj[v])) for v in adj})
+                           dict(zip(range(1, n + 1), map(tuple, adj[1:]))))
+        # -1 - children: -1 at each vertex's blowup, -1 per later center on it
         object.__setattr__(self, "_selfint",
-                           tuple(selfint[v] for v in range(1, n + 1)))
-        object.__setattr__(self, "_nonmaximal", frozenset(children))
+                           tuple(map((-1).__sub__, kids[1:])))
 
     def _check_decorations(self) -> None:
-        n = self.n
+        n = len(self.parents)
         marks = self.marked_divisors
         if len(set(marks)) != len(marks):
             raise GraphError("marked divisors must be distinct")
-        for v in marks:
-            if not 1 <= v <= n:
-                raise GraphError(f"marked divisor {v} out of range")
-        branches = [b for _, b in self.arrows]
-        if sorted(branches) != list(range(1, len(branches) + 1)):
-            raise GraphError("arrow branch indices must be exactly 1..b")
-        for v, _ in self.arrows:
-            if not 1 <= v <= n:
+        if marks and not (0 < min(marks) and max(marks) <= n):
+            v = next(v for v in marks if not 0 < v <= n)
+            raise GraphError(f"marked divisor {v} out of range")
+        if self.arrows:
+            vs, branches = zip(*self.arrows)
+            if sorted(branches) != list(range(1, len(branches) + 1)):
+                raise GraphError("arrow branch indices must be exactly 1..b")
+            if not (0 < vs[0] and vs[-1] <= n):
+                v = next(v for v in vs if not 0 < v <= n)
                 raise GraphError(f"arrow vertex {v} out of range")
 
     # -- basic queries ----------------------------------------------------
@@ -172,10 +181,11 @@ class DualGraph:
         return tuple(reversed(out))
 
     def is_maximal(self, v: int) -> bool:
-        return v not in self._nonmaximal
+        return self._selfint[v - 1] == -1
 
     def maximal_vertices(self) -> Tuple[int, ...]:
-        return tuple(v for v in self.vertex_ids() if self.is_maximal(v))
+        return tuple(compress(self.vertex_ids(),
+                              map((-1).__eq__, self._selfint)))
 
 
 # -- construction ---------------------------------------------------------
@@ -214,38 +224,42 @@ def blowup(graph: DualGraph, kind) -> Tuple[DualGraph, int]:
 
 def _column(graph: DualGraph, c: int) -> Tuple[int, ...]:
     parents = graph.parents
-    n = graph.n
+    n = len(parents)
     chain = graph.chain_to(c)
-    # mu[u]: multiplicity of a curvette of E_c at the center blown up to
-    # create u.  By proximity it is the sum of mu over the vertices whose
-    # center lies on E_u (the children of u), plus 1 at c itself; it is 0
-    # off the chain, and every parent of a chain vertex is on the chain.
-    mu = [0] * (n + 1)
-    mu[c] = 1
+    # x[u] starts as mu[u], the multiplicity of a curvette of E_c at the
+    # center blown up to create u.  By proximity it is the sum of mu over
+    # the vertices whose center lies on E_u (the children of u), plus 1 at
+    # c itself; it is 0 off the chain, and every parent of a chain vertex
+    # is on the chain.
+    x = [0] * (n + 1)
+    x[c] = 1
     for v in reversed(chain):
         for p in parents[v - 1]:
-            mu[p] += mu[v]
-    # x[u]: order of the total transform of the curvette along E_u, which
-    # gains the orders along the components through the center of u
-    x = [0] * (n + 1)
-    for u in range(1, n + 1):
-        x[u] = mu[u] + sum(x[p] for p in parents[u - 1])
+            x[p] += x[v]
+    # then it gains the orders along the components through the center of
+    # u, which come first: x[u] is the order along E_u of the total
+    # transform of the curvette
+    for u, ps in enumerate(parents, 1):
+        for p in ps:
+            x[u] += x[p]
 
     # (-I) x must be the unit vector e_c, so x is column c of (-I)^-1
     selfint = graph._selfint
-    adj = graph._adj
-    for u in range(1, n + 1):
-        acc = -selfint[u - 1] * x[u] - sum(x[w] for w in adj[u])
+    for u, nbrs in graph._adj.items():
+        acc = -selfint[u - 1] * x[u]
+        for w in nbrs:
+            acc -= x[w]
         if acc != (1 if u == c else 0):
             raise GraphError("intersection matrix inversion failed")
     if min(x[1:]) <= 0:
         raise GraphError("multiplicity matrix must be positive")
-    # growth along covers of the partial order: never decreasing, and
-    # strictly increasing along the chain to c
-    on_chain = set(chain)
+    # growth along covers of the partial order (each vertex over its tree
+    # parent): never decreasing, and strictly increasing along the chain
     for v in range(2, n + 1):
-        lo, hi = x[parents[v - 1][-1]], x[v]
-        if lo > hi or (v in on_chain and lo >= hi):
+        if x[parents[v - 1][-1]] > x[v]:
+            raise GraphError("multiplicity rows must grow along covers")
+    for a, b in zip(chain, chain[1:]):
+        if x[a] >= x[b]:
             raise GraphError("multiplicity rows must grow along covers")
     return tuple(x[1:])
 
@@ -295,21 +309,20 @@ def euler_smooth(graph: DualGraph, mode: str) -> Tuple[int, ...]:
 
     mode "divisorial": punctures are the adjacent exceptional components.
     mode "curve": arrows (strict transforms of branches) puncture as well.
-    The tree identity sum(chi) = 2 - (#arrows counted in curve mode) is
+    Each vertex's puncture count is its valence plus, in curve mode, its
+    arrow load, counted in one pass over the arrows: O(n + a) in all.  The
+    tree identity sum(chi) = 2 - (#arrows counted in curve mode) is
     asserted on every call.
     """
     if mode not in ("divisorial", "curve"):
         raise GraphError(f"unknown mode {mode!r}")
     if graph.n == 0:
         raise GraphError("empty graph")
-    chi = []
-    for v in graph.vertex_ids():
-        c = 2 - graph.valence(v)
-        if mode == "curve":
-            c -= len(graph.arrows_at(v))
-        chi.append(c)
-    expect = 2 - (len(graph.arrows) if mode == "curve" else 0)
-    if sum(chi) != expect:
+    chi = [2 - len(nbrs) for nbrs in graph._adj.values()]
+    if mode == "curve":
+        for v, _ in graph.arrows:
+            chi[v - 1] -= 1
+    if sum(chi) != (2 - len(graph.arrows) if mode == "curve" else 2):
         raise GraphError("Euler characteristic bookkeeping failed")
     return tuple(chi)
 
@@ -320,13 +333,13 @@ def euler_smooth(graph: DualGraph, mode: str) -> Tuple[int, ...]:
 def _renumber(parents, alive, marks, arrows):
     """(parents, marks, arrows) of the vertices v with alive[v], renumbered
     in creation order.  Every parent of a survivor must survive."""
-    remap = {}
+    remap = [0] * len(alive)
     kept = []
     for v, ps in enumerate(parents, 1):
         if alive[v]:
-            remap[v] = len(kept) + 1
-            kept.append(tuple(remap[p] for p in ps))
-    return (tuple(kept), tuple(remap[v] for v in marks),
+            kept.append(tuple(map(remap.__getitem__, ps)))
+            remap[v] = len(kept)
+    return (tuple(kept), tuple(map(remap.__getitem__, marks)),
             tuple((remap[v], b) for v, b in arrows))
 
 
@@ -448,36 +461,30 @@ def canonical_code(graph: DualGraph) -> str:
     n = graph.n
     if n == 0:
         return "()"
-    kids: List[List[int]] = [[] for _ in range(n + 1)]
-    for c in range(2, n + 1):
-        kids[max(graph.parents[c - 1])].append(c)
-    marks: List[List[str]] = [[] for _ in range(n + 1)]
-    for i, w in enumerate(graph.marked_divisors):
-        marks[w].append(str(i + 1))
+    parents = graph.parents
+    marks = [""] * (n + 1)
+    for i, w in enumerate(graph.marked_divisors, 1):
+        marks[w] = str(i)
     arrs: List[List[str]] = [[] for _ in range(n + 1)]
     for w, b in graph.arrows:
         arrs[w].append(str(b))
-    codes: List[Optional[str]] = [None] * (n + 1)
+    # below[v]: codes of v's tree children; v is the last entry when built
+    below: List[List[str]] = [[] for _ in range(n + 1)]
     for v in range(n, 0, -1):
-        ps = graph.parents[v - 1]
-        if not ps:
-            tag = "R"
-        elif len(ps) == 1:
-            tag = "F"
-        else:
+        ps = parents[v - 1]
+        if len(ps) == 2:
             # the smaller parent of a satellite is a parent of the larger
             # one: a vertex gains only neighbours created after it
             other, tree_parent = ps
-            pp = graph.parents[tree_parent - 1]
-            if len(pp) == 1:
-                tag = "S1"
-            else:
-                tag = "SL" if other == min(pp) else "SH"
-        body = "".join(sorted(codes[c] for c in kids[v]))
-        for c in kids[v]:
-            codes[c] = None
-        codes[v] = f"({tag};{','.join(marks[v])};{','.join(arrs[v])}|{body})"
-    return codes[1]
+            pp = parents[tree_parent - 1]
+            tag = "S1" if len(pp) == 1 else "SL" if other == pp[0] else "SH"
+        else:
+            tag = "F" if ps else "R"
+        code = (f"({tag};{marks[v]};{','.join(arrs[v])}|"
+                f"{''.join(sorted(below.pop()))})")
+        if ps:
+            below[ps[-1]].append(code)
+    return code
 
 
 def equivalent(g1: DualGraph, g2: DualGraph) -> bool:
@@ -583,16 +590,25 @@ def _json_int(value) -> int:
     """``value`` if it is a JSON integer.  What ``int()`` refuses raises
     ``int()``'s own error; what it would coerce (a float, ``true``, a
     numeric string) raises ValueError."""
-    number = int(value)
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return number
+    if type(value) is int:
+        return value
+    int(value)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _json_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"'parents' must be a list, got {value!r}")
     return value
+
+
+def _json_row(v) -> tuple:
+    """(id, parents, declared self-intersection or None) of one vertex
+    entry, read in that order."""
+    number = _json_int(v["id"])
+    parents = tuple(map(_json_int, _json_list(v.get("parents", []))))
+    si = v.get("self_intersection")
+    return number, parents, None if si is None else _json_int(si)
 
 
 def graph_from_json(text: str) -> DualGraph:
@@ -608,24 +624,19 @@ def graph_from_json(text: str) -> DualGraph:
         raise GraphError("'vertices' must be a list")
     bad = (TypeError, KeyError, ValueError, OverflowError)
     try:
-        rows = sorted(({"id": _json_int(v["id"]),
-                        "parents": [_json_int(p) for p in
-                                    _json_list(v.get("parents", []))],
-                        "si": (None if v.get("self_intersection") is None
-                               else _json_int(v["self_intersection"]))}
-                       for v in verts), key=lambda d: d["id"])
+        rows = sorted(map(_json_row, verts), key=itemgetter(0))
     except bad as exc:
         raise GraphError(f"bad vertex entry: {exc}") from exc
-    if [d["id"] for d in rows] != list(range(1, len(rows) + 1)):
+    ids, parents, declared = tuple(zip(*rows)) or ((), (), ())
+    if ids != tuple(range(1, len(rows) + 1)):
         raise GraphError("vertex ids must be exactly 1..n")
-    parents = tuple(tuple(d["parents"]) for d in rows)
     marks = doc.get("marked_divisors", [])
     arrows = doc.get("arrows", [])
     for key, entries in (("marked_divisors", marks), ("arrows", arrows)):
         if not isinstance(entries, list):
             raise GraphError(f"'{key}' must be a list")
     try:
-        marks = tuple(_json_int(v) for v in marks)
+        marks = tuple(map(_json_int, marks))
     except bad as exc:
         raise GraphError(f"bad marked divisor: {exc}") from exc
     try:
@@ -634,9 +645,9 @@ def graph_from_json(text: str) -> DualGraph:
     except bad as exc:
         raise GraphError(f"bad arrow entry: {exc}") from exc
     g = DualGraph(parents, marks, arrows)
-    for d in rows:
-        if d["si"] is not None and d["si"] != g.self_intersection(d["id"]):
+    for v, si, replayed in zip(ids, declared, g._selfint):
+        if si is not None and si != replayed:
             raise GraphError(
-                f"vertex {d['id']}: declared self-intersection {d['si']} "
-                f"disagrees with replay ({g.self_intersection(d['id'])})")
+                f"vertex {v}: declared self-intersection {si} "
+                f"disagrees with replay ({replayed})")
     return g

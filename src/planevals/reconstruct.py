@@ -20,7 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import gcd
+from operator import floordiv, ge, lt, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .dualgraph import (MAX_VERTICES, DualGraph, GraphError,
@@ -79,31 +81,31 @@ class BranchData:
 
     @classmethod
     def from_generators(cls, generators, c: int = 0) -> "BranchData":
-        gens = tuple(int(m) for m in generators)
+        gens = tuple(map(int, generators))
         c = int(c)
         if not gens or c < 0:
             raise DecodeError("need at least one generator and c >= 0")
-        if any(m < 1 for m in gens) or any(
-                a >= b for a, b in zip(gens, gens[1:])):
+        # once they strictly increase, the first is the least
+        if gens[0] < 1 or not all(map(lt, gens, gens[1:])):
             raise DecodeError(f"generators must strictly increase: {gens}")
-        e = [gens[0]]
-        for m in gens[1:]:
-            e.append(gcd(e[-1], m))
+        e = tuple(accumulate(gens, gcd))
         g = len(gens) - 1
         if e[-1] != 1:
             raise DecodeError(f"generators {gens} have gcd {e[-1]} != 1")
-        for i in range(1, g + 1):
-            if e[i] >= e[i - 1]:
-                raise DecodeError(
-                    f"generator {gens[i]} is redundant (gcd does not drop)")
-        dead = tuple((e[i - 1] // e[i]) * gens[i] for i in range(1, g + 1))
-        for i in range(1, g):
-            if not dead[i - 1] < gens[i + 1]:
-                raise DecodeError(
-                    f"dead value {dead[i - 1]} not below next generator "
-                    f"{gens[i + 1]}; not a plane valuation semigroup")
+        stalls = list(map(ge, e[1:], e))
+        if True in stalls:
+            raise DecodeError(
+                f"generator {gens[stalls.index(True) + 1]} is redundant "
+                "(gcd does not drop)")
+        dead = tuple(map(mul, map(floordiv, e, e[1:]), gens[1:]))
+        below = list(map(lt, dead, gens[2:]))
+        if False in below:
+            i = below.index(False)
+            raise DecodeError(
+                f"dead value {dead[i]} not below next generator "
+                f"{gens[i + 2]}; not a plane valuation semigroup")
         top = (dead[-1] if g >= 1 else gens[0]) + c
-        return cls(gens, dead, tuple(e), c, g, top)
+        return cls(gens, dead, e, c, g, top)
 
     def univariate_series(self, mode: str) -> FactoredSeries:
         """Factored series of this single valuation (the forward map)."""
@@ -382,28 +384,27 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
         raise ContactError(f"unknown mode {mode!r}")
     cm = [[int(contacts[i][j]) for j in range(r)] for i in range(r)]
     profiles, s = _fit_chains(branches, cm, mode)
-    lengths = [len(mu) for _, mu in profiles]
-    if mode == "curve":
-        total = [max(lengths[i], max((s[i][j] for j in range(r) if j != i),
-                                     default=0)) for i in range(r)]
-    else:
-        total = lengths
+    # a curve branch runs on, by free points, as deep as it shares; a
+    # divisorial chain shares no deeper than its own length
+    total = [max(len(mu), max(row)) for (_, mu), row in zip(profiles, s)]
 
     src = [0] * r
     share = [0] * r
     for i in range(1, r):
         src[i] = max(range(i), key=s[i].__getitem__)
         share[i] = s[i][src[i]]
-    ids: List[List[int]] = [[] for _ in range(r)]
+    # ids[i][d]: the point of chain i at depth d; ids grow with the depth,
+    # so a point's parents, in depth order, are in id order
+    ids: List[List[int]] = [[0] for _ in range(r)]
     parents: List[tuple] = []
     sat_seen = set()
     for d in range(1, max(total) + 1):
         for i in range(r):
             if d <= share[i]:
-                ids[i].append(ids[src[i]][d - 1])
+                ids[i].append(ids[src[i]][d])
             elif d <= total[i]:
                 kind = _kind_at(profiles[i][0], d)
-                ps = tuple(sorted(ids[i][k - 1] for k in kind[1:]))
+                ps = tuple(map(ids[i].__getitem__, kind[1:]))
                 if len(ps) == 2:
                     if ps in sat_seen:
                         raise ContactError(

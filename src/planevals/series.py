@@ -143,10 +143,10 @@ def glex_key(m: tuple) -> tuple:
 
 
 def _check_exponent(m, nvars: int) -> tuple:
-    m = tuple(int(e) for e in m)
+    m = tuple(map(int, m))
     if len(m) != nvars:
         raise SeriesError(f"exponent {m!r} has wrong arity, expected {nvars}")
-    if any(e < 0 for e in m):
+    if min(m, default=0) < 0:
         raise SeriesError(f"negative entry in exponent {m!r}")
     if not any(m):
         raise SeriesError("zero exponent vector is not allowed in a factor")
@@ -178,13 +178,12 @@ class FactoredSeries:
                  factors: Union[Mapping[tuple, int], Iterable] = ()):
         if nvars < 0:
             raise SeriesError("nvars must be nonnegative")
-        self.nvars = int(nvars)
+        self.nvars = nvars = int(nvars)
         items = factors.items() if isinstance(factors, Mapping) else factors
         acc: dict = {}
         for m, k in items:
-            m = _check_exponent(m, self.nvars)
-            k = int(k)
-            acc[m] = acc.get(m, 0) + k
+            m = _check_exponent(m, nvars)
+            acc[m] = acc.get(m, 0) + int(k)
         self._factors = {m: k for m, k in acc.items() if k != 0}
 
     @classmethod
@@ -675,7 +674,7 @@ def project(f: FactoredSeries, keep) -> FactoredSeries:
     idx = [i - 1 for i in keep]
     merged: dict = {}
     for m, k in f._factors.items():
-        mm = tuple(m[i] for i in idx)
+        mm = tuple(map(m.__getitem__, idx))
         if not any(mm):
             bad = min((e for e in f._factors
                        if not any(e[i] for i in idx)), key=glex_key)
