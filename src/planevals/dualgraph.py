@@ -13,10 +13,10 @@ from __future__ import annotations
 import bisect
 import json
 import random
-from itertools import compress
-from operator import itemgetter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -55,11 +55,10 @@ class DualGraph:
     vertex ids; arrows is a tuple of (vertex, branch) pairs whose branch
     indices are exactly 1..b.
 
-    Construction replays the sequence once, in O(n): it checks every
-    vertex's parents and counts each vertex's children, and that count
-    gives the self-intersection (-1 minus the count) and maximality (no
-    child).  The edges are the parent links less those that a satellite
-    replaced, so each adjacency tuple comes out sorted without a sort.
+    Construction replays the sequence once, in O(n): one child count per
+    vertex gives its self-intersection (-1 minus the count) and maximality
+    (no child), and the parent links that no satellite replaced are the
+    edges, each vertex's listed in id order without a sort.
     """
 
     parents: Tuple[Tuple[int, ...], ...] = ()
@@ -85,8 +84,7 @@ class DualGraph:
         if n and parents[0]:
             raise GraphError("vertex 1 cannot have parents")
         kids = [0] * (n + 1)
-        # up[v - 1]: the parents of v still adjacent to it; a satellite on
-        # the point of E_s and E_d (s < d) cuts s from up[d - 1]
+        # up[v - 1]: the parents of v that no satellite has cut it from
         up = list(map(list, parents))
         for v in range(2, n + 1):
             ps = parents[v - 1]
@@ -115,7 +113,6 @@ class DualGraph:
                 adj[v].append(p)
         object.__setattr__(self, "_adj",
                            dict(zip(range(1, n + 1), map(tuple, adj[1:]))))
-        # -1 - children: -1 at each vertex's blowup, -1 per later center on it
         object.__setattr__(self, "_selfint",
                            tuple(map((-1).__sub__, kids[1:])))
 
@@ -227,18 +224,16 @@ def _column(graph: DualGraph, c: int) -> Tuple[int, ...]:
     n = len(parents)
     chain = graph.chain_to(c)
     # x[u] starts as mu[u], the multiplicity of a curvette of E_c at the
-    # center blown up to create u.  By proximity it is the sum of mu over
-    # the vertices whose center lies on E_u (the children of u), plus 1 at
-    # c itself; it is 0 off the chain, and every parent of a chain vertex
-    # is on the chain.
+    # center blown up to create u: by proximity the sum of mu over the
+    # children of u, plus 1 at c itself (0 off the chain, and every parent
+    # of a chain vertex is on it).  Adding the orders along the components
+    # through that center, parents first, makes x[u] the order along E_u
+    # of the curvette's total transform.
     x = [0] * (n + 1)
     x[c] = 1
     for v in reversed(chain):
         for p in parents[v - 1]:
             x[p] += x[v]
-    # then it gains the orders along the components through the center of
-    # u, which come first: x[u] is the order along E_u of the total
-    # transform of the curvette
     for u, ps in enumerate(parents, 1):
         for p in ps:
             x[u] += x[p]
@@ -309,8 +304,7 @@ def euler_smooth(graph: DualGraph, mode: str) -> Tuple[int, ...]:
 
     mode "divisorial": punctures are the adjacent exceptional components.
     mode "curve": arrows (strict transforms of branches) puncture as well.
-    Each vertex's puncture count is its valence plus, in curve mode, its
-    arrow load, counted in one pass over the arrows: O(n + a) in all.  The
+    Arrows are counted in one pass over them, so a call is O(n + a).  The
     tree identity sum(chi) = 2 - (#arrows counted in curve mode) is
     asserted on every call.
     """
@@ -548,9 +542,7 @@ def random_instance(seed: int, max_vertices: int, r: int, mode: str,
         adj[a].add(b)
         adj[b].add(a)
     minimal = _minimize(parents, adj, (), arrows)
-    if minimal is None:
-        return DualGraph(parents, (), arrows)
-    return DualGraph(*minimal)
+    return DualGraph(*minimal) if minimal else DualGraph(parents, (), arrows)
 
 
 # -- file format ----------------------------------------------------------
@@ -596,17 +588,14 @@ def _json_int(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
-def _json_list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"'parents' must be a list, got {value!r}")
-    return value
-
-
 def _json_row(v) -> tuple:
     """(id, parents, declared self-intersection or None) of one vertex
     entry, read in that order."""
     number = _json_int(v["id"])
-    parents = tuple(map(_json_int, _json_list(v.get("parents", []))))
+    parents = v.get("parents", [])
+    if not isinstance(parents, list):
+        raise TypeError(f"'parents' must be a list, got {parents!r}")
+    parents = tuple(map(_json_int, parents))
     si = v.get("self_intersection")
     return number, parents, None if si is None else _json_int(si)
 

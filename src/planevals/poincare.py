@@ -58,10 +58,11 @@ def _reference_vertices(graph: DualGraph, spec: ValuationSpec
         raise GraphError("valuation entries must be distinct")
     cols = []
     branches_seen = set()
+    n = graph.n
     for entry in spec:
         if isinstance(entry, Divisorial):
             v = entry.vertex
-            if not 1 <= v <= graph.n:
+            if not 1 <= v <= n:
                 raise GraphError(f"no vertex {v} for divisorial valuation")
             cols.append(v)
         elif isinstance(entry, Branch):
@@ -78,14 +79,8 @@ def _reference_vertices(graph: DualGraph, spec: ValuationSpec
 
 def _check_minimal(graph: DualGraph, spec: ValuationSpec,
                    cols: Tuple[int, ...], chi: Tuple[int, ...]) -> None:
-    """Refuse a graph that is not the minimal resolution of ``spec``.
-
-    Every vertex must lie under a referenced one, and no maximal vertex
-    outside the divisorial references may be contractible: meet at most
-    two components (edges plus arrows).  ``chi`` is the curve-mode Euler
-    characteristic, 2 minus that count, so one pass over the arrows
-    serves both this check and the product formula: O(n + a).
-    """
+    # chi is 2 minus the components that each E_v meets (edges plus
+    # arrows), so a maximal vertex with chi >= 0 is contractible: O(n + a)
     under = _under(graph.parents, cols)
     if not all(under[1:]):
         raise GraphError(
@@ -109,7 +104,6 @@ def poincare_series(graph: DualGraph, spec: ValuationSpec) -> FactoredSeries:
     """
     spec = tuple(spec)
     cols = _reference_vertices(graph, spec)
-    # a graph with arrows is read in curve mode, so chi counts every arrow
     chi = euler_smooth(graph, "curve" if graph.arrows else "divisorial")
     _check_minimal(graph, spec, cols, chi)
     m = multiplicity_matrix(graph, cols)

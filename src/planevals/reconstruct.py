@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import gcd
-from operator import floordiv, ge, lt, mul
+from operator import ge, lt
 from typing import List, Optional, Sequence, Tuple
 
 from .dualgraph import (MAX_VERTICES, DualGraph, GraphError,
@@ -92,18 +92,16 @@ class BranchData:
         g = len(gens) - 1
         if e[-1] != 1:
             raise DecodeError(f"generators {gens} have gcd {e[-1]} != 1")
-        stalls = list(map(ge, e[1:], e))
-        if True in stalls:
-            raise DecodeError(
-                f"generator {gens[stalls.index(True) + 1]} is redundant "
-                "(gcd does not drop)")
-        dead = tuple(map(mul, map(floordiv, e, e[1:]), gens[1:]))
-        below = list(map(lt, dead, gens[2:]))
-        if False in below:
-            i = below.index(False)
-            raise DecodeError(
-                f"dead value {dead[i]} not below next generator "
-                f"{gens[i + 2]}; not a plane valuation semigroup")
+        for i in range(1, g + 1):
+            if e[i] >= e[i - 1]:
+                raise DecodeError(
+                    f"generator {gens[i]} is redundant (gcd does not drop)")
+        dead = tuple([e[i - 1] // e[i] * gens[i] for i in range(1, g + 1)])
+        for i in range(1, g):
+            if not dead[i - 1] < gens[i + 1]:
+                raise DecodeError(
+                    f"dead value {dead[i - 1]} not below next generator "
+                    f"{gens[i + 1]}; not a plane valuation semigroup")
         top = (dead[-1] if g >= 1 else gens[0]) + c
         return cls(gens, dead, e, c, g, top)
 
@@ -146,7 +144,7 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
         if mode == "curve":
             raise DecodeError("a curve branch never has a double pole at t")
         return BranchData.from_generators((1,), 0)
-    if any(abs(k) != 1 for k in facs.values()):
+    if not {1, -1}.issuperset(facs.values()):
         raise DecodeError("all multiplicities must be +-1")
     denoms = sorted(m for (m,), k in facs.items() if k == -1)
     numers = sorted(m for (m,), k in facs.items() if k == 1)
@@ -480,7 +478,7 @@ def _maximal_exponents(exps) -> List[tuple]:
     """
     out: List[tuple] = []
     for m in sorted(set(exps), key=glex_key, reverse=True):
-        if not any(all(a >= b for a, b in zip(o, m)) for o in out):
+        if not any(all(map(ge, o, m)) for o in out):
             out.append(m)
     return out
 
@@ -610,7 +608,7 @@ def _branch_of_values(values) -> BranchData:
     the semigroup exactly when ``a_0 >= 0``.  A value outside would be a
     further generator, which no plane branch has.
     """
-    vals = sorted(set(int(v) for v in values))
+    vals = sorted(set(map(int, values)))
     if not vals or vals[0] < 1:
         raise DecodeError(f"bad semigroup values {vals}")
     gens, e = [], 0

@@ -666,7 +666,7 @@ def project(f: FactoredSeries, keep) -> FactoredSeries:
     index order; equal restrictions merge and cancelling powers drop.  A
     factor whose restriction is all-zero would degenerate and is rejected.
     """
-    keep = sorted({int(i) for i in keep})
+    keep = sorted(set(map(int, keep)))
     if not keep:
         raise SeriesError("must keep at least one variable")
     if keep[0] < 1 or keep[-1] > f.nvars:
