@@ -146,10 +146,11 @@ def _check_exponent(m, nvars: int) -> tuple:
     m = tuple(map(int, m))
     if len(m) != nvars:
         raise SeriesError(f"exponent {m!r} has wrong arity, expected {nvars}")
-    if min(m, default=0) < 0:
-        raise SeriesError(f"negative entry in exponent {m!r}")
+    # a zero vector has no negative entry, so the order of the two is free
     if not any(m):
         raise SeriesError("zero exponent vector is not allowed in a factor")
+    if min(m) < 0:
+        raise SeriesError(f"negative entry in exponent {m!r}")
     return m
 
 
