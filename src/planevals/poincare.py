@@ -79,8 +79,9 @@ def _reference_vertices(graph: DualGraph, spec: ValuationSpec
 
 def _check_minimal(graph: DualGraph, spec: ValuationSpec,
                    cols: Tuple[int, ...], chi: Tuple[int, ...]) -> None:
-    # chi is 2 minus the components that each E_v meets (edges plus
-    # arrows), so a maximal vertex with chi >= 0 is contractible: O(n + a)
+    """Every vertex must lie under a reference, and no maximal vertex but
+    a divisorial reference may be contractible: meet at most two
+    components, edges plus arrows, i.e. have chi >= 0.  O(n + a)."""
     under = _under(graph.parents, cols)
     if not all(under[1:]):
         raise GraphError(
