@@ -274,10 +274,6 @@ def _kind_at(kinds, d: int):
     return ("free", d - 1)
 
 
-def _mu_at(mu, d: int) -> int:
-    return mu[d - 1] if d <= len(mu) else 1
-
-
 def _shared_depth(mu_i, mu_j, contact: int, cap: Optional[int]) -> int:
     """Number of common infinitely-near points realizing the contact.
 
@@ -285,12 +281,12 @@ def _shared_depth(mu_i, mu_j, contact: int, cap: Optional[int]) -> int:
     chains and adds exactly 1, so the depth is known without walking
     there; one above MAX_VERTICES raises DecodeError.
     """
-    acc = 0
-    d = 0
-    end = max(len(mu_i), len(mu_j))
-    while acc < contact and d < end:
+    acc = d = 0
+    for a, b in itertools.zip_longest(mu_i, mu_j, fillvalue=1):
+        if acc >= contact:
+            break
+        acc += a * b
         d += 1
-        acc += _mu_at(mu_i, d) * _mu_at(mu_j, d)
     if acc < contact:
         d += contact - acc
         acc = contact
@@ -397,12 +393,12 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
     parents: List[tuple] = []
     sat_seen = set()
     for d in range(1, max(total) + 1):
-        for i in range(r):
+        for i, chain in enumerate(ids):
             if d <= share[i]:
-                ids[i].append(ids[src[i]][d])
+                chain.append(ids[src[i]][d])
             elif d <= total[i]:
                 kind = _kind_at(profiles[i][0], d)
-                ps = tuple(map(ids[i].__getitem__, kind[1:]))
+                ps = tuple(map(chain.__getitem__, kind[1:]))
                 if len(ps) == 2:
                     if ps in sat_seen:
                         raise ContactError(
@@ -410,7 +406,7 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
                             f"position on components {ps}")
                     sat_seen.add(ps)
                 parents.append(ps)
-                ids[i].append(len(parents))
+                chain.append(len(parents))
 
     refs = tuple(chain[-1] for chain in ids)
     try:
