@@ -1,8 +1,9 @@
 """Exact class and message of every refusal on the round trip's hot path.
 
 Graph replay, decorations, the JSON reader, factor exponents, branch
-generators, the Euler characteristics and the minimality check each
-refuse bad input with one message.  The table pins the class and the
+generators, the Euler characteristics, the minimality check and the
+assembly of contacts against the chains each refuse bad input with one
+message.  The table pins the class and the
 whole message, and where one input breaks two rules, which rule speaks
 first.
 """
@@ -11,11 +12,11 @@ import json
 
 import pytest
 
-from planevals import (Branch, BranchData, DecodeError, Divisorial, DualGraph,
-                       FactoredSeries, GraphError, SeriesError,
-                       graph_from_json, multiplicity_matrix,
-                       poincare_series)
-from planevals.dualgraph import euler_smooth
+from planevals import (Branch, BranchData, ContactError, DecodeError,
+                       Divisorial, DualGraph, FactoredSeries, GraphError,
+                       SeriesError, assemble, graph_from_json,
+                       multiplicity_matrix, poincare_series)
+from planevals.dualgraph import MAX_VERTICES, euler_smooth
 
 
 def graph_doc(vertices, marks=(), arrows=()):
@@ -33,6 +34,13 @@ def chain(n):
 
 
 CUSP = ((), (1,), (1, 2))
+# curve branches: the smooth one (chain: the origin) and the cusp (chain:
+# the origin, a free point, a satellite point; multiplicities 2, 1, 1)
+SMOOTH = BranchData.from_generators((1,))
+CUSP_BRANCH = BranchData.from_generators((2, 3))
+# divisorial: E_1 (chain length 1) and the end of a free chain of 3
+E1 = BranchData.from_generators((1,))
+E3 = BranchData.from_generators((1,), 2)
 NOT_INT = "int() argument must be a string, a bytes-like object or a real " \
           "number, not 'NoneType'"
 
@@ -250,6 +258,48 @@ REFUSALS = [
     ("empty valuation collection",
      lambda: poincare_series(DualGraph(CUSP, (3,)), ()),
      GraphError, "empty valuation collection"),
+    # -- assemble: contacts against the chains --------------------------------
+    ("no valuations", lambda: assemble([], [], "curve"),
+     ContactError, "no valuations to assemble"),
+    ("unknown assembly mode", lambda: assemble([SMOOTH], [[1]], "branch"),
+     ContactError, "unknown mode 'branch'"),
+    ("diagonal off the top value",
+     lambda: assemble([SMOOTH, SMOOTH], [[2, 1], [1, 1]], "curve"),
+     ContactError, "diagonal contact 2 differs from top value 1 of "
+     "valuation 1"),
+    ("asymmetric contacts",
+     lambda: assemble([SMOOTH, SMOOTH], [[1, 2], [3, 1]], "curve"),
+     ContactError, "contact matrix must be symmetric with positive entries"),
+    ("contact 0",
+     lambda: assemble([SMOOTH, SMOOTH], [[1, 0], [0, 1]], "curve"),
+     ContactError, "contact matrix must be symmetric with positive entries"),
+    ("contact past the shorter divisorial chain",
+     lambda: assemble([E1, E3], [[1, 2], [2, 3]], "divisorial"),
+     ContactError, "contact 2 exceeds what the two chains can share"),
+    ("contact between partial sums",
+     lambda: assemble([CUSP_BRANCH, SMOOTH], [[6, 1], [1, 1]], "curve"),
+     ContactError, "contact 1 is not a partial sum of multiplicity products "
+     "(reached 2 at depth 1)"),
+    ("shared depth past the vertex limit",
+     lambda: assemble([SMOOTH, SMOOTH], [[1, MAX_VERTICES + 1],
+                                         [MAX_VERTICES + 1, 1]], "curve"),
+     DecodeError, f"contact {MAX_VERTICES + 1} needs {MAX_VERTICES + 1} "
+     f"shared points, above the limit {MAX_VERTICES}"),
+    ("divisorial chains shared whole",
+     lambda: assemble([CUSP_BRANCH, CUSP_BRANCH], [[6, 6], [6, 6]],
+                      "divisorial"),
+     ContactError, "valuations 1 and 2 share their whole chains; they are "
+     "not distinct"),
+    ("kinds disagree at a shared depth",
+     lambda: assemble([CUSP_BRANCH, SMOOTH], [[6, 4], [4, 1]], "curve"),
+     ContactError, "chains 1 and 2 disagree at shared depth 3: "
+     "('satellite', 1, 2) vs ('free', 2)"),
+    # chains 1 and 2 share 3 points and chains 2 and 3 share 2, so chains
+    # 1 and 3 share at least 2; the pair that breaks it is not (1, 2)
+    ("hierarchy broken off the source pair",
+     lambda: assemble([SMOOTH] * 3, [[1, 3, 1], [3, 1, 2], [1, 2, 1]],
+                      "curve"),
+     ContactError, "shared depths violate the tree hierarchy"),
 ]
 
 
@@ -261,6 +311,13 @@ def test_refusal_class_and_message(make, cls, message):
         make()
     assert type(info.value) is cls
     assert str(info.value) == message
+
+
+def test_assemble_accepts_the_hierarchy_of_three_smooth_branches():
+    # branches 1 and 2 share 3 points, and branch 3 leaves both after 2
+    g = assemble([SMOOTH] * 3, [[1, 3, 2], [3, 1, 2], [2, 2, 1]], "curve")
+    assert g.parents == ((), (1,), (2,))
+    assert g.arrows == ((2, 3), (3, 1), (3, 2))
 
 
 def test_float_exponent_entries_are_read_as_integers():
