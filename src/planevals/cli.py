@@ -55,13 +55,12 @@ def _cmd_gen(args) -> int:
 def _cmd_series(args) -> int:
     graph = graph_from_json(_read(args.graph))
     p = poincare_series(graph, default_spec(graph))
-    if args.expand:
-        if args.bound is None:
-            print("error: --expand requires --bound", file=sys.stderr)
-            return BAD_INPUT
-        _emit(series_to_text(expand(p, args.bound)), args.out)
-    else:
-        _emit(series_to_text(p), args.out)
+    if args.expand != (args.bound is not None):
+        print("error: --expand requires --bound" if args.expand
+              else "error: --bound requires --expand", file=sys.stderr)
+        return BAD_INPUT
+    _emit(series_to_text(expand(p, args.bound) if args.expand else p),
+          args.out)
     return OK
 
 

@@ -3,12 +3,14 @@
 The univariate series of one valuation decodes to numerical branch data
 (semigroup generators, dead-end values, free tail); branch_from_univariate
 holds the only check of that data against its series.  A Euclidean state
-machine rebuilds the blowup sequence from that data.  Pairwise contacts
-come from the shape of the two-variable series, projected once per pair:
-each pair takes the first candidate that fits its two chains (shared
-depth, point kinds), which needs no graph.  A Noether walk merges
-per-branch infinitely-near-point chains into the final graph, and a single
-chain is the same walk with one branch.  A curve series gives up one
+machine rebuilds the blowup sequence from that data.  One pair check
+(_fit_pair) decides whether a contact fits two chains and at what depth
+they part.  Pairwise contacts come from the shape of the two-variable
+series, projected once per pair: each pair takes the first candidate that
+passes the pair check, which needs no graph.  A Noether walk merges
+per-branch infinitely-near-point chains into the final graph, checking
+that the merge realizes every shared depth (the tree hierarchy), and a
+single chain is the same walk with one branch.  A curve series gives up one
 branch at a time through the projection formula, with no search over peel
 orders.  Either decode assembles its one graph once, and that graph has
 its forward series recomputed and compared with the input, so a wrong
@@ -274,13 +276,22 @@ def _kind_at(kinds, d: int):
     return ("free", d - 1)
 
 
-def _shared_depth(mu_i, mu_j, contact: int, cap: Optional[int]) -> int:
-    """Number of common infinitely-near points realizing the contact.
+def _fit_pair(profiles, i: int, j: int, contact: int, mode: str) -> int:
+    """Number of common infinitely-near points of chains i and j that
+    realize their contact.
 
-    Past both profiles every shared point has multiplicity 1 on both
-    chains and adds exactly 1, so the depth is known without walking
-    there; one above MAX_VERTICES raises DecodeError.
+    The contact must be positive and a partial sum of the products of
+    the two chains' multiplicities.  Past both profiles every shared
+    point has multiplicity 1 on both chains and adds exactly 1, so the
+    depth is known without walking there; one above MAX_VERTICES raises
+    DecodeError.  Two divisorial chains share no deeper than the shorter
+    one and not both whole, and a shared point has the same kind on both
+    chains.  No graph is built.
     """
+    if contact < 1:
+        raise ContactError("contact matrix must be symmetric "
+                           "with positive entries")
+    (kinds_i, mu_i), (kinds_j, mu_j) = profiles[i], profiles[j]
     acc = d = 0
     for a, b in itertools.zip_longest(mu_i, mu_j, fillvalue=1):
         if acc >= contact:
@@ -290,7 +301,7 @@ def _shared_depth(mu_i, mu_j, contact: int, cap: Optional[int]) -> int:
     if acc < contact:
         d += contact - acc
         acc = contact
-    if cap is not None and d > cap:
+    if mode == "divisorial" and d > min(len(mu_i), len(mu_j)):
         raise ContactError(
             f"contact {contact} exceeds what the two chains can share")
     if acc != contact:
@@ -301,59 +312,17 @@ def _shared_depth(mu_i, mu_j, contact: int, cap: Optional[int]) -> int:
         raise DecodeError(
             f"contact {contact} needs {d} shared points, above the limit "
             f"{MAX_VERTICES}")
-    return d
-
-
-def _fit_chains(branches: List[BranchData], cm, mode: str):
-    """Check a contact matrix against the chains alone.
-
-    Checks the diagonal (each valuation's own top value) and symmetry,
-    locates for each pair how many infinitely-near points the two chains
-    share, and checks that no two divisorial chains coincide, that the
-    sharing pattern is an ultrametric hierarchy and that shared points
-    have the same kind on both chains.  Returns (profiles, s): the chain
-    of each valuation and the shared depths.  No graph is built.
-    """
-    r = len(branches)
-    for i in range(r):
-        if cm[i][i] != branches[i].top_value:
+    if mode == "divisorial" and d == len(mu_i) == len(mu_j):
+        raise ContactError(
+            f"valuations {i + 1} and {j + 1} share their whole "
+            "chains; they are not distinct")
+    for e in range(1, d + 1):
+        ki, kj = _kind_at(kinds_i, e), _kind_at(kinds_j, e)
+        if ki != kj:
             raise ContactError(
-                f"diagonal contact {cm[i][i]} differs from top value "
-                f"{branches[i].top_value} of valuation {i + 1}")
-        for j in range(r):
-            if cm[i][j] != cm[j][i] or (i != j and cm[i][j] < 1):
-                raise ContactError("contact matrix must be symmetric "
-                                   "with positive entries")
-
-    profiles = [_branch_profile(b, mode) for b in branches]
-    lengths = [len(mu) for _, mu in profiles]
-
-    s = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            cap = (min(lengths[i], lengths[j])
-                   if mode == "divisorial" else None)
-            s[i][j] = s[j][i] = _shared_depth(
-                profiles[i][1], profiles[j][1], cm[i][j], cap)
-            if (mode == "divisorial" and s[i][j] == lengths[i]
-                    and s[i][j] == lengths[j]):
-                raise ContactError(
-                    f"valuations {i + 1} and {j + 1} share their whole "
-                    "chains; they are not distinct")
-    for i, j, k in itertools.permutations(range(r), 3):
-        if s[i][k] < min(s[i][j], s[j][k]):
-            raise ContactError("shared depths violate the tree hierarchy")
-
-    for i in range(r):
-        for j in range(i + 1, r):
-            for d in range(1, s[i][j] + 1):
-                ki = _kind_at(profiles[i][0], d)
-                kj = _kind_at(profiles[j][0], d)
-                if ki != kj:
-                    raise ContactError(
-                        f"chains {i + 1} and {j + 1} disagree at shared "
-                        f"depth {d}: {ki} vs {kj}")
-    return profiles, s
+                f"chains {i + 1} and {j + 1} disagree at shared "
+                f"depth {e}: {ki} vs {kj}")
+    return d
 
 
 def assemble(branches: Sequence[BranchData], contacts, mode: str,
@@ -361,14 +330,16 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
     """Merge solo chains into one minimal resolution.
 
     contacts[i][j] is the pairwise intersection value m_{alpha_i alpha_j}
-    (diagonal: the valuation's own top value).  _fit_chains checks the
-    contacts against the chains and finds the shared depths s.  Chain i
-    takes its first share[i] = max_{j<i} s[i][j] points from an earlier
-    chain attaining that maximum (by the hierarchy every chain through a
-    point has it at the same depth) and creates the rest; points are
-    numbered by depth, then by chain.  The merged graph must realize
-    every contact.  With ``expect`` given, the forward series of the
-    result is compared against it.
+    (diagonal: the valuation's own top value).  _fit_pair checks each
+    contact against its two chains and finds their shared depth s[i][j].
+    Chain i takes its first share[i] = max_{j<i} s[i][j] points from an
+    earlier chain src[i] attaining that maximum and creates the rest;
+    points are numbered by depth, then by chain.  The merge realizes
+    every shared depth exactly when s[i][j] = min(share[i], s[src[i]][j])
+    for each j < i, which holds for all i exactly when the depths form a
+    tree hierarchy (s[i][k] >= min(s[i][j], s[j][k])).  The merged graph
+    must realize every contact.  With ``expect`` given, the forward
+    series of the result is compared against it.
     """
     branches = list(branches)
     r = len(branches)
@@ -377,7 +348,21 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
     if mode not in ("divisorial", "curve"):
         raise ContactError(f"unknown mode {mode!r}")
     cm = [[int(contacts[i][j]) for j in range(r)] for i in range(r)]
-    profiles, s = _fit_chains(branches, cm, mode)
+    for i in range(r):
+        if cm[i][i] != branches[i].top_value:
+            raise ContactError(
+                f"diagonal contact {cm[i][i]} differs from top value "
+                f"{branches[i].top_value} of valuation {i + 1}")
+        for j in range(r):
+            if cm[i][j] != cm[j][i]:
+                raise ContactError("contact matrix must be symmetric "
+                                   "with positive entries")
+
+    profiles = [_branch_profile(b, mode) for b in branches]
+    s = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            s[i][j] = s[j][i] = _fit_pair(profiles, i, j, cm[i][j], mode)
     # a curve branch runs on, by free points, as deep as it shares; a
     # divisorial chain shares no deeper than its own length
     total = [max(len(mu), max(row)) for (_, mu), row in zip(profiles, s)]
@@ -385,8 +370,13 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
     src = [0] * r
     share = [0] * r
     for i in range(1, r):
-        src[i] = max(range(i), key=s[i].__getitem__)
-        share[i] = s[i][src[i]]
+        row = s[i]
+        src[i] = max(range(i), key=row.__getitem__)
+        share[i] = row[src[i]]
+        up = s[src[i]]
+        for j in range(i):
+            if j != src[i] and row[j] != min(share[i], up[j]):
+                raise ContactError("shared depths violate the tree hierarchy")
     # ids[i][d]: the point of chain i at depth d; ids grow with the depth,
     # so a point's parents, in depth order, are in id order
     ids: List[List[int]] = [[0] for _ in range(r)]
@@ -498,7 +488,7 @@ def _contact_candidates(p2: FactoredSeries, b1: BranchData,
     latter case the geodesics separate at or after the last rupture and
     the other coordinate picks up the gcd factor of the deeper chain.
     reconstruct_divisorial keeps the first candidate that fits the two
-    chains (_fit_chains), with no pair graph built; pairwise_contact
+    chains (_fit_pair), with no pair graph built; pairwise_contact
     instead assembles each pair and compares its series.
     """
     poles = [m for m, k in p2.factors().items() if k == -1]
@@ -514,27 +504,19 @@ def _contact_candidates(p2: FactoredSeries, b1: BranchData,
             cands.append(_e_top(b1) * y)
         if y == _last_gen(b2) and x != _last_gen(b1):
             cands.append(_e_top(b2) * x)
-    seen = set()
-    out = []
-    for v in cands:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return list(dict.fromkeys(cands))
 
 
 def _first_contact(p2: FactoredSeries, b1: BranchData, b2: BranchData,
                    check) -> int:
     """The first candidate contact of the pair that ``check`` accepts.
 
-    check(branches, contacts, mode) raises one of _REJECTED on a
-    candidate it refuses; the pair's contact matrix is passed to it.
+    check(contact) raises one of _REJECTED on a candidate it refuses.
     """
     last: Optional[Exception] = None
     for cand in _contact_candidates(p2, b1, b2):
         try:
-            check([b1, b2], [[b1.top_value, cand], [cand, b2.top_value]],
-                  "divisorial")
+            check(cand)
             return cand
         except _REJECTED as exc:
             last = exc
@@ -555,7 +537,10 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
     """
     if p2.nvars != 2:
         raise DecodeError("pairwise contact needs a two-variable series")
-    return _first_contact(p2, b1, b2, partial(assemble, expect=p2))
+    return _first_contact(
+        p2, b1, b2,
+        lambda c: assemble([b1, b2], [[b1.top_value, c], [c, b2.top_value]],
+                           "divisorial", expect=p2))
 
 
 def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
@@ -563,8 +548,9 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
 
     Each valuation decodes from its one-variable projection.  Each pair's
     two-variable projection is taken in turn, and the pair takes the first
-    candidate contact that fits the two chains (_fit_chains: shared depth,
-    point kinds, no whole shared chain); no pair graph is built.  The one
+    candidate contact that fits the two chains (_fit_pair: shared depth,
+    point kinds, no whole shared chain); no pair graph is built, and a
+    chain longer than MAX_VERTICES is refused before any pair.  The one
     graph assembled from these contacts is checked against the whole input
     series.  That series determines the minimal resolution, and its
     projection to two valuations is the series of the pair
@@ -577,14 +563,17 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     branches = [branch_from_univariate(project(p, {i}) if r > 1 else p,
                                        "divisorial")
                 for i in range(1, r + 1)]
+    profiles = [_branch_profile(b, "divisorial") for b in branches]
     cm = [[b.top_value if i == j else 0 for j in range(r)]
           for i, b in enumerate(branches)]
     for i, j in itertools.combinations(range(r), 2):
         # every factor has all coordinates nonzero once the variables
         # project, so no pair's projection can fail
         pij = project(p, {i + 1, j + 1}) if r > 2 else p
-        cm[i][j] = cm[j][i] = _first_contact(pij, branches[i], branches[j],
-                                             _fit_chains)
+        cm[i][j] = cm[j][i] = _first_contact(
+            pij, branches[i], branches[j],
+            partial(_fit_pair, [profiles[i], profiles[j]], 0, 1,
+                    mode="divisorial"))
     return assemble(branches, cm, "divisorial", expect=p)
 
 

@@ -652,6 +652,16 @@ def test_chain_length_is_bounded_before_building():
                           "divisorial")
 
 
+def test_long_divisorial_chain_is_refused_before_any_pair():
+    # E_1 and the end of a free chain of 20001 points: the long chain is
+    # refused by its own length, before a pair contact is tried
+    p = FactoredSeries(2, {(1, 1): -1, (20001, 1): -1})
+    with pytest.raises(DecodeError) as info:
+        reconstruct_divisorial(p)
+    assert str(info.value) == (f"the resolution of (1,) has 20001 vertices, "
+                               f"above the limit {MAX_VERTICES}")
+
+
 CAMPAIGN_DIGEST = (
     "4818ae3e52481e0c1556132df41053701b3dc06ed36122c42841f83d1d25cfa7")
 
