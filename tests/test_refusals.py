@@ -14,9 +14,11 @@ import pytest
 
 from planevals import (Branch, BranchData, ContactError, DecodeError,
                        Divisorial, DualGraph, FactoredSeries, GraphError,
-                       SeriesError, assemble, graph_from_json,
-                       multiplicity_matrix, poincare_series)
+                       SeriesError, assemble, branch_from_univariate,
+                       graph_from_json, multiplicity_matrix, poincare_series,
+                       reconstruct_curve)
 from planevals.dualgraph import MAX_VERTICES, euler_smooth
+from planevals.reconstruct import _branch_of_values, _branch_profile, _fit_pair
 
 
 def graph_doc(vertices, marks=(), arrows=()):
@@ -300,6 +302,19 @@ REFUSALS = [
      lambda: assemble([SMOOTH] * 3, [[1, 3, 1], [3, 1, 2], [1, 2, 1]],
                       "curve"),
      ContactError, "shared depths violate the tree hierarchy"),
+    # -- decoders -------------------------------------------------------------
+    ("curve series of three branches with no factor",
+     lambda: reconstruct_curve(FactoredSeries(3, {})),
+     DecodeError, "series does not decompose into plane curve branches: no "
+     "exponent peels with 3 branches left"),
+    ("unknown decode mode",
+     lambda: branch_from_univariate(
+         FactoredSeries(1, {(2,): -1, (3,): -1, (6,): 1}), "nodal"),
+     DecodeError, "unknown mode 'nodal'"),
+    ("no semigroup values", lambda: _branch_of_values([]),
+     DecodeError, "bad semigroup values []"),
+    ("semigroup value 0", lambda: _branch_of_values([0, 2]),
+     DecodeError, "bad semigroup values [0, 2]"),
 ]
 
 
@@ -318,6 +333,14 @@ def test_assemble_accepts_the_hierarchy_of_three_smooth_branches():
     g = assemble([SMOOTH] * 3, [[1, 3, 2], [3, 1, 2], [2, 2, 1]], "curve")
     assert g.parents == ((), (1,), (2,))
     assert g.arrows == ((2, 3), (3, 1), (3, 2))
+
+
+def test_pair_check_accepts_a_contact_at_the_vertex_limit():
+    # two smooth branches with contact MAX_VERTICES share exactly that
+    # many points; one more is refused (the row above)
+    smooth = _branch_profile(SMOOTH, "curve")
+    assert _fit_pair([smooth, smooth], 0, 1, MAX_VERTICES,
+                     "curve") == MAX_VERTICES
 
 
 def test_float_exponent_entries_are_read_as_integers():
