@@ -16,7 +16,7 @@ from planevals import (BranchData, ContactError, DecodeError, DualGraph,
                        series_to_text)
 
 from planevals.dualgraph import MAX_VERTICES
-from planevals.reconstruct import (_branch_of_values, _contact_candidates,
+from planevals.reconstruct import (_branch_of_values, _least_contact,
                                    _maximal_exponents, _mismatch,
                                    _solve_curve)
 from planevals.series import glex_key
@@ -230,8 +230,8 @@ def test_pairwise_contact_on_divisorial_pairs():
 
 def test_contact_resolves_ambiguous_structural_cases():
     # marks at vertices 2 and 3 of a free chain: two structural cases
-    # emit candidates (3 and 2) and only the true contact survives
-    # reassembly against the pair series
+    # give 3 and 2, and the least is the contact, which the pair series
+    # confirms
     g = DualGraph(((), (1,), (2,)), (2, 3), ())
     p = series_of(g)
     assert p == FactoredSeries(2, {(1, 1): -1, (2, 3): -1})
@@ -264,18 +264,15 @@ def test_maximal_exponents_match_the_brute_force():
 # -- divisorial decoding checks the series once -----------------------------
 
 
-def structural_survivors(p2, b1, b2):
-    """Candidate contacts whose pair graph passes assemble's structural
-    checks, with no series compared."""
-    out = []
-    for cand in _contact_candidates(p2, b1, b2):
-        try:
-            assemble([b1, b2], [[b1.top_value, cand], [cand, b2.top_value]],
-                     "divisorial")
-            out.append(cand)
-        except (ContactError, DecodeError, GraphError):
-            pass
-    return out
+def fits_chains(b1, b2, contact):
+    """Whether the pair graph of this contact passes assemble's
+    structural checks, with no series compared."""
+    try:
+        assemble([b1, b2], [[b1.top_value, contact], [contact, b2.top_value]],
+                 "divisorial")
+    except (ContactError, DecodeError, GraphError):
+        return False
+    return True
 
 
 def pair_data(p, pair):
@@ -287,11 +284,13 @@ def pair_data(p, pair):
 # random_instance(21, 12, 2, "divisorial") and random_instance(3, 12, 3,
 # "divisorial"): the smallest graphs, one per r, that a search over seeds
 # 0..399 at r = 2, 3 and max_vertices 12 found with a pair that has two
-# structurally valid candidate contacts (91 such pairs in all)
+# structurally valid candidate contacts (91 such pairs in all); in both
+# the pair's contact is 1, and the other one that fits its chains is 2
 AMBIGUOUS = [
     (DualGraph(((), (1,), (2,), (1,)), (4, 3), ()), (1, 2)),
     (DualGraph(((), (1,), (1,), (3,)), (2, 3, 4), ()), (1, 3)),
 ]
+OTHER_CONTACT = 2
 
 
 @pytest.fixture
@@ -308,7 +307,9 @@ def assemble_calls(monkeypatch):
 def test_ambiguous_pair_decodes_with_one_series_check(graph, pair,
                                                       pairwise_calls):
     p = series_of(graph)
-    assert len(structural_survivors(*pair_data(p, pair))) == 2
+    p2, b1, b2 = pair_data(p, pair)
+    assert fits_chains(b1, b2, 1) and fits_chains(b1, b2, OTHER_CONTACT)
+    assert _least_contact(p2, b1, b2) == 1
     assert equivalent(reconstruct_divisorial(p), graph)
     assert pairwise_calls == []
 
@@ -325,13 +326,19 @@ WRONG_CONTACT_FAILURE = {
 @pytest.mark.parametrize("graph,pair", AMBIGUOUS)
 def test_reversed_candidates_fail_after_one_assembly(
         graph, pair, assemble_calls, pairwise_calls, monkeypatch):
-    # reversed, the wrong structural survivor comes first: the one graph
-    # is refused, and no pair is decoded again
-    monkeypatch.setattr(reconstruct, "_contact_candidates",
-                        lambda *args: _contact_candidates(*args)[::-1])
+    # the contact chooser, patched, gives the ambiguous pair the other
+    # contact that fits its chains: the one graph is refused, and no pair
+    # is decoded again
+    p = series_of(graph)
+    wrong = pair_data(p, pair)
+
+    def chooser(*args):
+        return OTHER_CONTACT if args == wrong else _least_contact(*args)
+
+    monkeypatch.setattr(reconstruct, "_least_contact", chooser)
     error, message = WRONG_CONTACT_FAILURE[len(graph.marked_divisors)]
     with pytest.raises(error, match=message):
-        reconstruct_divisorial(series_of(graph))
+        reconstruct_divisorial(p)
     assert len(assemble_calls) == 1
     assert pairwise_calls == []
 
@@ -379,6 +386,16 @@ def tampered_pair_series(count, r=2):
     return out
 
 
+def contact_fits(q):
+    """Whether the tampered pair (1, 2) of q has a contact, and it fits
+    the two chains."""
+    p2, b1, b2 = pair_data(q, (1, 2))
+    try:
+        return fits_chains(b1, b2, _least_contact(p2, b1, b2))
+    except DecodeError:
+        return False
+
+
 def decode_outcome(p, message=False):
     try:
         reconstruct_divisorial(p)
@@ -390,14 +407,15 @@ def decode_outcome(p, message=False):
 
 def test_tampered_pair_series_fail_as_before():
     series = tampered_pair_series(200)
-    # 56 of them have a single structurally valid contact; those that fit
-    # the chains fail the one check against the whole series
-    assert sum(len(structural_survivors(*pair_data(q, (1, 2)))) == 1
-               for q in series) == 56
+    # those whose contact fits the two chains fail the one check against
+    # the whole series; the others fail before it
     outcomes = [decode_outcome(q) for q in series]
-    assert Counter(outcomes) == {"DecodeError": 143, "VerificationError": 57}
+    assert sum(map(contact_fits, series)) == outcomes.count(
+        "VerificationError")
+    assert Counter(outcomes) == {"DecodeError": 51, "ContactError": 92,
+                                 "VerificationError": 57}
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
-        "d0ce96d486d8b3b55af53744fb35ad204ece9ecd041a0fb6980a34b135e2cd6f")
+        "7fb461eb9fec1d860e31f2733e58664f1e0c8d6ce75d81a97603b30e0fa633cc")
 
 
 def test_tampered_triple_series_fail_as_before():
@@ -407,9 +425,9 @@ def test_tampered_triple_series_fail_as_before():
     outcomes = [decode_outcome(q, message=True)
                 for q in tampered_pair_series(200, r=3)]
     assert Counter(o.split(":")[0] for o in outcomes) == {
-        "DecodeError": 126, "VerificationError": 65, "ContactError": 9}
+        "DecodeError": 53, "VerificationError": 65, "ContactError": 82}
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
-        "5f4456103745a20f9f1505d090f3334c4e88127b96e68969556869bc44f41705")
+        "7c41a0834eddba089906863aac5fe4fe85db3f55031bdbeb2addc887c72a71fa")
 
 
 def test_failed_checks_quote_at_most_32_factors():
@@ -567,21 +585,22 @@ def test_peel_transversal_cusps():
 
 
 @pytest.mark.parametrize("nvars,facs,failure", [
-    # the one maximal exponent peels a branch whose self-value is above
+    # the glex-first exponent peels a branch whose self-value is above
     # the exponent's own coordinate
-    pytest.param(2, {(2, 1): -1, (4, 2): 1, (5, 2): -1}, "2 branches left "
-                 "(last failure: peeled branch (2, 5) has self-value 10 "
-                 "above its exponent 5)", id="top-level"),
-    # one branch peels, and no exponent of the two branches left does
-    pytest.param(3, {(2, 6, 3): 2}, "2 branches left (last failure: "
-                 "generators (2,) have gcd 2 != 1)", id="one-level-down"),
+    pytest.param(2, {(2, 1): -1, (4, 2): 1, (5, 2): -1}, "(5, 2) does not "
+                 "peel with 2 branches left: peeled branch (2, 5) has "
+                 "self-value 10 above its exponent 5", id="top-level"),
+    # one branch peels, and the glex-first exponent of the two branches
+    # left does not
+    pytest.param(3, {(2, 6, 3): 2}, "(2, 3) does not peel with 2 branches "
+                 "left: generators (2,) have gcd 2 != 1", id="one-level-down"),
 ])
 def test_curve_dead_end_names_the_branches_left_and_the_last_failure(
         nvars, facs, failure):
     with pytest.raises(DecodeError) as info:
         _solve_curve(FactoredSeries(nvars, facs))
     assert str(info.value) == ("series does not decompose into plane curve "
-                               f"branches: no exponent peels with {failure}")
+                               f"branches: exponent {failure}")
 
 
 def table_branch_of_values(values):
