@@ -330,10 +330,10 @@ def test_reversed_candidates_fail_after_one_assembly(
     # contact that fits its chains: the one graph is refused, and no pair
     # is decoded again
     p = series_of(graph)
-    wrong = pair_data(p, pair)
+    ambiguous = pair_data(p, pair)
 
     def chooser(*args):
-        return OTHER_CONTACT if args == wrong else _least_contact(*args)
+        return OTHER_CONTACT if args == ambiguous else _least_contact(*args)
 
     monkeypatch.setattr(reconstruct, "_least_contact", chooser)
     error, message = WRONG_CONTACT_FAILURE[len(graph.marked_divisors)]
