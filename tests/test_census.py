@@ -6,12 +6,18 @@ its one assemble call the graph's own contact matrix, so the contact it
 chose for every pair is the true one; a curve decode must peel each
 level once, at the glex-first exponent of that level's series.  Either
 way the decode is equivalent to its source after exactly one assembly.
+Every contact of a decode, replaced by another partial sum of its two
+chains' multiplicity products, either is refused by assemble or merges
+into a graph that realizes the edited contacts.
 """
+
+from itertools import accumulate, combinations, zip_longest
 
 import pytest
 
-from planevals import (equivalent, multiplicity_matrix, reconstruct_curve,
-                       reconstruct_divisorial)
+from planevals import (DecodeError, assemble, equivalent, multiplicity_matrix,
+                       reconstruct_curve, reconstruct_divisorial)
+from planevals.reconstruct import _branch_profile
 from planevals.series import glex_key
 
 from census import bare_sequences, curve_collections, divisorial_collections
@@ -22,6 +28,10 @@ R_MAX = 3
 # decorated graphs of the census, one per canonical code
 DIVISORIAL_GRAPHS = 6078
 CURVE_GRAPHS = 4060
+# the contact edits run on the census of at most 5 points, both modes
+EDIT_N_MAX = 5
+CONTACT_EDITS = 33683
+EDITED_GRAPHS = 8320
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +76,49 @@ def test_curve_census_peels_at_the_glex_first_exponent(bare, monkeypatch):
         for q, cand, _ in peels:
             assert cand == max(q.factors(), key=glex_key)
     assert len(graphs) == CURVE_GRAPHS
+
+
+def contact_values(mu_i, mu_j):
+    """The contacts of two chains that share 1, 2, ... points, down to two
+    points past the longer one: partial sums of the products of their
+    multiplicities, which are 1 past either chain."""
+    products = [a * b for a, b in zip_longest(mu_i, mu_j, fillvalue=1)]
+    return list(accumulate(products + [1, 1]))
+
+
+def test_edited_contacts_are_refused_or_realized(bare, monkeypatch):
+    assembled = spy_on(monkeypatch, "assemble")
+    for g in bare:
+        if g.n <= EDIT_N_MAX:
+            for h in divisorial_collections(g, R_MAX):
+                reconstruct_divisorial(series_of(h))
+            for h in curve_collections(g, R_MAX):
+                reconstruct_curve(series_of(h))
+    edits = graphs = 0
+    for branches, contacts, mode in assembled:
+        mu = [_branch_profile(b, mode)[1] for b in branches]
+        r = len(branches)
+        for i, j in combinations(range(r), 2):
+            for value in contact_values(mu[i], mu[j]):
+                edited = [row[:] for row in contacts]
+                edited[i][j] = edited[j][i] = value
+                edits += 1
+                try:
+                    graph = assemble(branches, edited, mode)
+                except DecodeError:  # ContactError is one
+                    continue
+                graphs += 1
+                if mode == "divisorial":
+                    refs = graph.marked_divisors
+                else:
+                    refs = [v for v, _ in sorted(graph.arrows,
+                                                 key=lambda a: a[1])]
+                got = [[row[w - 1] for w in refs]
+                       for row in multiplicity_matrix(graph, refs)]
+                if mode == "curve":
+                    # the diagonal holds a branch's solo self-value, which
+                    # free points shared with another branch run past
+                    for k in range(r):
+                        got[k][k] = edited[k][k]
+                assert got == edited
+    assert (edits, graphs) == (CONTACT_EDITS, EDITED_GRAPHS)

@@ -16,7 +16,7 @@ from planevals import (Branch, BranchData, ContactError, DecodeError,
                        Divisorial, DualGraph, FactoredSeries, GraphError,
                        SeriesError, assemble, branch_from_univariate,
                        graph_from_json, multiplicity_matrix, poincare_series,
-                       reconstruct_curve)
+                       reconstruct_curve, reconstruct_divisorial)
 from planevals.dualgraph import MAX_VERTICES, euler_smooth
 from planevals.reconstruct import _branch_of_values, _branch_profile, _fit_pair
 
@@ -302,6 +302,22 @@ REFUSALS = [
      lambda: assemble([SMOOTH] * 3, [[1, 3, 1], [3, 1, 2], [1, 2, 1]],
                       "curve"),
      ContactError, "shared depths violate the tree hierarchy"),
+    # the cusp's chain, and the same chain run on by one free point:
+    # contact 5 makes them share the origin and the free point, and then
+    # each chain blows up the satellite point of the same two components
+    ("two satellite points on the same components",
+     lambda: assemble([CUSP_BRANCH, BranchData.from_generators((2, 3), 1)],
+                      [[6, 5], [5, 7]], "divisorial"),
+     ContactError, "two distinct points claim the satellite position on "
+     "components (1, 2)"),
+    # random_instance(50020033, 12, 2, "divisorial") with one pole moved:
+    # the least contact fits both chains, and the merge repeats a
+    # satellite point
+    ("tampered pair series that repeats a satellite point",
+     lambda: reconstruct_divisorial(FactoredSeries(
+         2, {(3, 2): -1, (8, 5): -1, (14, 10): 1, (14, 11): -1})),
+     ContactError, "two distinct points claim the satellite position on "
+     "components (2, 3)"),
     # -- decoders -------------------------------------------------------------
     ("curve series of three branches with no factor",
      lambda: reconstruct_curve(FactoredSeries(3, {})),
