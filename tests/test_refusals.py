@@ -308,16 +308,16 @@ REFUSALS = [
     ("two satellite points on the same components",
      lambda: assemble([CUSP_BRANCH, BranchData.from_generators((2, 3), 1)],
                       [[6, 5], [5, 7]], "divisorial"),
-     ContactError, "two distinct points claim the satellite position on "
-     "components (1, 2)"),
+     ContactError, "merged chains are not a blowup sequence: vertex 4: "
+     "satellite parents 1,2 not adjacent"),
     # random_instance(50020033, 12, 2, "divisorial") with one pole moved:
     # the least contact fits both chains, and the merge repeats a
     # satellite point
     ("tampered pair series that repeats a satellite point",
      lambda: reconstruct_divisorial(FactoredSeries(
          2, {(3, 2): -1, (8, 5): -1, (14, 10): 1, (14, 11): -1})),
-     ContactError, "two distinct points claim the satellite position on "
-     "components (2, 3)"),
+     ContactError, "merged chains are not a blowup sequence: vertex 5: "
+     "satellite parents 2,3 not adjacent"),
     # -- decoders -------------------------------------------------------------
     ("curve series of three branches with no factor",
      lambda: reconstruct_curve(FactoredSeries(3, {})),
