@@ -295,8 +295,8 @@ def _fit_pair(profiles, i: int, j: int, contact: int, mode: str) -> int:
     No graph is built.
     """
     if contact < 1:
-        raise ContactError("contact matrix must be symmetric "
-                           "with positive entries")
+        raise ContactError(
+            f"contact {contact} of chains {i + 1} and {j + 1} is not positive")
     (kinds_i, mu_i), (kinds_j, mu_j) = profiles[i], profiles[j]
     acc = d = 0
     for a, b in itertools.zip_longest(mu_i, mu_j, fillvalue=1):
@@ -309,11 +309,13 @@ def _fit_pair(profiles, i: int, j: int, contact: int, mode: str) -> int:
         acc = contact
     if mode == "divisorial" and d > min(len(mu_i), len(mu_j)):
         raise ContactError(
-            f"contact {contact} exceeds what the two chains can share")
+            f"contact {contact} of chains {i + 1} and {j + 1} exceeds what "
+            "they can share")
     if acc != contact:
         raise ContactError(
-            f"contact {contact} is not a partial sum of multiplicity "
-            f"products (reached {acc} at depth {d})")
+            f"contact {contact} of chains {i + 1} and {j + 1} is not a "
+            f"partial sum of multiplicity products (reached {acc} at "
+            f"depth {d})")
     if d > MAX_VERTICES:
         raise DecodeError(
             f"contact {contact} needs {d} shared points, above the limit "

@@ -427,7 +427,7 @@ def test_tampered_triple_series_fail_as_before():
     assert Counter(o.split(":")[0] for o in outcomes) == {
         "DecodeError": 53, "VerificationError": 65, "ContactError": 82}
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == (
-        "7c41a0834eddba089906863aac5fe4fe85db3f55031bdbeb2addc887c72a71fa")
+        "58787efa58f20b072f5ab6a77469b3e991f6af1bfa0054a16e65a83590c279b4")
 
 
 def test_failed_checks_quote_at_most_32_factors():

@@ -274,14 +274,15 @@ REFUSALS = [
      ContactError, "contact matrix must be symmetric with positive entries"),
     ("contact 0",
      lambda: assemble([SMOOTH, SMOOTH], [[1, 0], [0, 1]], "curve"),
-     ContactError, "contact matrix must be symmetric with positive entries"),
+     ContactError, "contact 0 of chains 1 and 2 is not positive"),
     ("contact past the shorter divisorial chain",
      lambda: assemble([E1, E3], [[1, 2], [2, 3]], "divisorial"),
-     ContactError, "contact 2 exceeds what the two chains can share"),
+     ContactError, "contact 2 of chains 1 and 2 exceeds what they can "
+     "share"),
     ("contact between partial sums",
      lambda: assemble([CUSP_BRANCH, SMOOTH], [[6, 1], [1, 1]], "curve"),
-     ContactError, "contact 1 is not a partial sum of multiplicity products "
-     "(reached 2 at depth 1)"),
+     ContactError, "contact 1 of chains 1 and 2 is not a partial sum of "
+     "multiplicity products (reached 2 at depth 1)"),
     ("shared depth past the vertex limit",
      lambda: assemble([SMOOTH, SMOOTH], [[1, MAX_VERTICES + 1],
                                          [MAX_VERTICES + 1, 1]], "curve"),
