@@ -10,14 +10,13 @@ two-variable series, projected once: it is the least value that the
 structural cases give, with nothing tried and no graph built.  A Noether
 walk merges per-branch infinitely-near-point chains into the final graph,
 running the pair check on every pair and checking that the merge realizes
-every shared depth (the tree hierarchy); by Noether's formula the two
-checks imply that the graph realizes every contact, so it is not read
-back.  A single chain is the same walk with one branch.  A curve series
-gives up one branch at a time, at its glex-first exponent, through the
-projection formula, with nothing else tried.  Either decode assembles
-its one graph once, and that graph has its forward series recomputed
-and compared with the input, so a wrong decode surfaces as an error
-instead of a wrong graph.
+every shared depth (the tree hierarchy), which by Noether's formula
+makes the graph realize every contact; a single chain is the same walk
+with one branch.  A curve series gives up one branch at a time, at its
+glex-first exponent, through the projection formula, with nothing else
+tried.  Either decode assembles its one graph once, and that graph has
+its forward series recomputed and compared with the input, so a wrong
+decode surfaces as an error instead of a wrong graph.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from math import gcd
 from operator import ge, lt
 from typing import List, Optional, Sequence, Tuple
 
-from .dualgraph import MAX_VERTICES, DualGraph, GraphError
-# unused here; bench/tracing.py wraps it as an attribute of this module
-from .dualgraph import multiplicity_matrix  # noqa: F401
+from .dualgraph import (MAX_VERTICES, DualGraph, GraphError,
+                        multiplicity_matrix)  # bench/tracing.py wraps it here
 from .poincare import (default_spec, poincare_series,
                        projection_formula_curve)
 from .series import FactoredSeries, SeriesError, glex_key, project
@@ -295,8 +293,8 @@ def _fit_pair(profiles, i: int, j: int, contact: int, mode: str) -> int:
     No graph is built.
     """
     if contact < 1:
-        raise ContactError(
-            f"contact {contact} of chains {i + 1} and {j + 1} is not positive")
+        raise ContactError(f"contact {contact} of chains {i + 1} and "
+                           f"{j + 1} is not positive")
     (kinds_i, mu_i), (kinds_j, mu_j) = profiles[i], profiles[j]
     acc = d = 0
     for a, b in itertools.zip_longest(mu_i, mu_j, fillvalue=1):
@@ -308,14 +306,12 @@ def _fit_pair(profiles, i: int, j: int, contact: int, mode: str) -> int:
         d += contact - acc
         acc = contact
     if mode == "divisorial" and d > min(len(mu_i), len(mu_j)):
-        raise ContactError(
-            f"contact {contact} of chains {i + 1} and {j + 1} exceeds what "
-            "they can share")
+        raise ContactError(f"contact {contact} of chains {i + 1} and "
+                           f"{j + 1} exceeds what they can share")
     if acc != contact:
-        raise ContactError(
-            f"contact {contact} of chains {i + 1} and {j + 1} is not a "
-            f"partial sum of multiplicity products (reached {acc} at "
-            f"depth {d})")
+        raise ContactError(f"contact {contact} of chains {i + 1} and "
+                           f"{j + 1} is not a partial sum of multiplicity "
+                           f"products (reached {acc} at depth {d})")
     if d > MAX_VERTICES:
         raise DecodeError(
             f"contact {contact} needs {d} shared points, above the limit "
@@ -348,16 +344,15 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
     tree hierarchy (s[i][k] >= min(s[i][j], s[j][k])).  With ``expect``
     given, the forward series of the result is compared against it.
 
-    Two facts follow from these checks and are not checked again.  The
-    graph realizes every contact: chain i's points carry its profile's
-    kinds (the first share[i] from src[i], as _fit_pair matched), so a
-    curvette of its last point has the profile's multiplicities, and 1
-    past it; two chains share exactly their first s[i][j] points, so
-    Noether's formula (Casas-Alvero) gives the partial sum _fit_pair
-    matched.  No satellite position is taken twice: points are numbered
-    by depth, so the first of two satellite points on components s < d
-    removes s from d's adjacency, and the replay refuses the second
-    ("satellite parents s,d not adjacent"), raised as ContactError.
+    Two facts follow and are not checked again.  The graph realizes
+    every contact: chain i's points carry its profile's kinds (the first
+    share[i] from src[i], as _fit_pair matched), so a curvette of its
+    last point has the profile's multiplicities, and 1 past it; two
+    chains share exactly their first s[i][j] points, so Noether's
+    formula (Casas-Alvero) gives the partial sum _fit_pair matched.  No
+    satellite position is taken twice: of two satellite points on
+    components s < d, the first in depth order removes s from d's
+    adjacency, and the replay refuses the second as a ContactError.
     """
     branches = list(branches)
     r = len(branches)
@@ -614,15 +609,16 @@ def _peel_at(q: FactoredSeries, cand: tuple):
     return i0 + 1, _branch_of_values(values)
 
 
-def _solve_curve(p: FactoredSeries):
+def _solve_curve(p: FactoredSeries, inputs: Optional[tuple] = None):
     """The (branches, contacts) decomposition of a curve series.
 
     Peels the branch at the glex-first exponent, which is always a
     maximal one, and decodes the rest.  A valid series has one
     decomposition (Yamamoto), and on every valid series tried the
     glex-first exponent peeled, so no other exponent is tried: if it does
-    not peel, the series is refused, naming the exponent and the branches
-    left.  The caller checks the result against the series.
+    not peel, the series is refused, naming the exponent, the input
+    branches of its coordinates and how many are left.  The caller
+    checks the result against the series.
     """
     if p.nvars == 1:
         b = branch_from_univariate(p, "curve")
@@ -636,6 +632,7 @@ def _solve_curve(p: FactoredSeries):
             f"series does not decompose into plane curve branches: no "
             f"exponent peels with {p.nvars} branches left")
     cand = max(facs, key=glex_key)
+    inputs = inputs or tuple(range(1, p.nvars + 1))
     try:
         i0, bd = _peel_at(p, cand)
         if bd.top_value > cand[i0 - 1]:
@@ -646,14 +643,16 @@ def _solve_curve(p: FactoredSeries):
     except (DecodeError, SeriesError) as exc:
         raise DecodeError(
             f"series does not decompose into plane curve branches: exponent "
-            f"{cand} does not peel with {p.nvars} branches left: {exc}"
+            f"{cand} on input branches {inputs} does not peel with "
+            f"{p.nvars} branches left: {exc}"
         ) from exc
     # the peeled branch's row and column are the exponent, but its own
     # coordinate counts shared extension steps on top of the solo
     # self-value; the diagonal stores the latter
     col = list(cand)
     col[i0 - 1] = bd.top_value
-    branches, sub_c = _solve_curve(p_rest)
+    branches, sub_c = _solve_curve(p_rest,
+                                   inputs=inputs[:i0 - 1] + inputs[i0:])
     branches.insert(i0 - 1, bd)
     cm = [row[:i0 - 1] + [v] + row[i0 - 1:]
           for row, v in zip(sub_c, col[:i0 - 1] + col[i0:])]

@@ -587,13 +587,15 @@ def test_peel_transversal_cusps():
 @pytest.mark.parametrize("nvars,facs,failure", [
     # the glex-first exponent peels a branch whose self-value is above
     # the exponent's own coordinate
-    pytest.param(2, {(2, 1): -1, (4, 2): 1, (5, 2): -1}, "(5, 2) does not "
-                 "peel with 2 branches left: peeled branch (2, 5) has "
-                 "self-value 10 above its exponent 5", id="top-level"),
-    # one branch peels, and the glex-first exponent of the two branches
-    # left does not
-    pytest.param(3, {(2, 6, 3): 2}, "(2, 3) does not peel with 2 branches "
-                 "left: generators (2,) have gcd 2 != 1", id="one-level-down"),
+    pytest.param(2, {(2, 1): -1, (4, 2): 1, (5, 2): -1}, "(5, 2) on input "
+                 "branches (1, 2) does not peel with 2 branches left: peeled "
+                 "branch (2, 5) has self-value 10 above its exponent 5",
+                 id="top-level"),
+    # branch 2 peels, and the glex-first exponent of the two branches
+    # left, 1 and 3, does not
+    pytest.param(3, {(2, 6, 3): 2}, "(2, 3) on input branches (1, 3) does "
+                 "not peel with 2 branches left: generators (2,) have gcd 2 "
+                 "!= 1", id="one-level-down"),
 ])
 def test_curve_dead_end_names_the_branches_left_and_the_last_failure(
         nvars, facs, failure):
