@@ -609,7 +609,8 @@ def _peel_at(q: FactoredSeries, cand: tuple):
     return i0 + 1, _branch_of_values(values)
 
 
-def _solve_curve(p: FactoredSeries, inputs: Optional[tuple] = None):
+def _solve_curve(p: FactoredSeries,
+                 inputs: Optional[Tuple[int, ...]] = None):
     """The (branches, contacts) decomposition of a curve series.
 
     Peels the branch at the glex-first exponent, which is always a

@@ -6,9 +6,9 @@ its one assemble call the graph's own contact matrix, so the contact it
 chose for every pair is the true one; a curve decode must peel each
 level once, at the glex-first exponent of that level's series.  Either
 way the decode is equivalent to its source after exactly one assembly.
-Every contact of a decode, replaced by another partial sum of its two
-chains' multiplicity products, either is refused by assemble or merges
-into a graph that realizes the edited contacts.
+On the census of at most 5 points, every contact of a decode, replaced
+by each partial sum of its two chains' multiplicity products, is either
+refused by assemble or merged into a graph that realizes the edit.
 """
 
 from itertools import accumulate, combinations, zip_longest
