@@ -193,6 +193,16 @@ REFUSALS = [
     ("first bad factor speaks",
      lambda: FactoredSeries(2, [((1, 2), -1), ((0, 0), 1), ((1,), 1)]),
      SeriesError, "zero exponent vector is not allowed in a factor"),
+    # the one new exponent of with_factor is checked as the constructor's
+    ("with_factor of a short exponent",
+     lambda: FactoredSeries(2, {(1, 1): -1}).with_factor((1,), 1),
+     SeriesError, "exponent (1,) has wrong arity, expected 2"),
+    ("with_factor of a negative entry",
+     lambda: FactoredSeries(2, {(1, 1): -1}).with_factor((1, -1), 1),
+     SeriesError, "negative entry in exponent (1, -1)"),
+    ("with_factor of the zero vector",
+     lambda: FactoredSeries(2, {(1, 1): -1}).with_factor((0, 0), -1),
+     SeriesError, "zero exponent vector is not allowed in a factor"),
     # -- BranchData.from_generators -----------------------------------------
     ("no generators", lambda: BranchData.from_generators(()),
      DecodeError, "need at least one generator and c >= 0"),
