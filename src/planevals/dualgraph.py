@@ -66,8 +66,15 @@ class DualGraph:
     arrows: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(
-            [tuple(sorted(map(int, ps))) for ps in self.parents]))
+        # an entry that is already a tuple of at most two ascending ints
+        # is kept, since converting and sorting it would give it back
+        object.__setattr__(self, "parents", tuple([
+            ps if type(ps) is tuple and (
+                len(ps) == 1 and type(ps[0]) is int
+                or len(ps) == 2 and type(ps[0]) is int
+                and type(ps[1]) is int and ps[0] < ps[1]
+                or not ps)
+            else tuple(sorted(map(int, ps))) for ps in self.parents]))
         object.__setattr__(self, "marked_divisors",
                            tuple(map(int, self.marked_divisors)))
         object.__setattr__(self, "arrows",

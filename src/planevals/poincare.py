@@ -108,8 +108,12 @@ def poincare_series(graph: DualGraph, spec: ValuationSpec) -> FactoredSeries:
     chi = euler_smooth(graph, "curve" if graph.arrows else "divisorial")
     _check_minimal(graph, spec, cols, chi)
     m = multiplicity_matrix(graph, cols)
-    items = [(exponent, -k) for exponent, k in zip(zip(*m), chi) if k]
-    return FactoredSeries(len(cols), items)
+    # the rows are certified positive, so every column is a valid exponent
+    factors: dict = {}
+    for exponent, k in zip(zip(*m), chi):
+        if k:
+            factors[exponent] = factors.get(exponent, 0) - k
+    return FactoredSeries._from_valid(len(cols), factors)
 
 
 def projection_formula_curve(p: FactoredSeries, m_alpha,

@@ -22,7 +22,7 @@ decode surfaces as an error instead of a wrong graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -73,7 +73,9 @@ class BranchData:
     m_tau_i = (e_{i-1}/e_i) m_i; gcds holds e_i = gcd(m_0..m_i); c counts
     free blowups past the last rupture (always 0 for curve branches);
     top_value is the self-contact m_{g+1} = m_tau_g + c, with the
-    conventions e_{-1} = m_0 and m_tau_0 = m_0 when g = 0.
+    conventions e_{-1} = m_0 and m_tau_0 = m_0 when g = 0.  The package
+    makes instances only by from_generators, or from one of its results
+    by giving it a free tail, and univariate_series relies on its checks.
     """
 
     generators: Tuple[int, ...]
@@ -115,14 +117,17 @@ class BranchData:
             raise DecodeError(f"unknown mode {mode!r}")
         if mode == "curve" and self.c != 0:
             raise DecodeError("curve branches have no free tail")
-        items = [((m,), -1) for m in self.generators]
+        # from_generators certified every value a positive int
+        factors = dict.fromkeys([(m,) for m in self.generators], -1)
         if mode == "divisorial":
             # with no free tail the top value is the last dead value (or
             # m_0 = 1 when g = 0), so this pole cancels that zero (or
             # squares the pole at t)
-            items.append(((self.top_value,), -1))
-        items += [((m,), 1) for m in self.dead_values]
-        return FactoredSeries(1, items)
+            top = (self.top_value,)
+            factors[top] = factors.get(top, 0) - 1
+        for m in self.dead_values:
+            factors[(m,)] = factors.get((m,), 0) + 1
+        return FactoredSeries._from_valid(1, factors)
 
 
 def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
@@ -167,14 +172,15 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
     elif gcd(*denoms[:-1]) > 1:
         b = BranchData.from_generators(denoms, 0)
     else:
-        gens = denoms[:-1]
-        base = BranchData.from_generators(gens, 0)
+        base = BranchData.from_generators(denoms[:-1], 0)
         c = denoms[-1] - base.top_value
         if c < 1:
             raise DecodeError(
                 f"top exponent {denoms[-1]} not past the last dead value "
                 f"{base.top_value}")
-        b = BranchData.from_generators(gens, c)
+        # from_generators(gens, c) differs from base only in c and the
+        # top value
+        b = replace(base, c=c, top_value=denoms[-1])
     if b.univariate_series(mode) != p:
         raise DecodeError(
             f"zeros {numers} disagree with dead values {b.dead_values}")

@@ -180,7 +180,9 @@ class FactoredSeries:
         if nvars < 0:
             raise SeriesError("nvars must be nonnegative")
         self.nvars = nvars = int(nvars)
-        items = factors.items() if isinstance(factors, Mapping) else factors
+        # the exact type test spares a plain dict the ABC check
+        items = (factors.items() if type(factors) is dict
+                 or isinstance(factors, Mapping) else factors)
         acc: dict = {}
         for m, k in items:
             m = _check_exponent(m, nvars)
@@ -189,8 +191,24 @@ class FactoredSeries:
 
     @classmethod
     def _from_valid(cls, nvars: int, factors: dict) -> "FactoredSeries":
-        """Wrap exponents already known valid for ``nvars``, skipping the
-        per-exponent check; zero powers drop."""
+        """Wrap ``factors``, whose exponents are already known to be tuples
+        of ``nvars`` nonnegative Python ints, not all zero, and whose
+        powers Python ints, skipping the per-exponent check; zero powers
+        drop.
+
+        Its callers, each with the certificate it relies on:
+
+        - ``project``: the restriction of a valid exponent, refused when
+          it is all zero;
+        - ``FactoredSeries.with_factor``: the one new exponent goes
+          through ``_check_exponent``, the rest are the series' own;
+        - ``factorize``: each exponent is a nonzero cell of the box;
+        - ``poincare.poincare_series``: each exponent is a column of rows
+          that ``multiplicity_matrix`` certified positive;
+        - ``reconstruct.BranchData.univariate_series``: each exponent is a
+          generator, dead value or top value, all of which
+          ``BranchData.from_generators`` certified positive.
+        """
         out = cls.__new__(cls)
         out.nvars = nvars
         out._factors = {m: k for m, k in factors.items() if k}
@@ -221,8 +239,13 @@ class FactoredSeries:
 
     def with_factor(self, m, delta: int) -> "FactoredSeries":
         """New series with ``delta`` added to the power at exponent ``m``."""
-        items = list(self._factors.items()) + [(tuple(m), int(delta))]
-        return FactoredSeries(self.nvars, items)
+        # both are converted before m is checked, as the constructor did,
+        # so the same argument is refused first
+        m, delta = tuple(m), int(delta)
+        m = _check_exponent(m, self.nvars)
+        factors = dict(self._factors)
+        factors[m] = factors.get(m, 0) + delta
+        return FactoredSeries._from_valid(self.nvars, factors)
 
     def max_degree(self) -> int:
         """Largest coordinate appearing in any exponent (0 if no factors)."""
@@ -731,7 +754,7 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
     factors: dict = {}
     sparse = _Terms(s._keys, s._layout)
     if _peel_sparse(sparse, factors):
-        return FactoredSeries(s.nvars, factors)
+        return FactoredSeries._from_valid(s.nvars, factors)
     kernel = _Kernel(_grid(sparse.keys, s._layout))
     while True:
         # the origin comes first, and peeling keeps it at 1
@@ -745,7 +768,7 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
         for m, c in zip(exps, values):
             factors[m] = -c
             kernel.power(m, c)
-    return FactoredSeries(s.nvars, factors)
+    return FactoredSeries._from_valid(s.nvars, factors)
 
 
 def _peel_sparse(sparse: _Terms, factors: dict) -> bool:

@@ -83,6 +83,20 @@ def test_parent_validation():
         DualGraph(((), ()), (), ())
 
 
+def test_parents_are_stored_as_sorted_int_tuples():
+    # tuples of ints already in order are kept as they are
+    parents = ((), (1,), (1, 2))
+    g = DualGraph(parents)
+    assert all(a is b for a, b in zip(g.parents, parents))
+    # any other entry is converted and sorted: a list, a bool, a float, a
+    # tuple of two in reverse order or of one repeated entry
+    g = DualGraph(([], [True], (2.0, 1), (3, 1)))
+    assert g.parents == ((), (1,), (1, 2), (1, 3))
+    assert [type(p) for ps in g.parents for p in ps] == [int] * 5
+    with pytest.raises(GraphError, match="vertex 3: bad parents \\(2, 2\\)"):
+        DualGraph(((), (1,), (2, 2)))
+
+
 @given(st.data())
 def test_satellite_parents_are_nested(data):
     # whatever earlier vertices are given as parents, an accepted graph
