@@ -9,13 +9,21 @@ way the decode is equivalent to its source after exactly one assembly.
 On the census of at most 5 points, every contact of a decode, replaced
 by each partial sum of its two chains' multiplicity products, is either
 refused by assemble or merged into a graph that realizes the edit.
+
+The series that the package builds without the constructor's check (the
+product formula, a branch's univariate series, a factor added, a branch
+removed, a factorized expansion) are, over that census and the campaign
+items of the golden digest, exactly what the checked constructor makes
+of their factors.
 """
 
 from itertools import accumulate, combinations, zip_longest
 
 import pytest
 
-from planevals import (DecodeError, assemble, equivalent, multiplicity_matrix,
+from planevals import (DecodeError, FactoredSeries, assemble, equivalent,
+                       expand, factorize, multiplicity_matrix,
+                       projection_formula_curve, random_instance,
                        reconstruct_curve, reconstruct_divisorial)
 from planevals.reconstruct import _branch_profile
 from planevals.series import glex_key
@@ -122,3 +130,56 @@ def test_edited_contacts_are_refused_or_realized(bare, monkeypatch):
                         got[k][k] = edited[k][k]
                 assert got == edited
     assert (edits, graphs) == (CONTACT_EDITS, EDITED_GRAPHS)
+
+
+# the box of the factorized expansions
+CHECK_BOUND = 4
+
+
+def assert_checked(q):
+    """q is what the checked constructor makes of its factors: the same
+    exponents, as tuples of Python ints, and nonzero Python int powers."""
+    facs = q.factors()
+    assert q == FactoredSeries(q.nvars, facs)
+    assert 0 not in facs.values()
+    assert all(type(m) is tuple and len(m) == q.nvars
+               and all(type(e) is int for e in m) and type(k) is int
+               for m, k in facs.items())
+
+
+def campaign_graphs():
+    """The graphs of the campaign golden digest (test_reconstruct.py)."""
+    for k in range(1000):
+        mode, j = ("divisorial", "curve")[k % 2], k // 2
+        r = j % 3 + 1 if mode == "divisorial" else j % 4 + 1
+        yield random_instance(4 * (10 ** 6 + k), 30, r, mode)
+
+
+def test_unchecked_series_match_the_checked_constructor(bare, monkeypatch):
+    assembled = spy_on(monkeypatch, "assemble")
+    graphs = list(campaign_graphs())
+    for g in bare:
+        if g.n <= EDIT_N_MAX:
+            graphs += divisorial_collections(g, R_MAX)
+            graphs += curve_collections(g, R_MAX)
+    outputs = 0
+    for h in graphs:
+        p = series_of(h)
+        made = [p, factorize(expand(p, CHECK_BOUND))]
+        assembled.clear()
+        if h.arrows:
+            reconstruct_curve(p)
+            refs = [v for v, _ in sorted(h.arrows, key=lambda a: a[1])]
+            rows = multiplicity_matrix(h, refs)
+            for i, v in enumerate(refs, 1):
+                m_alpha = tuple(row[v - 1] for row in rows)
+                made.append(p.with_factor(m_alpha, -1))
+                made.append(projection_formula_curve(p, m_alpha, i))
+        else:
+            reconstruct_divisorial(p)
+        (branches, _, mode), = assembled
+        made += [b.univariate_series(mode) for b in branches]
+        for q in made:
+            assert_checked(q)
+        outputs += len(made)
+    assert (len(graphs), outputs) == (3129, 22383)
