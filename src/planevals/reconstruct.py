@@ -372,10 +372,12 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
             raise ContactError(
                 f"diagonal contact {cm[i][i]} differs from top value "
                 f"{branches[i].top_value} of valuation {i + 1}")
-        for j in range(r):
+        for j in range(i + 1, r):
             if cm[i][j] != cm[j][i]:
-                raise ContactError("contact matrix must be symmetric "
-                                   "with positive entries")
+                raise ContactError(
+                    f"contact {cm[i][j]} of chains {i + 1} and {j + 1} "
+                    f"differs from contact {cm[j][i]} of chains {j + 1} "
+                    f"and {i + 1}")
 
     profiles = [_branch_profile(b, mode) for b in branches]
     s = [[0] * r for _ in range(r)]

@@ -281,7 +281,8 @@ REFUSALS = [
      "valuation 1"),
     ("asymmetric contacts",
      lambda: assemble([SMOOTH, SMOOTH], [[1, 2], [3, 1]], "curve"),
-     ContactError, "contact matrix must be symmetric with positive entries"),
+     ContactError, "contact 2 of chains 1 and 2 differs from contact 3 of "
+     "chains 2 and 1"),
     ("contact 0",
      lambda: assemble([SMOOTH, SMOOTH], [[1, 0], [0, 1]], "curve"),
      ContactError, "contact 0 of chains 1 and 2 is not positive"),
