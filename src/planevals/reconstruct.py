@@ -75,7 +75,9 @@ class BranchData:
     top_value is the self-contact m_{g+1} = m_tau_g + c, with the
     conventions e_{-1} = m_0 and m_tau_0 = m_0 when g = 0.  The package
     makes instances only by from_generators, or from one of its results
-    by giving it a free tail, and univariate_series relies on its checks.
+    by giving it a free tail.  The constructor refuses any instance whose
+    generators, dead values and top value are not positive ints or whose
+    c is not a nonnegative int, which univariate_series relies on.
     """
 
     generators: Tuple[int, ...]
@@ -84,6 +86,22 @@ class BranchData:
     c: int
     g: int
     top_value: int
+
+    def __post_init__(self):
+        gens, dead, top, c = (self.generators, self.dead_values,
+                              self.top_value, self.c)
+        # univariate_series wraps these values unchecked
+        if (type(gens) is tuple and type(dead) is tuple and type(c) is int
+                and c >= 0):
+            for m in (*gens, *dead, top):
+                if type(m) is not int or m < 1:
+                    break
+            else:
+                return
+        raise DecodeError(
+            f"branch data needs positive int generators, dead values and "
+            f"top value and an int c >= 0, got generators {gens!r}, dead "
+            f"values {dead!r}, top value {top!r}, c {c!r}")
 
     @classmethod
     def from_generators(cls, generators, c: int = 0) -> "BranchData":
@@ -117,7 +135,7 @@ class BranchData:
             raise DecodeError(f"unknown mode {mode!r}")
         if mode == "curve" and self.c != 0:
             raise DecodeError("curve branches have no free tail")
-        # from_generators certified every value a positive int
+        # the constructor certified every value a positive int
         factors = dict.fromkeys([(m,) for m in self.generators], -1)
         if mode == "divisorial":
             # with no free tail the top value is the last dead value (or

@@ -206,8 +206,8 @@ class FactoredSeries:
         - ``poincare.poincare_series``: each exponent is a column of rows
           that ``multiplicity_matrix`` certified positive;
         - ``reconstruct.BranchData.univariate_series``: each exponent is a
-          generator, dead value or top value, all of which
-          ``BranchData.from_generators`` certified positive.
+          generator, dead value or top value, all of which the
+          ``BranchData`` constructor certified positive ints.
         """
         out = cls.__new__(cls)
         out.nvars = nvars

@@ -236,6 +236,27 @@ REFUSALS = [
      DecodeError, "generators (4, 6, 8) have gcd 2 != 1"),
     ("order before gcd", lambda: BranchData.from_generators((6, 4)),
      DecodeError, "generators must strictly increase: (6, 4)"),
+    # -- BranchData: its constructor ------------------------------------------
+    ("zero generator in branch data",
+     lambda: BranchData((0,), (), (0,), 0, 0, 0).univariate_series("curve"),
+     DecodeError, "branch data needs positive int generators, dead values "
+     "and top value and an int c >= 0, got generators (0,), dead values (), "
+     "top value 0, c 0"),
+    ("negative tail in branch data",
+     lambda: BranchData((1,), (), (1,), -1, 0, 1),
+     DecodeError, "branch data needs positive int generators, dead values "
+     "and top value and an int c >= 0, got generators (1,), dead values (), "
+     "top value 1, c -1"),
+    ("bool top value in branch data",
+     lambda: BranchData((2, 3), (6,), (2, 1), 0, 1, True),
+     DecodeError, "branch data needs positive int generators, dead values "
+     "and top value and an int c >= 0, got generators (2, 3), dead values "
+     "(6,), top value True, c 0"),
+    ("generator list in branch data",
+     lambda: BranchData([2, 3], (6,), (2, 1), 0, 1, 6),
+     DecodeError, "branch data needs positive int generators, dead values "
+     "and top value and an int c >= 0, got generators [2, 3], dead values "
+     "(6,), top value 6, c 0"),
     # -- euler_smooth ---------------------------------------------------------
     ("unknown mode", lambda: euler_smooth(DualGraph(CUSP), "branch"),
      GraphError, "unknown mode 'branch'"),
