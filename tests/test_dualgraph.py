@@ -97,6 +97,23 @@ def test_parents_are_stored_as_sorted_int_tuples():
         DualGraph(((), (1,), (2, 2)))
 
 
+def test_arrows_are_stored_as_sorted_int_pairs():
+    # a tuple of (int, int) pairs already in order is kept as it is
+    parents, arrows = CUSP_CURVE.parents, ((2, 1), (3, 2))
+    g = DualGraph(parents, (), arrows)
+    assert g.arrows is arrows
+    # any other is converted and sorted: a list, lists as pairs, a bool, a
+    # float, pairs out of order
+    for given in ([[3, 2], [2, 1]], ((2, True), (3, 2.0)), ((3, 2), (2, 1))):
+        g = DualGraph(parents, (), given)
+        assert g.arrows == ((2, 1), (3, 2))
+        assert type(g.arrows) is tuple
+        assert [type(x) for a in g.arrows for x in (a, *a)] == [
+            tuple, int, int] * 2
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        DualGraph(parents, (), ((2,),))
+
+
 @given(st.data())
 def test_satellite_parents_are_nested(data):
     # whatever earlier vertices are given as parents, an accepted graph
