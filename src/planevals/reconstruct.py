@@ -17,6 +17,14 @@ glex-first exponent, through the projection formula, with nothing else
 tried.  Either decode assembles its one graph once, and that graph has
 its forward series recomputed and compared with the input, so a wrong
 decode surfaces as an error instead of a wrong graph.
+
+Two pure steps are cached per process, each in a bounded LRU cache.
+branch_from_univariate keeps the last _DECODED_SERIES decodes, keyed on
+(series, mode): a hit skips the decode and its self-check and returns the
+same frozen BranchData.  _branch_profile keeps the last 64 chains, keyed
+on (BranchData, mode): a hit skips the Euclidean state machine.  Neither
+cache stores a refusal, so a refused input raises the same error on every
+call.
 """
 
 from __future__ import annotations
@@ -148,6 +156,13 @@ class BranchData:
         return FactoredSeries._from_valid(1, factors)
 
 
+# 2000 campaign round trips decode about 175 distinct one-variable series,
+# 2730 in all; an entry (the key series, which the cache keeps alive, and
+# its BranchData) holds about 0.9 KB there, so a full cache about 1 MB
+_DECODED_SERIES = 1024
+
+
+@lru_cache(maxsize=_DECODED_SERIES)
 def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
     """Decode a one-variable factored series into BranchData.
 
@@ -162,7 +177,8 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
     decoded branch against its series.  The poles are b's by
     construction and every power is +-1, and a dead value is never a
     generator or the top value (m_i < dead_i < m_{i+1}, dead_g < top), so
-    the check fails exactly when the zeros are not b's.
+    the check fails exactly when the zeros are not b's.  Results are
+    cached per (p, mode); a refusal is not, and raises again.
     """
     if p.nvars != 1:
         raise DecodeError("univariate series expected")

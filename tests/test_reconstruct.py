@@ -121,6 +121,42 @@ def test_decode_rejects_non_branch_series(factors):
         branch_from_univariate(p, "divisorial")
 
 
+@pytest.mark.parametrize("mode,bd", [
+    ("curve", BranchData.from_generators((4, 6, 13))),
+    ("divisorial", BranchData.from_generators((2, 3), c=2)),
+    ("divisorial", BranchData.from_generators((1,))),
+])
+def test_equal_series_decode_to_the_same_branch_data(mode, bd):
+    # the decode is cached per (series, mode): an equal series built as a
+    # new object gets the very BranchData of the first decode
+    first = branch_from_univariate(
+        FactoredSeries(1, bd.univariate_series(mode).factors()), mode)
+    again = branch_from_univariate(
+        FactoredSeries(1, bd.univariate_series(mode).factors()), mode)
+    assert first == bd
+    assert again is first
+
+
+@pytest.mark.parametrize("factors,mode,message", [
+    ({(2,): -1, (3,): -1, (6,): 1}, "branch", "unknown mode 'branch'"),
+    ({(2,): -1, (3,): -1}, "curve",
+     "curve shape needs g+1 poles vs g zeros, got 2 vs 0"),
+    ({(2,): -1, (3,): -1, (7,): 1}, "curve",
+     "zeros [7] disagree with dead values (6,)"),
+])
+def test_refused_decodes_are_not_cached(factors, mode, message):
+    # a refusal is decoded again on every call, with the same class and
+    # message, and leaves no entry in the cache
+    raised = []
+    for _ in range(2):
+        misses = branch_from_univariate.cache_info().misses
+        with pytest.raises(DecodeError) as info:
+            branch_from_univariate(FactoredSeries(1, factors), mode)
+        assert branch_from_univariate.cache_info().misses == misses + 1
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(DecodeError, message)] * 2
+
+
 def univariate_corpus(count):
     """Seeded one-variable series: a third are random sets of small
     factors, the rest the series of a random branch or divisor with one
