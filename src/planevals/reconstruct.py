@@ -157,8 +157,9 @@ class BranchData:
 
 
 # 2000 campaign round trips decode about 175 distinct one-variable series,
-# 2730 in all; an entry (the key series, which the cache keeps alive, and
-# its BranchData) holds about 0.9 KB there, so a full cache about 1 MB
+# about 2740 in all; an entry (the key series, which the cache keeps
+# alive, and its BranchData) holds about 0.9 KB there, so a full cache
+# holds about 1 MB
 _DECODED_SERIES = 1024
 
 
