@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import itemgetter, le
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -77,15 +77,9 @@ class DualGraph:
             else tuple(sorted(map(int, ps))) for ps in self.parents]))
         object.__setattr__(self, "marked_divisors",
                            tuple(map(int, self.marked_divisors)))
-        # and so is a tuple of (int, int) arrows already in order
-        arrows = self.arrows
-        if type(arrows) is not tuple or arrows and not (
-                all(type(a) is tuple and len(a) == 2 and type(a[0]) is int
-                    and type(a[1]) is int for a in arrows)
-                and all(map(le, arrows, arrows[1:]))):
-            object.__setattr__(self, "arrows",
-                               tuple(sorted((int(v), int(b))
-                                            for v, b in arrows)))
+        object.__setattr__(self, "arrows",
+                           tuple(sorted((int(v), int(b))
+                                        for v, b in self.arrows)))
         self._replay()
         self._check_decorations()
 

@@ -98,13 +98,11 @@ def test_parents_are_stored_as_sorted_int_tuples():
 
 
 def test_arrows_are_stored_as_sorted_int_pairs():
-    # a tuple of (int, int) pairs already in order is kept as it is
-    parents, arrows = CUSP_CURVE.parents, ((2, 1), (3, 2))
-    g = DualGraph(parents, (), arrows)
-    assert g.arrows is arrows
-    # any other is converted and sorted: a list, lists as pairs, a bool, a
-    # float, pairs out of order
-    for given in ([[3, 2], [2, 1]], ((2, True), (3, 2.0)), ((3, 2), (2, 1))):
+    # arrows are converted and sorted: a sorted tuple, a list, lists as
+    # pairs, a bool, a float, pairs out of order
+    parents = CUSP_CURVE.parents
+    for given in (((2, 1), (3, 2)), [[3, 2], [2, 1]], ((2, True), (3, 2.0)),
+                  ((3, 2), (2, 1))):
         g = DualGraph(parents, (), given)
         assert g.arrows == ((2, 1), (3, 2))
         assert type(g.arrows) is tuple
