@@ -360,6 +360,11 @@ REFUSALS = [
      lambda: branch_from_univariate(
          FactoredSeries(1, {(2,): -1, (3,): -1, (6,): 1}), "nodal"),
      DecodeError, "unknown mode 'nodal'"),
+    # the decode cache hashes its arguments before the body reads them
+    ("unhashable decode mode",
+     lambda: branch_from_univariate(
+         FactoredSeries(1, {(2,): -1, (3,): -1, (6,): 1}), ["curve"]),
+     TypeError, "unhashable type: 'list'"),
     ("no semigroup values", lambda: _branch_of_values([]),
      DecodeError, "bad semigroup values []"),
     ("semigroup value 0", lambda: _branch_of_values([0, 2]),
