@@ -21,8 +21,9 @@ decode surfaces as an error instead of a wrong graph.
 Two pure steps are cached per process, each in a bounded LRU cache.
 branch_from_univariate keeps the last _DECODED_SERIES decodes, keyed on
 (series, mode): a hit skips the decode and its self-check and returns the
-same frozen BranchData.  _branch_profile keeps the last 64 chains, keyed
-on (BranchData, mode): a hit skips the Euclidean state machine.  Neither
+same frozen BranchData.  _branch_profile keeps the last _PROFILED_CHAINS
+chains, keyed on (BranchData, mode): a hit skips the Euclidean state
+machine.  Neither
 cache stores a refusal, so a refused input raises the same error on every
 call.
 """
@@ -225,9 +226,13 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
 # -- rebuilding one chain: the Euclidean state machine ---------------------
 
 
-# a decode of up to 64 valuations builds each chain once; a cached chain
-# of a campaign graph holds about 2 KB
-@lru_cache(maxsize=64)
+# 2000 campaign round trips look up about 227 distinct chains, about 4500
+# times in all; a cached chain of a campaign graph holds about 2 KB, so a
+# full cache holds about 0.5 MB
+_PROFILED_CHAINS = 256
+
+
+@lru_cache(maxsize=_PROFILED_CHAINS)
 def _branch_profile(b: BranchData, mode: str):
     """Blowup chain of the solo minimal resolution of one valuation.
 
