@@ -40,8 +40,9 @@ few terms; one that fills the box, as peeling a numerator does, moves to
 the grid.
 
 numpy is a dependency of this module, but it is imported by the first
-grid, not with the module: the closed form, its text and every product
-that stays on its support run without it.
+grid or the first expanded text of at least ``_TOKEN_LINES`` terms, not
+with the module: the closed form, its text and every product that stays
+on its support run without it.
 
 The grid exists only inside those passes.  It is ``int64`` exactly when
 every ``|c| < 2^63`` and a ``dtype=object`` array of Python ints
@@ -54,12 +55,22 @@ ones are refused before any support or grid is built.
 
 The text format has one line per term, in glex order.  The writer sorts
 the keys, which a support read off the grid already holds in order,
-unpacks one column per variable and fills a repeated row pattern.  The
-reader splits and converts the term lines in chunks of at most
-``_CHUNK_LINES`` lines, checks each chunk by columns and reads an
-expanded series' exponents straight into keys, converting each distinct
-token of a column once; only when a chunk fails a check does it read
-the text again one line at a time, to name the first bad line.
+unpacks one column per variable (in int64 numpy, shared with the grid's
+scatter, for a support of at least ``_TOKEN_LINES`` terms whose keys are
+below ``2^63``) and fills a repeated row pattern.  An expanded text of at
+least ``_TOKEN_LINES`` term lines on such a box, whose header is its
+first line, goes to a numpy tokenizer, which reads it in slices of at
+most ``_TOKEN_LINES`` lines and certifies each slice on arrays (only
+digits, spaces, newlines and ``-``; ``nvars + 1`` fields a line of at
+most 18 digits; the box; no repeated exponent) before its keys are
+packed in int64.  Every other text, and every text with a slice that
+fails, goes to the chunk reader, which splits and converts the term
+lines in chunks of at most ``_CHUNK_LINES`` lines, checks each chunk by
+columns and reads an expanded series' exponents straight into keys,
+converting each distinct token of a column once; only when a chunk fails
+a check does it read the text again one line at a time, to name the
+first bad line.  So every text reads to the same series, and every bad
+text raises the same error, on either path.
 """
 
 from __future__ import annotations
@@ -843,8 +854,9 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
         flat[::width] = map(terms.__getitem__, keys)
         layout = series._layout
         if layout.int64 and len(keys) >= _TOKEN_LINES:
-            cols = [col.tolist()
-                    for col in layout.unpack_int64(keys, len(keys))]
+            # each column a list only while it is written
+            cols = (col.tolist()
+                    for col in layout.unpack_int64(keys, len(keys)))
         else:
             cols = layout.unpack(keys)
         for i, col in enumerate(cols, 1):
@@ -946,9 +958,10 @@ def _read_tokens(text: str, start: int, lines: int,
     ``start`` of an expanded text on ``layout``, whose keys are all below
     ``2^63``; None if a slice is not certified.
 
-    The text's bytes are taken in slices of at most ``_TOKEN_LINES``
-    lines, each cut from a window of that many lines of the text's mean
-    length; a window in which no line ends is not certified.  A slice is
+    The text is taken in slices of at most ``_TOKEN_LINES`` lines, each
+    cut from a window of that many lines of the text's mean length, which
+    doubles while no line ends in it; only a window is encoded to bytes,
+    so the reader holds no copy of the whole text.  A slice is
     tokenized and checked on arrays: its bytes; its fields, the runs of
     bytes other than space and newline, at ``nvars + 1`` per line; a
     ``-`` only at the head of a field; 1 to 18 digits per field, so that
@@ -965,10 +978,8 @@ def _read_tokens(text: str, start: int, lines: int,
 
     if not text.isascii():
         return None
-    buf = text.encode("ascii")
-    if buf[-1:] != b"\n":
-        buf += b"\n"
-    arr = np.frombuffer(buf, np.uint8)
+    if text[-1] != "\n":
+        text += "\n"
     # the bytes of a term line, the digit of a byte, powers of ten
     allowed = np.zeros(256, bool)
     allowed[list(b"0123456789 -\n")] = True
@@ -977,16 +988,19 @@ def _read_tokens(text: str, start: int, lines: int,
     tens = np.array([10 ** i for i in range(19)], np.int64)
     weights = np.array(layout.weights, np.int64)
     width = layout.nvars + 1
-    span = (arr.size // lines + 1) * _TOKEN_LINES
+    span = (len(text) // lines + 1) * _TOKEN_LINES
     terms: dict = {}
     zero = False
     # each slice starts at the newline before its first line
-    last = arr.size - 1
+    last = len(text) - 1
     while start < last:
-        window = arr[start:start + span + 1]
+        window = np.frombuffer(text[start:start + span + 1].encode("ascii"),
+                               np.uint8)
         ends = np.flatnonzero(window == 10)[1:_TOKEN_LINES + 1]
         if not ends.size:
-            return None
+            # no line ends in the window
+            span *= 2
+            continue
         part = window[:ends[-1] + 1]
         start += int(ends[-1])
         if not allowed[part].all():
@@ -1009,9 +1023,11 @@ def _read_tokens(text: str, start: int, lines: int,
             return None
         # the place of each byte of a field, counted from its last
         tail = np.cumsum(sizes)
-        place = np.repeat(tail - 1, sizes) - np.arange(tail[-1])
-        values = np.add.reduceat(digit[part[inside]] * tens[place],
-                                 tail - sizes)
+        place = np.repeat(tail - 1, sizes)
+        place -= np.arange(tail[-1])
+        shares = digit[part[inside]]
+        shares *= tens[place]
+        values = np.add.reduceat(shares, tail - sizes)
         np.negative(values, out=values, where=minus)
         values = values.reshape(-1, width)
         exps = values[:, 1:]
