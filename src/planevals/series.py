@@ -145,14 +145,16 @@ _CHUNK_LINES = 256
 # Fewest term lines of an expanded text that series_from_text reads with
 # numpy (_read_tokens), and most lines in one slice of that reader;
 # series_to_text unpacks a support of at least as many terms with numpy.
-# A slice costs about 50 us on top of its lines, so the numpy reader lost
-# to the chunk reader below about 40 lines and won 2.2 to 2.6 times from
-# 200 to 2000 lines.  Its slices keep their arrays in cache: the three
-# long texts of the dense benchmark (2,189, 6,174 and 10,786 lines) read
-# in 9.0, 7.8, 6.8, 6.5, 8.4 and 11.2 ms in slices of 256, 512, 1024,
-# 2048, 4096 and 8192 lines, against 21 ms for the chunk reader; 1024
-# gave the same time as 2048 in a second run and holds less (medians of
-# interleaved runs, x86_64, Python 3.11, numpy 2.4).
+# A slice costs about 50 us on top of its lines: read in one slice, a
+# text of about 40 lines took as long as on the chunk reader, and texts
+# of 200 to 2000 lines 2.2 to 2.6 times less.  Larger slices fall out of
+# the cache: the three long texts of the dense benchmark (2,189, 6,174
+# and 10,786 lines) read in 9.0, 7.8, 6.8, 6.5, 8.4 and 11.2 ms in slices
+# of 256, 512, 1024, 2048, 4096 and 8192 lines (medians of 5 interleaved
+# runs), 1024 tied 2048 in 15 more while holding half as much, and the
+# chunk reader took 16.7 ms on them (x86_64, Python 3.11, numpy 2.4).
+# One constant serves as both, so a shorter text, which would save at most
+# about 0.5 ms, stays on the chunk reader and imports no numpy for it.
 _TOKEN_LINES = 1024
 
 
@@ -899,12 +901,12 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     # blank nor a comment
     if end > 0 and head.isprintable() and line[:1] not in ("", "#"):
         nvars, bound, expanded = _read_header(line)
-        layout = _layout(nvars, bound) if expanded else None
-        # the newlines after the header's, and one more for a last line
-        # without a newline
-        lines = text.count("\n", end + 1) + (text[-1] != "\n")
-        if layout and layout.int64 and lines >= _TOKEN_LINES:
-            keys = _read_tokens(text, end, lines, layout)
+        if expanded and _layout(nvars, bound).int64:
+            # the newlines after the header's, and one more for a last
+            # line without a newline
+            lines = text.count("\n", end + 1) + (text[-1] != "\n")
+            keys = (_read_tokens(text, end, lines, _layout(nvars, bound))
+                    if lines >= _TOKEN_LINES else None)
             if keys is not None:
                 return TruncatedSeries._from_keys(nvars, bound, keys)
 
@@ -960,19 +962,18 @@ def _read_tokens(text: str, start: int, lines: int,
 
     The text is taken in slices of at most ``_TOKEN_LINES`` lines, each
     cut from a window of that many lines of the text's mean length, which
-    doubles while no line ends in it; only a window is encoded to bytes,
-    so the reader holds no copy of the whole text.  A slice is
-    tokenized and checked on arrays: its bytes; its fields, the runs of
-    bytes other than space and newline, at ``nvars + 1`` per line; a
-    ``-`` only at the head of a field; 1 to 18 digits per field, so that
-    every value and every partial sum of its digits is below ``10^18``;
-    the box.  A field's value is the sum of its digits times their powers
-    of ten, and a line's key is its exponents times ``_Layout.weights``
-    plus the bias, all of which the layout certifies below ``2^63``.  As
-    in ``_read_chunks``, the keys and coefficients then go into the
-    support by one ``dict.update``, a repeated exponent shows as a dict
-    that grew by less than the slice, and zero lines are kept until the
-    end.
+    doubles while no line ends in it; one window at a time is encoded to
+    bytes.  A slice is tokenized and checked on arrays: its bytes; its
+    fields, the runs of bytes other than space and newline, at ``nvars +
+    1`` per line; a ``-`` only at the head of a field; 1 to 18 digits per
+    field, so that every value and every partial sum of its digits is
+    below ``10^18``; the box.  A field's value is the sum of its digits
+    times their powers of ten, and a line's key is its exponents times
+    ``_Layout.weights`` plus the bias, all of which the layout certifies
+    below ``2^63``.  As in ``_read_chunks``, the keys and coefficients
+    then go into the support by one ``dict.update``, a repeated exponent
+    shows as a dict that grew by less than the slice, and zero lines are
+    kept until the end.
     """
     import numpy as np
 

@@ -475,6 +475,154 @@ def test_chunks_of_only_comments_and_blank_lines_are_skipped():
     assert assert_reads_as_reference(bent) == series_from_text(text)
 
 
+# -- the numpy tokenizer of long expanded texts ----------------------------
+
+
+def read_each_way(text, lines=1):
+    """The outcomes of ``series_from_text`` with the tokenizer taking
+    every expanded text of at least ``lines`` term lines, in slices of at
+    most that many, and with it taking none; and whether it certified the
+    text."""
+    certified = []
+    tokenize = series_module._read_tokens
+
+    def spy(*args):
+        keys = tokenize(*args)
+        certified.append(keys is not None)
+        return keys
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_read_tokens", spy)
+        mp.setattr(series_module, "_TOKEN_LINES", lines)
+        tokenized = read_outcome(series_from_text, text)
+        mp.setattr(series_module, "_TOKEN_LINES", 2 ** 62)
+        chunked = read_outcome(series_from_text, text)
+    return tokenized, chunked, certified == [True]
+
+
+def assert_readers_agree(text, lines=1):
+    """Both readers read ``text`` as the per-line reader does; returns
+    whether the tokenizer certified it."""
+    tokenized, chunked, certified = read_each_way(text, lines)
+    assert tokenized == chunked == read_outcome(reference_reader, text)
+    return certified
+
+
+@given(laid_out_text(), st.integers(1, 3))
+def test_tokenizer_reads_as_the_chunk_reader(text, lines):
+    assert_readers_agree(text, lines)
+
+
+@given(any_series(), st.integers(1, 3))
+def test_tokenizer_certifies_written_texts(s, lines):
+    text = series_to_text(s)
+    certified = assert_readers_agree(text, lines)
+    # every text the writer makes is certified when it is expanded, has
+    # enough lines, keys below 2^63 and coefficients of at most 18 digits
+    assert certified == (isinstance(s, TruncatedSeries)
+                         and text.count("\n") - 1 >= lines
+                         and max(abs(c) for _, c in s.nonzero_terms())
+                         < 10 ** 18)
+
+
+TWO = "vars 2 mode expanded bound 5\n"
+# (term lines, whether the tokenizer certifies them) on the box [0, 5]^2
+TOKENIZER_CASES = [
+    ("999999999999999999 1 2\n-999999999999999999 2 1\n", True),
+    # 19 digits go back to the chunk reader, which reads them
+    ("1000000000000000000 1 2\n", False),
+    ("-1000000000000000000 1 2\n", False),
+    ("7 0 0\n-0 1 1\n007 2 3\n-05 00 5\n", True),
+    ("-0 -0 -0\n", True),
+    ("1 -\n", False),
+    ("- 1 2\n", False),
+    ("5-3 1 2\n", False),
+    ("--5 1 2\n", False),
+    ("5- 1 2\n", False),
+    ("1 5 5\n2 0 5\n", True),
+    ("1 6 5\n", False),
+    ("1 5 -1\n", False),
+    ("0 1 2\n5 1 2\n", False),
+    ("0 1 2\n0 1 2\n", False),
+    ("3 1 2\n4 2 1\n-2 1 2\n", False),
+    ("1 2 3", True),
+    ("1 2 3\n4 3 2", True),
+    # a short line and a long one, as many fields as two good lines, all
+    # of them in the box
+    ("1 2\n3 4 5 1\n", False),
+    ("1 2 3 4\n5 1\n", False),
+    ("1 2\n", False),
+    ("1 2 3 4\n", False),
+    ("1 2 3\n\n4 3 2\n", False),
+    ("1  2 3\n 4 3 2 \n", True),
+    ("1 2 3\n# note\n", False),
+    ("1\t2 3\n", False),
+    ("1 2 3\r\n", False),
+    ("+1 2 3\n", False),
+    ("١ 2 3\n", False),
+]
+
+
+@pytest.mark.parametrize("body,certified", TOKENIZER_CASES)
+@pytest.mark.parametrize("lines", [1, 2])
+def test_tokenizer_hand_cases(body, certified, lines):
+    text = TWO + body
+    if body.count("\n") + (body[-1] != "\n") < lines:
+        certified = False
+    assert assert_readers_agree(text, lines) == certified
+
+
+def test_tokenizer_leaves_keys_past_2_63_to_the_chunk_reader():
+    text = series_to_text(expand(FactoredSeries(20, {
+        unit(20, i): -1 for i in range(3)}), 1))
+    assert not series_module._layout(20, 1).int64
+    assert assert_readers_agree(text) is False
+
+
+def long_tokenized_text():
+    """An expanded series on the box [0, 60]^2 with coefficients of up to
+    18 digits and both signs: 3,721 term lines."""
+    terms = {}
+    for i, j in itertools.product(range(61), repeat=2):
+        v = (61 * i + j + 1) * 8_765_432_109_876_543 % 10 ** 18 or 1
+        terms[(i, j)] = v if (i + j) % 2 else -v
+    return series_to_text(TruncatedSeries(2, 60, terms))
+
+
+def slice_defects(text, at):
+    """(name, text) for each defect placed at term line ``at`` of a text
+    on the box [0, 60]^2, and for one entry of 19 digits, which the
+    tokenizer leaves to the chunk reader."""
+    e = exponent_text(text, at)
+    a = e.split()[0]
+    first = exponent_text(text, 0)
+    lines = {"fields": f"1 {e} 7", "short": f"1 {a}",
+             "integer": f"1 {a} x", "minus": f"1 {a} 5-3",
+             "duplicate": f"5 {first}", "box": f"1 {a} 61",
+             "19 digits": f"{10 ** 18} {e}"}
+    out = [(name, set_line(text, at, line)) for name, line in lines.items()]
+    # the exponent of line `at` as a zero line, once in the first slice
+    # and again at `at`
+    out.append(("zero line", set_line(set_line(text, 3, f"0 {e}"), at,
+                                      f"0 {e}")))
+    return out
+
+
+@pytest.mark.parametrize("lines", [series_module._TOKEN_LINES, 1000])
+def test_long_texts_read_alike_with_defects_at_slice_ends(lines):
+    text = long_tokenized_text()
+    assert assert_readers_agree(text, lines)
+    count = text.count("\n") - 1
+    assert count > 3 * lines
+    # at the ends of the unbent text's slices and on its last line
+    for at in (lines - 1, lines, 3 * lines, count - 1):
+        for name, bad in slice_defects(text, at):
+            tokenized, chunked, certified = read_each_way(bad, lines)
+            assert tokenized == chunked, (name, at)
+            assert isinstance(tokenized, str) == (name != "19 digits")
+            assert not certified, (name, at)
+
+
 def assert_no_more_memory_than_per_line(text):
     """Read ``text`` with both readers, to the same series, and compare
     their peaks of traced memory."""
