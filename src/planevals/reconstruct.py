@@ -23,9 +23,8 @@ branch_from_univariate keeps the last _DECODED_SERIES decodes, keyed on
 (series, mode): a hit skips the decode and its self-check and returns the
 same frozen BranchData.  _branch_profile keeps the last _PROFILED_CHAINS
 chains, keyed on (BranchData, mode): a hit skips the Euclidean state
-machine.  Neither
-cache stores a refusal, so a refused input raises the same error on every
-call.
+machine.  Neither cache stores a refusal, so a refused input raises the
+same error on every call.
 """
 
 from __future__ import annotations

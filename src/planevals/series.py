@@ -878,20 +878,21 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
 
     An expanded text whose first line is its header, on a box whose keys
     are all below ``2^63``, with at least ``_TOKEN_LINES`` lines after
-    the header, is read by a numpy tokenizer (``_read_tokens``) in slices
-    of at most ``_TOKEN_LINES`` lines.  It certifies a slice only if the
-    slice holds only digits, spaces, newlines and ``-``, and every line of
-    it ``nvars + 1`` fields of an optional ``-`` and 1 to 18 digits, with
-    its exponent in the box and not seen before (on a zero line too).  If
-    a slice is not certified, the text is read as every other text is:
+    the header, goes to a numpy tokenizer (``_read_tokens``), which reads
+    it in slices of at most ``_TOKEN_LINES`` lines.  It certifies a slice
+    only if the slice holds only digits, spaces, newlines and ``-``, and
+    every line of it ``nvars + 1`` fields of an optional ``-`` and 1 to 18
+    digits, with its exponent in the box and not seen before (on a zero
+    line too).
 
-    term lines are read in chunks of at most ``_CHUNK_LINES`` lines, each
-    checked by columns for the field count, integer fields, the box
-    (expanded only), a repeated exponent and a zero power (factored only).
-    If a chunk fails a check, the text is read again one line at a time,
-    checking each line in that order, so the first bad line decides the
-    error.  Either way a text reads to the same series or raises the same
-    error.
+    Every other text, and every text with a slice that the tokenizer does
+    not certify, goes to the chunk reader.  It reads the term lines in
+    chunks of at most ``_CHUNK_LINES`` lines, each checked by columns for
+    the field count, integer fields, the box (expanded only), a repeated
+    exponent and a zero power (factored only).  If a chunk fails a check,
+    the text is read again one line at a time, checking each line in that
+    order, so the first bad line decides the error.  Either way a text
+    reads to the same series or raises the same error.
     """
     end = text.find("\n")
     head = text[:end]
@@ -901,12 +902,8 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     # blank nor a comment
     if end > 0 and head.isprintable() and line[:1] not in ("", "#"):
         nvars, bound, expanded = _read_header(line)
-        if expanded and _layout(nvars, bound).int64:
-            # the newlines after the header's, and one more for a last
-            # line without a newline
-            lines = text.count("\n", end + 1) + (text[-1] != "\n")
-            keys = (_read_tokens(text, end, lines, _layout(nvars, bound))
-                    if lines >= _TOKEN_LINES else None)
+        if expanded:
+            keys = _read_tokens(text, end, _layout(nvars, bound))
             if keys is not None:
                 return TruncatedSeries._from_keys(nvars, bound, keys)
 
@@ -954,11 +951,13 @@ def _read_header(line: str) -> tuple:
     return nvars, bound, expanded
 
 
-def _read_tokens(text: str, start: int, lines: int,
+def _read_tokens(text: str, start: int,
                  layout: _Layout) -> Union[dict, None]:
-    """The support of the ``lines`` term lines that follow the newline at
-    ``start`` of an expanded text on ``layout``, whose keys are all below
-    ``2^63``; None if a slice is not certified.
+    """The support of the term lines that follow the newline at ``start``
+    of an expanded text on ``layout``; None if the text is not one the
+    tokenizer takes (fewer than ``_TOKEN_LINES`` lines, a box with keys
+    past ``2^63``, a character outside ASCII) or a slice of it is not
+    certified.
 
     The text is taken in slices of at most ``_TOKEN_LINES`` lines, each
     cut from a window of that many lines of the text's mean length, which
@@ -975,10 +974,13 @@ def _read_tokens(text: str, start: int, lines: int,
     shows as a dict that grew by less than the slice, and zero lines are
     kept until the end.
     """
+    # the newlines after the header's, and one more for a last line
+    # without a newline
+    lines = text.count("\n", start + 1) + (text[-1] != "\n")
+    if lines < _TOKEN_LINES or not layout.int64 or not text.isascii():
+        return None
     import numpy as np
 
-    if not text.isascii():
-        return None
     if text[-1] != "\n":
         text += "\n"
     # the bytes of a term line, the digit of a byte, powers of ten
