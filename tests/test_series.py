@@ -559,7 +559,7 @@ TOKENIZER_CASES = [
     ("1\t2 3\n", False),
     ("1 2 3\r\n", False),
     ("+1 2 3\n", False),
-    ("١ 2 3\n", False),
+    ("\u0661 2 3\n", False),
 ]
 
 
