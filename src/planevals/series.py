@@ -28,30 +28,37 @@ measured cost of one dict update in grid cells of a factor's numpy passes
 and ``_MIN_GRID_CELLS`` the fixed cost of a trip through the grid.  Once
 the prediction passes that limit, the keys are scattered into a dense grid
 once and the rest runs as in-place passes on it, whose nonzero cells are
-packed back into keys, in key order.  Keys are unpacked to grid indices
-and packed from them in int64 numpy when every key of the box is below
-``2^63``, and in Python ints otherwise (wide boxes such as 24 variables at
-bound 1).  A unit of a pole ``(1 - t^m)^-1`` is one running sum, swept
-slab by slab along an axis that ``m`` moves, where the slabs hold at least
-``_MIN_SLAB_CELLS`` cells, and ``log2(bound // max(m))`` doubling passes
-otherwise; a pole ``(0, ..., 0, 1)``, whose slabs would be strided
-columns, is summed along the rows instead.  A product of a few binomials with large exponents stays on its
-few terms; one that fills the box, as peeling a numerator does, moves to
-the grid.
+packed back into keys, in key order; ``factorize`` scatters a support
+that is past the limit at one step a term without trying a peel on it.
+Keys are unpacked to grid indices and packed from them in int64 numpy
+when every key of the box is below ``2^63``, and in Python ints
+otherwise (wide boxes such as 24 variables at bound 1).  A unit of a
+pole ``(1 - t^m)^-1`` is one running sum, swept slab by slab along an
+axis that ``m`` moves, where the slabs hold at least ``_MIN_SLAB_CELLS``
+cells, and ``log2(bound // max(m))`` doubling passes otherwise; a pole
+``(0, ..., 0, 1)``, whose slabs would be strided columns, is summed along
+the rows instead.  A product of a few binomials with large exponents
+stays on its few terms; one that fills the box, as peeling a numerator
+does, moves to the grid.
 
 numpy is a dependency of this module, but it is imported by the first
 grid or the first expanded text of at least ``_TOKEN_LINES`` terms, not
 with the module: the closed form, its text and every product that stays
 on its support run without it.
 
-The grid exists only inside those passes.  It is ``int64`` exactly when
-every ``|c| < 2^63`` and a ``dtype=object`` array of Python ints
-otherwise; each pass runs in ``int64`` only when a bound measured from
-the array certifies the result below ``2^63``, and promotes to
-``object`` first otherwise.  No fixed-width operation runs unchecked, so
-there is no floating point and no overflow, and every coefficient handed
-out is a Python int.  A box may have at most ``MAX_CELLS`` cells; larger
-ones are refused before any support or grid is built.
+The grid exists only inside those passes.  It is scattered into the
+narrowest width of the ladder int16, int32, int64 (``_WIDTHS``) that
+holds every ``|c|`` of the support, and into a ``dtype=object`` array of
+Python ints past ``2^63``.  Each pass runs in its width only when a
+bound measured from the array certifies the result below the width's
+limit (``2^15``, ``2^31``, ``2^63``); otherwise it promotes the grid
+first, to the narrowest wider width that the bound certifies.  No
+fixed-width operation runs unchecked, so there is no floating point and
+no overflow, and every coefficient handed out is a Python int; the grid
+that ``TruncatedSeries.coeffs`` hands out is ``int64`` exactly when every
+``|c| < 2^63`` and ``object`` otherwise.  A box may have at most
+``MAX_CELLS`` cells; larger ones are refused before any support or grid
+is built.
 
 The text format has one line per term, in glex order.  The writer sorts
 the keys, which a support read off the grid already holds in order,
@@ -107,6 +114,11 @@ _MAX_AXES = 32
 
 # int64 holds every |c| < 2^63
 _INT64_LIMIT = 2 ** 63
+# The fixed widths a grid runs in, narrowest first, each with the limit
+# below which it holds every |c|; a grid past the last is object.  A pass
+# is bound by memory bandwidth: a shift-add over 61^3 cells took 0.08,
+# 0.17 and 0.39 ms in int16, int32 and int64 (x86_64, numpy 2.4).
+_WIDTHS = (("int16", 2 ** 15), ("int32", 2 ** 31), ("int64", _INT64_LIMIT))
 # Cost of one dict update of the sparse kernel in grid cells: the
 # support goes to the grid once a factor would make more than
 # cells // _CELLS_PER_TERM updates.  An update on packed keys (an add, a
@@ -294,6 +306,15 @@ def _magnitude(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min()))
 
 
+def _width(top: int) -> tuple:
+    """``(dtype, limit)`` of the narrowest width of ``_WIDTHS`` that holds
+    every ``|c| <= top``, and ``(object, None)`` if none does."""
+    for dtype, limit in _WIDTHS:
+        if top < limit:
+            return dtype, limit
+    return object, None
+
+
 def _coefs(k: int, n: int) -> list:
     """Coefficients of ``(1 - x)^k`` up to ``x^n``, as Python ints."""
     coefs = [1]
@@ -407,15 +428,19 @@ class _Layout:
 _layout = lru_cache(maxsize=64)(_Layout)
 
 
-def _grid(keys: dict, layout: _Layout) -> np.ndarray:
-    """Scatter a support into a new dense grid, ``int64`` exactly when
-    every ``|c| < 2^63``."""
+def _grid(keys: dict, layout: _Layout, floor: int = 0) -> np.ndarray:
+    """Scatter a support into a new dense grid, in the narrowest width
+    (``_width``) that holds every ``|c| <= max(max |c|, floor)``.
+
+    ``floor = 2^31`` gives the grid of ``TruncatedSeries.coeffs``,
+    ``int64`` exactly when every ``|c| < 2^63`` and ``object`` otherwise.
+    """
     import numpy as np
 
     values = list(keys.values())
     top = max(map(abs, values), default=0)
     arr = np.zeros((layout.bound + 1,) * layout.nvars,
-                   dtype=np.int64 if top < _INT64_LIMIT else object)
+                   dtype=_width(max(top, floor))[0])
     if not values:
         return arr
     if layout.int64:
@@ -460,6 +485,13 @@ class _Terms:
         self.keys = keys
         self.layout = layout
 
+    def fits(self, updates: int) -> bool:
+        """Whether ``updates`` dict updates stay within ``max(cells,
+        _MIN_GRID_CELLS) // _CELLS_PER_TERM``."""
+        # for whole numbers, n > cells // C exactly when n * C > cells
+        return (updates * _CELLS_PER_TERM
+                <= max(self.layout.cells, _MIN_GRID_CELLS))
+
     def lowest(self) -> list:
         """The terms ``(m, c)`` of the lowest nonzero total degree.
 
@@ -493,9 +525,7 @@ class _Terms:
             return True
         steps = bound // top if k < 0 else min(bound // top, k)
         keys = self.keys
-        # for whole numbers, n > cells // C exactly when n * C > cells
-        if (len(keys) * steps * _CELLS_PER_TERM
-                > max(layout.cells, _MIN_GRID_CELLS)):
+        if not self.fits(len(keys) * steps):
             return False
         shift = sum(map(mul, m, layout.weights))
         high = layout.high
@@ -529,35 +559,39 @@ def _nonzero_cells(arr: np.ndarray) -> tuple:
 class _Kernel:
     """Shift-add passes in place on one coefficient buffer.
 
-    While the buffer is int64, ``mag`` is a certified upper bound on its
-    ``max |c|``, measured from the buffer itself on entry.  A pass adds or
-    subtracts a shifted copy of the buffer, so it at most doubles
-    ``max |c|``; a sweep or a binomial multiplies it by at most a factor
-    known beforehand.  Before a step the bound could not certify, the
-    buffer is measured again, and if its values really are that large it
-    is promoted to ``object``; ``arr`` may therefore be replaced by a new
-    array.
+    While the buffer has a fixed width of ``_WIDTHS`` (int16, int32 or
+    int64), ``limit`` is that width's limit and ``mag`` a certified upper
+    bound on its ``max |c|``, measured from the buffer itself on entry;
+    an ``object`` buffer has neither.  A pass adds or subtracts a shifted
+    copy of the buffer, so it at most doubles ``max |c|``; a sweep or a
+    binomial multiplies it by at most a factor known beforehand.  Before
+    a step the bound could not certify below ``limit``, the buffer is
+    measured again, and if its values really are that large it is
+    promoted to the narrowest wider width that certifies the step,
+    ``object`` past int64; ``arr`` may therefore be replaced by a new
+    array.  A buffer never narrows.
     """
 
-    __slots__ = ("arr", "mag")
+    __slots__ = ("arr", "mag", "limit")
 
     def __init__(self, arr: np.ndarray):
         self.arr = arr
-        self.mag = _magnitude(arr) if arr.dtype != object else None
+        self.limit = dict(_WIDTHS).get(arr.dtype.name)
+        self.mag = None if self.limit is None else _magnitude(arr)
 
     def _grow(self, factor: int) -> None:
         """Certify a pass that multiplies ``max |c|`` by at most
-        ``factor``: if ``mag`` cannot, measure the buffer again, and if
-        its values really are that large promote it to ``object``."""
-        if self.mag is None:
+        ``factor``: if ``mag * factor`` is not below ``limit``, measure
+        the buffer again, and if it still is not, promote the buffer to
+        the narrowest width that holds ``mag * factor``."""
+        if self.limit is None:
             return
-        if self.mag * factor >= _INT64_LIMIT:
+        if self.mag * factor >= self.limit:
             self.mag = _magnitude(self.arr)
-        if self.mag * factor >= _INT64_LIMIT:
-            self.arr = self.arr.astype(object)
-            self.mag = None
-        else:
-            self.mag *= factor
+            if self.mag * factor >= self.limit:
+                dtype, self.limit = _width(self.mag * factor)
+                self.arr = self.arr.astype(dtype)
+        self.mag = None if self.limit is None else self.mag * factor
 
     def _shift_add(self, m, sign: int) -> None:
         self._grow(2)
@@ -572,11 +606,13 @@ class _Kernel:
         one scaled pass per term, each from a copy of the buffer.
 
         The result is at most ``sum_j |coefs[j]|`` times the old
-        ``max |c|``, and so is every partial sum and every scaled term.
+        ``max |c|``, and so is every partial sum and every scaled term;
+        unless the buffer is zero, so is every ``|coefs[j]|``, which
+        numpy must hold in the buffer's width to scale by it.
         """
+        self._grow(sum(abs(c) for c in coefs))
         if self.mag == 0:
             return
-        self._grow(sum(abs(c) for c in coefs))
         orig = self.arr.copy()
         for j, c in enumerate(coefs):
             if j and c:
@@ -593,7 +629,8 @@ class _Kernel:
         most ``reach + 1`` old cells, and every partial sum is one too.
         If ``m`` is ``(0, ..., 0, 1)``, the slabs are single strided
         columns, and the same sums run as one ``np.add.accumulate`` along
-        the rows instead.
+        the rows instead, into the buffer itself: without ``out`` numpy
+        would accumulate int16 and int32 into a new int64 array.
         """
         import numpy as np
 
@@ -689,7 +726,7 @@ class TruncatedSeries:
     @property
     def coeffs(self) -> np.ndarray:
         """A new read-only dense grid of the coefficients."""
-        arr = _grid(self._keys, self._layout)
+        arr = _grid(self._keys, self._layout, 2 ** 31)
         arr.flags.writeable = False
         return arr
 
@@ -786,7 +823,10 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
         raise SeriesError("factorization needs constant term 1")
     factors: dict = {}
     sparse = _Terms(s._keys, s._layout)
-    if _peel_sparse(sparse, factors):
+    # a peel's exponent is in the box, so it takes at least one step per
+    # term: a support past the limit at one step goes to the grid without
+    # trying its first peel
+    if sparse.fits(len(s._keys)) and _peel_sparse(sparse, factors):
         return FactoredSeries._from_valid(s.nvars, factors)
     kernel = _Kernel(_grid(sparse.keys, s._layout))
     while True:

@@ -1019,8 +1019,9 @@ def test_support_stays_within_its_bound(monkeypatch, ratio):
     assert max(n for _, r, n in log if r) <= 2 * limit
     log.clear()
     assert factorize(s) == f
-    # the input fills the box, so its first peel goes to the grid
-    assert log == [(1, False, 61 ** 3)]
+    # the input fills the box, past the limit at one step a term, so it
+    # goes to the grid without trying a peel on the support
+    assert log == []
 
 
 def test_factors_within_the_grid_floor_stay_on_the_support(monkeypatch):
@@ -1195,6 +1196,198 @@ def test_sparse_supports_come_in_glex_order(monkeypatch, nvars, bound):
         # every factor ran on the support, so the support is its own
         assert log and all(ran for _, ran, _ in log)
         assert len(terms) > 1 and terms == sorted(terms, key=glex_key)
+
+
+# -- the width ladder: int16, int32, int64, object ---------------------------
+
+# each fixed width the grid runs in, its limit, and the next wider width
+RUNGS = (("int16", 2 ** 15, "int32"), ("int32", 2 ** 31, "int64"),
+         ("int64", 2 ** 63, object))
+
+
+@pytest.mark.parametrize("dtype,limit,wider", RUNGS)
+def test_kernel_certificate_is_tight_at_each_rung(dtype, limit, wider):
+    # a pass whose certified bound stays below the limit stays in its
+    # width; one whose bound reaches the limit moves up one rung first
+    for c, want in ((limit // 2 - 1, dtype), (limit // 2, wider)):
+        # a shift-add doubles max |c|
+        kernel = series_module._Kernel(np.array([c, c], dtype))
+        kernel.power((1,), -1)
+        assert kernel.arr.dtype == want
+        assert kernel.arr.tolist() == [c, 2 * c]
+    for c, want in ((limit // 4 - 1, dtype), (limit // 4, wider)):
+        # a binomial multiplies it by sum |(1, -2, 1)| = 4
+        kernel = series_module._Kernel(np.array([c, -c, c], dtype))
+        kernel._binomial((1,), [1, -2, 1])
+        assert kernel.arr.dtype == want
+        assert kernel.arr.tolist() == [c, -3 * c, 4 * c]
+    # a sweep of reach 20 sums 21 cells, along a leading axis by slabs and
+    # along the last one by rows
+    assert 21 * 21 >= series_module._MIN_SLAB_CELLS
+    below = (limit - 1) // 21
+    for c, want in ((below, dtype), (below + 1, wider)):
+        for m in ((1, 0, 0), (0, 0, 1)):
+            kernel = series_module._Kernel(np.full((21, 21, 21), c, dtype))
+            kernel.power(m, -1)
+            assert kernel.arr.dtype == want
+            assert (kernel.arr[..., 20] == 21 * c).all() == (m == (0, 0, 1))
+            assert (kernel.arr[20] == 21 * c).all() == (m == (1, 0, 0))
+
+
+@pytest.mark.parametrize("c,want", [(2 ** 17 - 2, "int32"),
+                                    (2 ** 17 - 1, "int64"),
+                                    (2 ** 49 - 2, "int64"),
+                                    (2 ** 49 - 1, object)])
+def test_kernel_skips_a_rung_only_when_its_bound_needs_it(c, want):
+    # 2^14 in int16 times sum |(1, c)| = c + 1: the promotion goes to the
+    # narrowest width below whose limit (c + 1) * 2^14 stays
+    kernel = series_module._Kernel(np.array([2 ** 14, 2 ** 14], "int16"))
+    kernel._binomial((1,), [1, c])
+    assert kernel.arr.dtype == want
+    assert kernel.arr.tolist() == [2 ** 14, (c + 1) * 2 ** 14]
+
+
+def test_a_loose_bound_is_measured_again_before_a_promotion():
+    kernel = series_module._Kernel(np.array([3, -3], "int16"))
+    # a bound far above the buffer's values, as a run of passes that
+    # cancel leaves it
+    kernel.mag = 2 ** 14
+    kernel.power((1,), -1)
+    assert kernel.arr.dtype == "int16" and kernel.arr.tolist() == [3, 0]
+    assert kernel.mag == 6
+    # measured at zero, a buffer takes a binomial whose coefficients its
+    # width could not hold, and stays zero
+    kernel = series_module._Kernel(np.zeros(3, "int16"))
+    kernel.mag = 2
+    kernel._binomial((1,), [1, 2 ** 20, 2 ** 40])
+    assert kernel.arr.dtype == "int16" and kernel.arr.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("c,dtype", [(2 ** 15 - 1, "int16"),
+                                     (-2 ** 15 + 1, "int16"),
+                                     (-2 ** 15, "int32"), (2 ** 15, "int32"),
+                                     (2 ** 31 - 1, "int32"),
+                                     (-2 ** 31, "int64"),
+                                     (2 ** 63 - 1, "int64"),
+                                     (-2 ** 63, object)])
+def test_grid_takes_the_narrowest_width_and_coeffs_int64(c, dtype):
+    s = TruncatedSeries(2, 3, {(0, 0): 1, (2, 1): c})
+    arr = series_module._grid(s._keys, s._layout)
+    assert arr.dtype == dtype and arr[2, 1] == c
+    # the grid handed out keeps its contract
+    assert s.coeffs.dtype == (np.int64 if abs(c) < 2 ** 63 else object)
+    assert TruncatedSeries(2, 3, {(0, 0): 1}).coeffs.dtype == np.int64
+
+
+def pinned_to_int64(top):
+    """``_width`` with no rung below int64."""
+    return ("int64", 2 ** 63) if top < 2 ** 63 else (object, None)
+
+
+def record_widths(monkeypatch):
+    """Log each width the kernel's buffer takes, once per change."""
+    seen = []
+    grow = series_module._Kernel._grow
+
+    def spy(self, factor):
+        grow(self, factor)
+        if not seen or seen[-1] != self.arr.dtype:
+            seen.append(self.arr.dtype)
+
+    monkeypatch.setattr(series_module._Kernel, "_grow", spy)
+    return seen
+
+
+# a product at r = 3 whose expansion on [0, 60]^3 goes to the grid at
+# coefficient 1 and climbs through every width; the command-line smoke
+# test runs it too
+CLIMBING = FactoredSeries(3, {
+    (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1, (1, 1, 0): -12,
+    (0, 1, 1): -12, (1, 0, 1): -12, (2, 2, 2): 1})
+
+
+def test_expand_climbs_every_rung_and_factorizes_back(monkeypatch):
+    seen = record_widths(monkeypatch)
+    s = expand(CLIMBING, 60)
+    assert seen == ["int16", "int32", "int64", object]
+    assert factorize(s) == CLIMBING
+    monkeypatch.setattr(series_module, "_width", pinned_to_int64)
+    seen.clear()
+    assert expand(CLIMBING, 60) == s
+    assert seen == ["int64", object]
+
+
+# boxes small enough for many examples, per variable count
+LADDER_BOUNDS = {1: 60, 2: 16, 3: 7, 4: 4}
+
+
+@st.composite
+def climbing_products(draw):
+    """(f, bound, ratio): products of poles and binomials with powers down
+    to -12 on a small box, and the hand-off ratio to run them with."""
+    nvars = draw(st.integers(1, 4))
+    bound = draw(st.integers(1, LADDER_BOUNDS[nvars]))
+    # deep poles climb the ladder, shallow factors mix signs
+    power = st.one_of(st.integers(-12, -6), st.integers(-3, 3).filter(bool))
+    f = draw(st.dictionaries(exponents(nvars, 2), power,
+                             min_size=2, max_size=5))
+    ratio = draw(st.sampled_from([ALL_GRID, series_module._CELLS_PER_TERM]))
+    return FactoredSeries(nvars, f), bound, ratio
+
+
+@given(climbing_products())
+# past 2^15 and 2^31 on one axis, into int64
+@example((FactoredSeries(1, {(1,): -12}), 60, ALL_GRID))
+# past 2^31 with two poles of r = 2 and a numerator
+@example((FactoredSeries(2, {(1, 0): -7, (0, 1): -7, (1, 1): 2}), 16,
+          ALL_GRID))
+# into object: C(35, 15)^2 > 2^63
+@example((FactoredSeries(2, {(1, 0): -20, (0, 1): -20}), 16, ALL_GRID))
+@example((FactoredSeries(3, {(1, 0, 0): -9, (0, 1, 1): -9, (1, 1, 1): -4}),
+          7, ALL_GRID))
+@example((FactoredSeries(4, {(1, 0, 0, 0): -12, (0, 1, 0, 0): -12,
+                             (0, 0, 1, 1): -12, (1, 1, 1, 1): 3}), 4,
+          ALL_GRID))
+def test_ladder_matches_the_int64_grid(case):
+    f, bound, ratio = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_MIN_GRID_CELLS", 0)
+        mp.setattr(series_module, "_CELLS_PER_TERM", ratio)
+        s = expand(f, bound)
+        back = factorize(s)
+        mp.setattr(series_module, "_width", pinned_to_int64)
+        assert expand(f, bound) == s
+        assert factorize(s) == back
+    assert expand(back, bound) == s
+
+
+@pytest.mark.parametrize("dtype", ["int16", "int32", "int64", object])
+@pytest.mark.parametrize("m", ZERO_ENTRY_POLES)
+def test_poles_agree_on_every_schedule_in_each_width(monkeypatch, m, dtype):
+    # sweeps (by rows for (0, ..., 0, 1)), doubling passes, unit shift-adds
+    # and binomials, each in every width: with entries up to 9 every pass
+    # is certified in int16, and scaled to the width's limit the passes
+    # climb the ladder
+    nvars = len(m)
+    bound = 30 if nvars == 2 else 12
+    reach = bound // max(m)
+    rng = np.random.default_rng(list(m))
+    start = rng.integers(-9, 10, size=(bound + 1,) * nvars)
+    limit = dict((name, lim) for name, lim, _ in RUNGS).get(dtype, 2 ** 80)
+    for scale in (1, limit // 10):
+        scaled = start.astype(object) * scale
+        for k in (-1, -2, 2):
+            want = reference_power(cell_support(scaled), bound, m, k)
+            for cells in (0, 2 ** 30):
+                monkeypatch.setattr(series_module, "_MIN_SLAB_CELLS", cells)
+                kernel = series_module._Kernel(scaled.astype(dtype))
+                kernel.power(m, k)
+                assert cell_support(kernel.arr) == want, (cells, scale)
+                assert scale > 1 or kernel.arr.dtype == dtype
+            kernel = series_module._Kernel(scaled.astype(dtype))
+            kernel._binomial(m, series_module._coefs(k, reach))
+            assert cell_support(kernel.arr) == want, scale
+            assert scale > 1 or kernel.arr.dtype == dtype
 
 
 # sha256 over the expanded and the factored text of each instance below,
