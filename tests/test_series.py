@@ -1226,12 +1226,13 @@ def test_kernel_certificate_is_tight_at_each_rung(dtype, limit, wider):
     assert 21 * 21 >= series_module._MIN_SLAB_CELLS
     below = (limit - 1) // 21
     for c, want in ((below, dtype), (below + 1, wider)):
-        for m in ((1, 0, 0), (0, 0, 1)):
+        sums = [c * (i + 1) for i in range(21)]
+        for m, cells in (((1, 0, 0), [[[x] * 21] * 21 for x in sums]),
+                         ((0, 0, 1), [[sums] * 21] * 21)):
             kernel = series_module._Kernel(np.full((21, 21, 21), c, dtype))
             kernel.power(m, -1)
             assert kernel.arr.dtype == want
-            assert (kernel.arr[..., 20] == 21 * c).all() == (m == (0, 0, 1))
-            assert (kernel.arr[20] == 21 * c).all() == (m == (1, 0, 0))
+            assert kernel.arr.tolist() == cells
 
 
 @pytest.mark.parametrize("c,want", [(2 ** 17 - 2, "int32"),
