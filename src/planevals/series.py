@@ -64,26 +64,23 @@ The text format has one line per term, in glex order.  The writer sorts
 the keys, which a support read off the grid already holds in order,
 unpacks one column per variable (in int64 numpy, shared with the grid's
 scatter, for a support of at least ``_TOKEN_LINES`` terms whose keys are
-below ``2^63``) and fills a repeated row pattern.  An expanded text of at
-least ``_TOKEN_LINES`` term lines on such a box, whose header is its
-first line, goes to a numpy tokenizer, which reads it in slices of at
-most ``_TOKEN_LINES`` lines and certifies each slice on arrays (only
-digits, spaces, newlines and ``-``; ``nvars + 1`` fields a line of at
-most 18 digits; the box; no repeated exponent) before its keys are
-packed in int64.  Every other text, and every text with a slice that
-fails, goes to the chunk reader, which splits and converts the term
-lines in chunks of at most ``_CHUNK_LINES`` lines, checks each chunk by
-columns and reads an expanded series' exponents straight into keys,
-converting each distinct token of a column once; only when a chunk fails
-a check does it read the text again one line at a time, to name the
-first bad line.  So every text reads to the same series, and every bad
-text raises the same error, on either path.
+below ``2^63``) and fills a repeated row pattern.  The reader has two
+paths.  An expanded text of at least ``_TOKEN_LINES`` term lines on such
+a box, whose header is its first line, goes to a numpy tokenizer, which
+reads it in slices of at most ``_SLICE_LINES`` lines and certifies each
+slice on arrays (only digits, spaces, newlines and ``-``; ``nvars + 1``
+fields a line of at most 18 digits; the box; no repeated exponent)
+before its keys are packed in int64.  Every other text, and every text
+with a slice that fails, goes to the per-line reader, which checks each
+term line in turn and raises the error of the first bad one in the same
+pass.  So every text reads to the same series, and every bad text raises
+the same error, on either path.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from math import prod
 from operator import add, index, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
@@ -151,24 +148,23 @@ _MIN_GRID_CELLS = 4096
 # r = 3, B = 60 and m = (1, 0, 0): 0.37 against 2.1 ms) (x86_64,
 # Python 3.11, numpy 2.4).
 _MIN_SLAB_CELLS = 400
-# Most term lines that series_from_text splits and converts at once: a
-# chunk's tokens and ints are held beside the terms, so this bounds the
-# memory the reader needs past the text and the terms.
-_CHUNK_LINES = 256
 # Fewest term lines of an expanded text that series_from_text reads with
-# numpy (_read_tokens), and most lines in one slice of that reader;
+# numpy (_read_tokens) rather than line by line (_read_lines);
 # series_to_text unpacks a support of at least as many terms with numpy.
-# A slice costs about 50 us on top of its lines: read in one slice, a
-# text of about 40 lines took as long as on the chunk reader, and texts
-# of 200 to 2000 lines 2.2 to 2.6 times less.  Larger slices fall out of
-# the cache: the three long texts of the dense benchmark (2,189, 6,174
-# and 10,786 lines) read in 9.0, 7.8, 6.8, 6.5, 8.4 and 11.2 ms in slices
-# of 256, 512, 1024, 2048, 4096 and 8192 lines (medians of 5 interleaved
-# runs), 1024 tied 2048 in 15 more while holding half as much, and the
-# chunk reader took 16.7 ms on them (x86_64, Python 3.11, numpy 2.4).
-# One constant serves as both, so a shorter text, which would save at most
-# about 0.5 ms, stays on the chunk reader and imports no numpy for it.
-_TOKEN_LINES = 1024
+# The tokenizer costs about 50 us on top of its lines and the per-line
+# reader 1 to 1.3 us a line more: on the first n lines of expanded texts
+# at r = 1, 2 and 3 the two tied at n = 44, 36 and 32 to 36 (medians of
+# 101 interleaved runs).  The writer's two ways tie at 48 to 56 terms and
+# differ by 2 us at 40 (x86_64, Python 3.11, numpy 2.4).
+_TOKEN_LINES = 40
+# Most lines in one slice of _read_tokens.  A slice costs about 50 us on
+# top of its lines, and larger slices fall out of the cache: the three
+# long texts of the dense benchmark (2,189, 6,174 and 10,786 lines) read
+# in 9.0, 7.8, 6.8, 6.5, 8.4 and 11.2 ms in slices of 256, 512, 1024,
+# 2048, 4096 and 8192 lines (medians of 5 interleaved runs), and 1024
+# tied 2048 in 15 more while holding half as much (x86_64, Python 3.11,
+# numpy 2.4).
+_SLICE_LINES = 1024
 
 
 class SeriesError(ValueError):
@@ -381,32 +377,6 @@ class _Layout:
         for col, weight in zip(cols[1:], self.weights[1:]):
             acc = map(add, acc, map(mul, col, repeat(weight)))
         return list(map(add, acc, repeat(self.bias)))
-
-    def read(self, cols: list) -> Union[list, None]:
-        """The keys of the exponents whose ``i``-th entries are the
-        tokens ``cols[i]``, or None if a token is not an integer in the
-        box.
-
-        Each distinct token of a column is converted and checked once,
-        into a table of its share of a key that the column then looks
-        up; the tables are as large as ``cols`` at most, and go with it.
-        """
-        # the bias rides on the first variable's share
-        offsets = [self.bias] + [0] * (self.nvars - 1)
-        acc = None
-        try:
-            for col, weight, offset in zip(cols, self.weights, offsets):
-                tokens = set(col)
-                entries = list(map(int, tokens))
-                if min(entries) < 0 or max(entries) > self.bound:
-                    return None
-                table = dict(zip(tokens, [e * weight + offset
-                                          for e in entries]))
-                shares = map(table.__getitem__, col)
-                acc = shares if acc is None else map(add, acc, shares)
-        except ValueError:
-            return None
-        return list(acc)
 
     def unpack(self, keys: list) -> list:
         """One list per variable of the entries of the exponents of
@@ -693,9 +663,12 @@ class _Kernel:
 class TruncatedSeries:
     """Series truncated to the box ``[0, bound]^nvars``, held as its support.
 
-    ``terms`` maps exponent tuples inside the box to nonzero Python ints;
-    each exponent is checked and packed into its key, and an exponent of
-    the wrong arity or outside the box raises ``SeriesError``.  Instances
+    ``terms`` maps exponent tuples inside the box to integers; each
+    exponent is checked and packed into its key, and an exponent of the
+    wrong arity or outside the box raises ``SeriesError``.  Each
+    coefficient is taken through ``operator.index``, so a numpy integer
+    is stored as a Python int and anything that is no integer raises
+    ``SeriesError``; zero coefficients are dropped.  Instances
     are treated as immutable.  Indexing and ``nonzero_terms`` return
     Python ints.  ``coeffs`` builds a read-only dense grid of the
     coefficients, ``int64`` exactly when every ``|c| < 2^63`` and
@@ -711,7 +684,12 @@ class TruncatedSeries:
         self.bound = bound
         self._layout = _layout(nvars, bound)
         key = self._layout.key
-        self._keys = {key(m): c for m, c in terms.items()}
+        keys = {key(m): c for m, c in terms.items()}
+        try:
+            coefs = list(map(index, keys.values()))
+        except TypeError as exc:
+            raise SeriesError(f"coefficient is not an integer: {exc}") from exc
+        self._keys = {k: c for k, c in zip(keys, coefs) if c}
 
     @classmethod
     def _from_keys(cls, nvars: int, bound: int,
@@ -920,18 +898,16 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     An expanded text whose first line is its header, on a box whose keys
     are all below ``2^63``, with at least ``_TOKEN_LINES`` lines after
     the header, goes to a numpy tokenizer (``_read_tokens``), which reads
-    it in slices of at most ``_TOKEN_LINES`` lines.  It certifies a slice
+    it in slices of at most ``_SLICE_LINES`` lines.  It certifies a slice
     only if the slice holds only digits, spaces, newlines and ``-``, and
     every line of it ``nvars + 1`` fields of an optional ``-`` and 1 to 18
     digits, with its exponent in the box and not seen before (on a zero
     line too).
 
     Every other text, and every text with a slice that the tokenizer does
-    not certify, goes to the chunk reader.  It reads the term lines in
-    chunks of at most ``_CHUNK_LINES`` lines, each checked by columns for
-    the field count, integer fields, the box (expanded only), a repeated
-    exponent and a zero power (factored only).  If a chunk fails a check,
-    the text is read again one line at a time, checking each line in that
+    not certify, goes to the per-line reader (``_read_lines``).  It checks
+    each term line for the field count, integer fields, the box (expanded
+    only), a repeated exponent and a zero power (factored only), in that
     order, so the first bad line decides the error.  Either way a text
     reads to the same series or raises the same error.
     """
@@ -948,8 +924,6 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
             if keys is not None:
                 return TruncatedSeries._from_keys(nvars, bound, keys)
 
-    # chunks are cut from the end of the reversed lines, so the lines
-    # already read are freed while the terms are built
     lines = text.splitlines()
     lines.reverse()
     line = ""
@@ -959,9 +933,7 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
         line = lines.pop().strip()
     nvars, bound, expanded = _read_header(line)
     layout = _layout(nvars, bound) if expanded else None
-    terms = _read_chunks(lines, nvars + 1, layout, "#" in text)
-    if terms is None:
-        _raise_first_bad_line(text, nvars + 1, bound, expanded)
+    terms = _read_lines(lines, nvars + 1, layout)
     if not expanded:
         return FactoredSeries(nvars, terms)
     return TruncatedSeries._from_keys(nvars, bound, terms)
@@ -1000,7 +972,7 @@ def _read_tokens(text: str, start: int,
     past ``2^63``, a character outside ASCII) or a slice of it is not
     certified.
 
-    The text is taken in slices of at most ``_TOKEN_LINES`` lines, each
+    The text is taken in slices of at most ``_SLICE_LINES`` lines, each
     cut from a window of that many lines of the text's mean length, which
     doubles while no line ends in it; one window at a time is encoded to
     bytes.  A slice is tokenized and checked on arrays: its bytes; its
@@ -1010,10 +982,10 @@ def _read_tokens(text: str, start: int,
     below ``10^18``; the box.  A field's value is the sum of its digits
     times their powers of ten, and a line's key is its exponents times
     ``_Layout.weights`` plus the bias, all of which the layout certifies
-    below ``2^63``.  As in ``_read_chunks``, the keys and coefficients
-    then go into the support by one ``dict.update``, a repeated exponent
-    shows as a dict that grew by less than the slice, and zero lines are
-    kept until the end.
+    below ``2^63``.  The keys and coefficients then go into the support
+    by one ``dict.update``, a repeated exponent shows as a dict that grew
+    by less than the slice, and zero lines are kept until the end, as in
+    ``_read_lines``.
     """
     # the newlines after the header's, and one more for a last line
     # without a newline
@@ -1032,7 +1004,7 @@ def _read_tokens(text: str, start: int,
     tens = np.array([10 ** i for i in range(19)], np.int64)
     weights = np.array(layout.weights, np.int64)
     width = layout.nvars + 1
-    span = (len(text) // lines + 1) * _TOKEN_LINES
+    span = (len(text) // lines + 1) * _SLICE_LINES
     terms: dict = {}
     zero = False
     # each slice starts at the newline before its first line
@@ -1040,7 +1012,7 @@ def _read_tokens(text: str, start: int,
     while start < last:
         window = np.frombuffer(text[start:start + span + 1].encode("ascii"),
                                np.uint8)
-        ends = np.flatnonzero(window == 10)[1:_TOKEN_LINES + 1]
+        ends = np.flatnonzero(window == 10)[1:_SLICE_LINES + 1]
         if not ends.size:
             # no line ends in the window
             span *= 2
@@ -1087,84 +1059,42 @@ def _read_tokens(text: str, start: int,
     return {m: c for m, c in terms.items() if c} if zero else terms
 
 
-def _read_chunks(lines: list, width: int, layout: Union[_Layout, None],
-                 comments: bool) -> Union[dict, None]:
-    """The terms of the reversed term lines ``lines``, which are used up,
-    read ``_CHUNK_LINES`` lines at a time; None once a chunk fails a
-    check.  ``layout`` is the box of an expanded series, whose terms are
-    keyed by packed exponent, and None for a factored one, keyed by
-    exponent tuple.
+def _read_lines(lines: list, width: int, layout: Union[_Layout, None]) -> dict:
+    """The terms of the reversed term lines ``lines``, popped one at a
+    time so that the lines read are freed while the terms grow, keyed by
+    packed exponent on the box ``layout`` of an expanded series and by
+    exponent tuple for a factored one (``layout`` None).
 
-    A chunk is split and checked on its columns, then added to the terms
-    by one ``dict.update``; a repeated exponent shows as a dict that grew
-    by less than the chunk.  A factored chunk's tokens are converted by
-    one ``map(int)``.  An expanded chunk's coefficients are, and its
-    exponents are read by ``_Layout.read``, which converts each distinct
-    token of a column once.  Lines with coefficient 0
-    are kept until the end, so that a repeat of one is still a duplicate.
+    Each term line is checked for its field count, integer fields, the
+    box (expanded only), an exponent seen before (on a zero line too) and
+    a zero power (factored only), in that order, so the first bad line
+    raises its error.
     """
     terms: dict = {}
     zero = False
     while lines:
-        chunk = lines[-_CHUNK_LINES:]
-        del lines[-_CHUNK_LINES:]
-        # blank lines split into nothing
-        rows = list(filter(None, map(str.split, reversed(chunk))))
-        if comments:
-            rows = [t for t in rows if t[0][0] != "#"]
-        if not rows:
+        line = lines.pop()
+        toks = line.split()
+        if not toks or toks[0][0] == "#":
             continue
-        if set(map(len, rows)) != {width}:
-            return None
-        if layout is None:
-            try:
-                vals = list(map(int, chain.from_iterable(rows)))
-            except ValueError:
-                return None
-            coefs = vals[::width]
-            if 0 in coefs:
-                return None
-            exps = zip(*(vals[i::width] for i in range(1, width)))
-        else:
-            tokens = list(chain.from_iterable(rows))
-            try:
-                coefs = list(map(int, tokens[::width]))
-            except ValueError:
-                return None
-            exps = layout.read([tokens[i::width] for i in range(1, width)])
-            if exps is None:
-                return None
-            zero = zero or 0 in coefs
-        size = len(terms) + len(coefs)
-        terms.update(zip(exps, coefs))
-        if len(terms) != size:
-            return None
-    return {m: c for m, c in terms.items() if c} if zero else terms
-
-
-def _raise_first_bad_line(text: str, width: int, bound: int,
-                          expanded: bool) -> None:
-    """Raise the error of the first bad term line of a text whose header
-    is good, checking one line at a time."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    # exponents seen so far, of zero lines too
-    seen = set()
-    for ln in lines[1:]:
-        toks = ln.split()
         if len(toks) != width:
-            raise SeriesError(f"expected {width} fields: {ln!r}")
+            raise SeriesError(f"expected {width} fields: {line.strip()!r}")
         try:
-            vals = list(map(int, toks))
+            c, *m = map(int, toks)
         except ValueError as exc:
-            raise SeriesError(f"non-integer field: {ln!r}") from exc
-        m = tuple(vals[1:])
-        if expanded and (min(m) < 0 or max(m) > bound):
-            raise SeriesError(f"exponent {m} outside grid [0, {bound}]")
-        if m in seen:
+            raise SeriesError(f"non-integer field: {line.strip()!r}") from exc
+        m = tuple(m)
+        if layout is None:
+            key = m
+        elif min(m) < 0 or max(m) > layout.bound:
+            raise SeriesError(f"exponent {m} outside grid [0, {layout.bound}]")
+        else:
+            key = sum(map(mul, m, layout.weights)) + layout.bias
+        if key in terms:
             raise SeriesError(f"duplicate exponent {m}")
-        if not (vals[0] or expanded):
-            raise SeriesError(f"zero power at {m}")
-        seen.add(m)
-    raise AssertionError("a chunk of term lines failed a check that "
-                         "each of its lines passes")
+        if not c:
+            if layout is None:
+                raise SeriesError(f"zero power at {m}")
+            zero = True
+        terms[key] = c
+    return {key: c for key, c in terms.items() if c} if zero else terms

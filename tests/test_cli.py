@@ -13,9 +13,10 @@ import planevals
 from planevals import cli, equivalent, graph_from_json, series_from_text
 from planevals.cli import main
 from planevals.dualgraph import MAX_VERTICES
-from planevals.series import MAX_CELLS
+from planevals.series import _TOKEN_LINES, MAX_CELLS
 
-from conftest import CUSP_DIV, CUSP_PAIR, TACNODE, series_of, spy_on
+from conftest import (CUSP_DIV, CUSP_MARKS3, CUSP_PAIR, TACNODE, series_of,
+                      spy_on)
 from planevals import (FactoredSeries, default_spec, expand, factorize,
                        graph_to_json, random_instance, series_to_text)
 from planevals.reconstruct import BranchData, graph_from_branch
@@ -561,6 +562,12 @@ def cli_files(tmp_path):
     write(tmp_path, "pair.json", graph_to_json(CUSP_PAIR))
     write(tmp_path, "tacnode.json", graph_to_json(TACNODE))
     write(tmp_path, "pair.txt", series_to_text(series_of(CUSP_PAIR)))
+    # expansions on either side of _TOKEN_LINES term lines, each
+    # factorized on its support
+    for name, bound in (("short", 12), ("long", 24)):
+        text = series_to_text(expand(series_of(CUSP_MARKS3), bound))
+        assert (text.count("\n") - 1 >= _TOKEN_LINES) == (name == "long")
+        write(tmp_path, f"marks3-{name}.txt", text)
     return tmp_path
 
 
@@ -576,6 +583,9 @@ def cli_files(tmp_path):
     pytest.param(["series", "pair.json"], id="series-factored"),
     pytest.param(["reconstruct", "pair.txt", "--mode", "div"],
                  id="reconstruct-factored"),
+    # 19 term lines, read line by line
+    pytest.param(["reconstruct", "marks3-short.txt", "--mode", "div"],
+                 id="reconstruct-expanded-short"),
     # (1 - t^2)^-1 (1 - t^3)^-1 on [0, 7] is a few dict updates
     pytest.param(["series", "div.json", "--expand", "--bound", "7"],
                  id="series-expand-small"),
@@ -590,6 +600,9 @@ def test_grid_free_commands_never_load_numpy(cli_files, argv):
     # on [0, 40] the second factor would make 273 updates, past the limit
     pytest.param(["series", "div.json", "--expand", "--bound", "40"],
                  id="series-expand-past-hand-off"),
+    # 61 term lines, read by the numpy tokenizer
+    pytest.param(["reconstruct", "marks3-long.txt", "--mode", "div"],
+                 id="reconstruct-expanded-long"),
 ])
 def test_grid_commands_load_numpy(cli_files, argv):
     assert numpy_after(cli_files, argv) == (0, True)

@@ -385,23 +385,17 @@ def laid_out_text(draw):
 
 @given(laid_out_text())
 def test_reader_matches_the_per_line_reader(text):
-    got = assert_reads_as_reference(text)
-    # and in chunks of two lines, so that most texts span several
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series_module, "_CHUNK_LINES", 2)
-        assert read_outcome(series_from_text, text) == got
+    assert_reads_as_reference(text)
 
 
-CHUNK = series_module._CHUNK_LINES
-# term lines, counted from 0 after the header: one inside the second
-# chunk, the last of a chunk and the first of the next, at two boundaries
-DEFECT_LINES = (CHUNK + CHUNK // 2, 2 * CHUNK - 1, 2 * CHUNK,
-                3 * CHUNK - 1, 3 * CHUNK)
+# term lines of long_text, counted from 0 after the header, far from its
+# first line and from its last
+DEFECT_LINES = (384, 511, 512, 767, 768)
 
 
 def long_text(expanded):
-    """More than three chunks of term lines: an expanded series on the
-    box [0, 30]^2, or a factored one with as many factors."""
+    """961 term lines: an expanded series on the box [0, 30]^2, or a
+    factored one with as many factors."""
     terms = {(i, j): (-1) ** (i + j) * (i + 2 * j + 1)
              for i in range(31) for j in range(31)}
     if expanded:
@@ -426,12 +420,12 @@ def defects(text, at, expanded):
     first = exponent_text(text, 0)
     out = [("fields", set_line(text, at, f"1 {e} 7")),
            ("integer", set_line(text, at, f"1 {e.split()[0]} x")),
-           # the exponent of the first line, in the first chunk
+           # the exponent of the first line
            ("duplicate", set_line(text, at, f"5 {first}"))]
     if expanded:
         out.append(("box", set_line(text, at, "1 3 31")))
-        # the exponent of line `at` as a zero line, once in the first
-        # chunk and again at `at`
+        # the exponent of line `at` as a zero line, once on line 3 and
+        # again at `at`
         twice = set_line(set_line(text, 3, f"0 {e}"), at, f"0 {e}")
         out.append(("zero line", twice))
     else:
@@ -440,9 +434,8 @@ def defects(text, at, expanded):
 
 
 @pytest.mark.parametrize("expanded", [True, False])
-def test_defects_at_chunk_boundaries_raise_as_per_line(expanded):
+def test_defects_deep_in_long_texts_raise_as_per_line(expanded):
     text = long_text(expanded)
-    assert text.count("\n") - 1 > 3 * CHUNK
     assert assert_reads_as_reference(text) == series_from_text(text)
     for at in DEFECT_LINES:
         for name, bad in defects(text, at, expanded):
@@ -466,11 +459,11 @@ def test_entries_in_any_integer_spelling_read_as_per_line(one, zero):
     assert assert_reads_as_reference(bent) == series_from_text(text)
 
 
-def test_chunks_of_only_comments_and_blank_lines_are_skipped():
+def test_runs_of_only_comments_and_blank_lines_are_skipped():
     text = long_text(True)
     lines = text.splitlines()
-    filler = ["# comment", "", "  \t "] * CHUNK
-    # a whole chunk of filler right after the header, and more at the end
+    filler = ["# comment", "", "  \t "] * 256
+    # 768 lines of filler right after the header, and as many at the end
     bent = "\n".join(lines[:1] + filler + lines[1:] + filler) + "\n"
     assert assert_reads_as_reference(bent) == series_from_text(text)
 
@@ -481,8 +474,8 @@ def test_chunks_of_only_comments_and_blank_lines_are_skipped():
 def read_each_way(text, lines=1):
     """The outcomes of ``series_from_text`` with the tokenizer taking
     every expanded text of at least ``lines`` term lines, in slices of at
-    most that many, and with it taking none; and whether it certified the
-    text."""
+    most that many, and with it taking none, so that the per-line reader
+    reads every text; and whether the tokenizer certified the text."""
     certified = []
     tokenize = series_module._read_tokens
 
@@ -494,22 +487,23 @@ def read_each_way(text, lines=1):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series_module, "_read_tokens", spy)
         mp.setattr(series_module, "_TOKEN_LINES", lines)
+        mp.setattr(series_module, "_SLICE_LINES", lines)
         tokenized = read_outcome(series_from_text, text)
         mp.setattr(series_module, "_TOKEN_LINES", 2 ** 62)
-        chunked = read_outcome(series_from_text, text)
-    return tokenized, chunked, True in certified
+        per_line = read_outcome(series_from_text, text)
+    return tokenized, per_line, True in certified
 
 
 def assert_readers_agree(text, lines=1):
     """Both readers read ``text`` as the per-line reader does; returns
     whether the tokenizer certified it."""
-    tokenized, chunked, certified = read_each_way(text, lines)
-    assert tokenized == chunked == read_outcome(reference_reader, text)
+    tokenized, per_line, certified = read_each_way(text, lines)
+    assert tokenized == per_line == read_outcome(reference_reader, text)
     return certified
 
 
 @given(laid_out_text(), st.integers(1, 3))
-def test_tokenizer_reads_as_the_chunk_reader(text, lines):
+def test_tokenizer_reads_as_the_line_reader(text, lines):
     assert_readers_agree(text, lines)
 
 
@@ -529,7 +523,7 @@ TWO = "vars 2 mode expanded bound 5\n"
 # (term lines, whether the tokenizer certifies them) on the box [0, 5]^2
 TOKENIZER_CASES = [
     ("999999999999999999 1 2\n-999999999999999999 2 1\n", True),
-    # 19 digits go back to the chunk reader, which reads them
+    # 19 digits go back to the per-line reader, which reads them
     ("1000000000000000000 1 2\n", False),
     ("-1000000000000000000 1 2\n", False),
     ("7 0 0\n-0 1 1\n007 2 3\n-05 00 5\n", True),
@@ -592,7 +586,7 @@ def long_tokenized_text():
 def slice_defects(text, at):
     """(name, text) for each defect placed at term line ``at`` of a text
     on the box [0, 60]^2, and for one entry of 19 digits, which the
-    tokenizer leaves to the chunk reader."""
+    tokenizer leaves to the per-line reader."""
     e = exponent_text(text, at)
     a = e.split()[0]
     first = exponent_text(text, 0)
@@ -608,7 +602,7 @@ def slice_defects(text, at):
     return out
 
 
-@pytest.mark.parametrize("lines", [series_module._TOKEN_LINES, 1000])
+@pytest.mark.parametrize("lines", [series_module._SLICE_LINES, 1000])
 def test_long_texts_read_alike_with_defects_at_slice_ends(lines):
     text = long_tokenized_text()
     assert assert_readers_agree(text, lines)
@@ -617,8 +611,8 @@ def test_long_texts_read_alike_with_defects_at_slice_ends(lines):
     # at the ends of the unbent text's slices and on its last line
     for at in (lines - 1, lines, 3 * lines, count - 1):
         for name, bad in slice_defects(text, at):
-            tokenized, chunked, certified = read_each_way(bad, lines)
-            assert tokenized == chunked, (name, at)
+            tokenized, per_line, certified = read_each_way(bad, lines)
+            assert tokenized == per_line, (name, at)
             assert isinstance(tokenized, str) == (name != "19 digits")
             assert not certified, (name, at)
 
@@ -691,6 +685,22 @@ def test_exponents_are_checked_on_construction():
               (), (1.0, 2.0), (1, "2")):
         with pytest.raises(SeriesError, match="outside grid"):
             TruncatedSeries(2, 4, {(0, 0): 1, m: 7})
+
+
+def test_coefficients_are_checked_on_construction():
+    # a zero coefficient drops, so the series factorizes as without it
+    # (a kept zero was peeled again and again, and factorize never
+    # returned)
+    s = TruncatedSeries(1, 3, {(0,): 1, (1,): 0})
+    assert s == TruncatedSeries(1, 3, {(0,): 1})
+    assert list(s.nonzero_terms()) == [((0,), 1)]
+    assert factorize(s) == FactoredSeries(1, {})
+    # a numpy integer is stored as a Python int
+    c = TruncatedSeries(1, 3, {(0,): 1, (2,): np.int64(-4)})[(2,)]
+    assert c == -4 and type(c) is int
+    for bad in (2.5, "2"):
+        with pytest.raises(SeriesError, match="not an integer"):
+            TruncatedSeries(1, 3, {(0,): 1, (1,): bad})
 
 
 def test_coeffs_is_a_read_only_view():
