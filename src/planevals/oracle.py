@@ -305,6 +305,22 @@ def _spec_pullback_sources(graph: DualGraph, spec, cap: int):
     return out
 
 
+def _power_terms(p: Poly, cap: int) -> List[Tuple[int, int, int, int]]:
+    """(s-degree, k, lambda-degree, c) of every term c s^a lambda^b of p^k
+    truncated at s-degree ``cap``, for k = 0, 1, .. up to the first zero
+    power, in increasing order: one product per power.  A chart
+    polynomial vanishes at s = 0, so its power cap + 1 is zero."""
+    terms = [(0, 0, 0, 1)]
+    q: Poly = {(0, 0): 1}
+    for k in range(1, cap + 1):
+        q = _pmul(q, p, cap)
+        if not q:
+            break
+        terms += [(a, k, b, c) for (a, b), c in q.items()]
+    terms.sort()
+    return terms
+
+
 def _level_rows(graph: DualGraph, spec, W: int, top: int):
     """The defining functionals of J(w) on the jets, as sparse rows.
 
@@ -314,29 +330,37 @@ def _level_rows(graph: DualGraph, spec, W: int, top: int):
     for l < top: a combination of jets lies in J(w) iff every row of
     every k at a level below w_k vanishes on its coefficient vector.
 
-    The pullbacks are built one product at a time, x^i y^j from
-    x^i y^(j-1) and x^(i+1) from x^i, each truncated at s-degree
-    top - 1: only levels below top are read, and s-degrees only add.
-    Once x^i y^j is zero below top, so is every later jet of that i.
+    The pullbacks come from two power tables per valuation: the terms of
+    every power of x and of y, truncated at s-degree top - 1 (only levels
+    below top are read, and s-degrees only add), each table ending at
+    its first zero power.  Each term of x^i is scattered against the
+    terms of the powers of y in increasing s-degree, up to the first
+    that leaves the levels; the entries of one jet, level and
+    lambda-power are summed.  Every chart coefficient is positive (their
+    polynomials start at s and s*t and each substitution adds theta >=
+    0), so the sums never cancel and no row holds a zero entry, which
+    ``_place`` relies on.  x and y vanish at s = 0, so x^i y^j has no
+    term below s-degree i + j: with W >= top - 1, as both callers pass,
+    every jet that leaves an entry has degree at most W.
     """
     cap = top - 1
+    # the index of the jet x^i
+    first = [i * (2 * W + 3 - i) // 2 for i in range(W + 1)]
     out = []
     for x, y in _spec_pullback_sources(graph, spec, top):
         levels: List[Dict[int, Dict[int, int]]] = [{} for _ in range(top)]
-        jet = 0
-        xi: Poly = {(0, 0): 1}
-        for i in range(W + 1):
-            p = xi
-            for j in range(W + 1 - i):
-                if j:
-                    p = _pmul(p, y, cap)
-                if not p:
-                    jet += W + 1 - i - j
+        yterms = _power_terms(y, cap)
+        for a, i, la, c in _power_terms(x, cap):
+            room, jet0 = cap - a, first[i]
+            for b, j, lb, d in yterms:
+                if b > room:
                     break
-                for (l, lam), c in p.items():
-                    levels[l].setdefault(lam, {})[jet] = c
-                jet += 1
-            xi = _pmul(xi, x, cap)
+                level, lam, jet = levels[a + b], la + lb, jet0 + j
+                row = level.get(lam)
+                if row is None:
+                    level[lam] = {jet: c * d}
+                else:
+                    row[jet] = row.get(jet, 0) + c * d
         out.append([list(level.values()) for level in levels])
     return out
 

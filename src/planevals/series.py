@@ -358,11 +358,11 @@ class _Layout:
     def key(self, m) -> int:
         """The key of the exponent ``m``; SeriesError if it is not in the
         box."""
-        m = tuple(m)
         try:
+            m = tuple(m)
             entries = list(map(index, m))
         except TypeError:
-            # 1.0 or "1" is no entry of the box either
+            # 5 is no exponent, and 1.0 or "1" no entry of the box either
             entries = None
         if (entries is None or len(entries) != self.nvars
                 or not all(0 <= e <= self.bound for e in entries)):

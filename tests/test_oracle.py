@@ -102,8 +102,8 @@ def test_valuation_reads_past_products_that_cancel():
 
 
 def test_chart_polynomials_have_positive_coefficients():
-    # _pmul and _subst keep no zero coefficient, which holds because no
-    # sum over a chart can cancel
+    # _pmul and _subst keep no zero coefficient, and _level_rows sums no
+    # row entry to zero, which holds because no sum over a chart can cancel
     graphs = small_corpus() + [
         random_instance(seed, 12, 1 + seed % 3, mode)
         for seed in range(40) for mode in ("divisorial", "curve")]
@@ -296,6 +296,23 @@ def test_level_rows_match_products_of_full_powers(graphs):
             used = [{i for level in rows for row in level for i in row}
                     for rows in ref]
             assert all(len(u) < (W + 1) * (W + 2) // 2 for u in used)
+
+
+@pytest.mark.parametrize("seed, r, mode", [(12, 2, "curve"),
+                                           (38, 1, "divisorial")])
+def test_level_rows_match_products_of_full_powers_at_the_dense_bound(
+        seed, r, mode):
+    # bound 40, the largest of the dense benchmark's oracle ops, on graphs
+    # whose pullbacks have an x or y of several terms, so that entries of
+    # one jet are sums over the power tables
+    g = random_instance(seed, 12, r, mode)
+    spec = default_spec(g)
+    assert len(spec) == r
+    top = 41
+    assert any(len(p) >= 2 for xy in oracle._spec_pullback_sources(
+        g, spec, top) for p in xy)
+    assert (level_multisets(oracle._level_rows(g, spec, top + 1, top))
+            == level_multisets(reference_level_rows(g, spec, top + 1, top)))
 
 
 def fraction_rank(rows, width):

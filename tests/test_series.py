@@ -661,11 +661,12 @@ def test_zero_lines_drop_and_duplicates_are_refused():
 
 
 @pytest.mark.parametrize("m", [(-1,), (6,), (0, 0), (), (1.0,), ("2",),
-                               (0.5,)])
+                               (0.5,), 5, None])
 def test_indexing_outside_the_box_is_refused(m):
     # numpy's negative indexing once read (-1,) as the coefficient at 5;
     # a key packs integers only, so 1.0 is refused, where a dict of
-    # exponent tuples once matched it to 1
+    # exponent tuples once matched it to 1; 5 and None, which are no
+    # sequence, once escaped as TypeError
     s = expand(FactoredSeries(1, {(1,): -1}), 5)
     assert s[(5,)] == 1
     with pytest.raises(SeriesError, match="outside grid"):
@@ -682,7 +683,7 @@ def test_exponents_are_checked_on_construction():
     # that is no integer would each pack into some other cell's key, or
     # into none
     for m in ((5, 0), (0, 5), (5, 5), (-1, 0), (0, -1), (1,), (1, 2, 3),
-              (), (1.0, 2.0), (1, "2")):
+              (), (1.0, 2.0), (1, "2"), 5, None):
         with pytest.raises(SeriesError, match="outside grid"):
             TruncatedSeries(2, 4, {(0, 0): 1, m: 7})
 
