@@ -53,12 +53,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    graph = graph_from_json(_read(args.graph))
-    p = poincare_series(graph, default_spec(graph))
+    # a usage error is reported before the graph is read, so that it
+    # neither waits for standard input nor hides behind a bad file
     if args.expand != (args.bound is not None):
         print("error: --expand requires --bound" if args.expand
               else "error: --bound requires --expand", file=sys.stderr)
         return BAD_INPUT
+    graph = graph_from_json(_read(args.graph))
+    p = poincare_series(graph, default_spec(graph))
     _emit(series_to_text(expand(p, args.bound) if args.expand else p),
           args.out)
     return OK

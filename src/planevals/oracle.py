@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .dualgraph import DualGraph, multiplicity_matrix
 from .poincare import Branch, Divisorial, ValuationSpec
-from .series import TruncatedSeries, _support
+from .series import TruncatedSeries, _check_grid, _support
 # nothing here calls divide_torus; the benchmark's tracer (bench/tracing.py)
 # still wraps it as an attribute of this module
 from .series import divide_torus  # noqa: F401
@@ -611,7 +611,10 @@ def definitional_poincare(graph: DualGraph, spec: ValuationSpec,
 
 def semigroup_series(generators: Sequence[int], bound: int) -> TruncatedSeries:
     """Characteristic series of the numerical semigroup, by dynamic
-    programming: coefficient 1 exactly at representable values."""
+    programming: coefficient 1 exactly at representable values.  A bound
+    that ``TruncatedSeries`` would refuse raises ``SeriesError`` before
+    anything is allocated."""
+    _check_grid(1, bound)
     gens = [int(g) for g in generators]
     if not gens or any(g < 1 for g in gens):
         raise OracleError(f"bad generators {generators}")

@@ -18,28 +18,34 @@ Two operations connect the forms: ``expand`` multiplies out a product, and
 ``divide_torus``, divides by ``(t_1 ... t_r - 1)``; nothing in the
 package calls it any more, but the benchmark's tracer still wraps it.
 
-All three run on the support.  Multiplying by ``(1 - t^m)^k`` adds
-``coef_j * c`` at ``e + j*m`` for each term ``c * t^e`` and each step
-``j`` that stays in the box, so a factor costs about ``terms * steps``
-dict updates (``_Terms``).  Before each factor (each peel, in
-``factorize``) the prediction is compared with ``max(cells,
-_MIN_GRID_CELLS) // _CELLS_PER_TERM``, where ``_CELLS_PER_TERM`` is the
-measured cost of one dict update in grid cells of a factor's numpy passes
-and ``_MIN_GRID_CELLS`` the fixed cost of a trip through the grid.  Once
-the prediction passes that limit, the keys are scattered into a dense grid
-once and the rest runs as in-place passes on it, whose nonzero cells are
-packed back into keys, in key order; ``factorize`` scatters a support
-that is past the limit at one step a term without trying a peel on it.
-Keys are unpacked to grid indices and packed from them in int64 numpy
-when every key of the box is below ``2^63``, and in Python ints
-otherwise (wide boxes such as 24 variables at bound 1).  A unit of a
-pole ``(1 - t^m)^-1`` is one running sum, swept slab by slab along an
-axis that ``m`` moves, where the slabs hold at least ``_MIN_SLAB_CELLS``
-cells, and ``log2(bound // max(m))`` doubling passes otherwise; a pole
-``(0, ..., 0, 1)``, whose slabs would be strided columns, is summed along
-the rows instead.  A product of a few binomials with large exponents
-stays on its few terms; one that fills the box, as peeling a numerator
-does, moves to the grid.
+All three run on one working product, ``_Product``, which starts on the
+support.  Multiplying by ``(1 - t^m)^k`` adds ``coef_j * c`` at ``e +
+j*m`` for each term ``c * t^e`` and each step ``j`` that stays in the
+box, so a factor costs about ``terms * steps`` dict updates.  One rule
+decides where the product is held: on the support while that prediction
+stays within ``max(cells, _MIN_GRID_CELLS) // _CELLS_PER_TERM``, where
+``_CELLS_PER_TERM`` is the measured cost of one dict update in grid
+cells of a factor's numpy passes and ``_MIN_GRID_CELLS`` the fixed cost
+of a trip through the grid.  The first factor past it and every one
+after run as in-place passes on a dense grid (``_Kernel``), into which
+the keys are scattered once; the product never goes back.  A peel of
+``factorize`` takes at least one step a term, so the rule is also
+checked, at one step, before each degree of the support is scanned.
+The result is the support, or the grid's nonzero cells packed back into
+keys in key order.
+
+On the grid a unit of a pole ``(1 - t^m)^-1`` is one running sum, swept
+slab by slab along an axis that ``m`` moves, where the slabs hold at
+least ``_MIN_SLAB_CELLS`` cells, and ``log2(bound // max(m))`` doubling
+passes otherwise; a pole ``(0, ..., 0, 1)``, whose slabs would be
+strided columns, is summed along the rows instead.  A product of a few
+binomials with large exponents stays on its few terms; one that fills
+the box, as peeling a numerator does, moves to the grid.
+
+One codec per box turns keys into grid indices and back
+(``_Layout.columns`` and ``_Layout.keys_of``): in int64 numpy when every
+key of the box is below ``2^63``, and in ``object`` arrays of Python
+ints otherwise (wide boxes such as 24 variables at bound 1).
 
 numpy is a dependency of this module, but it is imported by the first
 grid or the first expanded text of at least ``_TOKEN_LINES`` terms, not
@@ -62,9 +68,10 @@ is built.
 
 The text format has one line per term, in glex order.  The writer sorts
 the keys, which a support read off the grid already holds in order,
-unpacks one column per variable (in int64 numpy, shared with the grid's
-scatter, for a support of at least ``_TOKEN_LINES`` terms whose keys are
-below ``2^63``) and fills a repeated row pattern.  The reader has two
+unpacks one column per variable (through ``_Layout.columns`` for a
+support of at least ``_TOKEN_LINES`` terms whose keys are below
+``2^63``, and in Python ints otherwise, where ``object`` columns are
+about 10% slower) and fills a repeated row pattern.  The reader has two
 paths.  An expanded text of at least ``_TOKEN_LINES`` term lines on such
 a box, whose header is its first line, goes to a numpy tokenizer, which
 reads it in slices of at most ``_SLICE_LINES`` lines and certifies each
@@ -80,9 +87,8 @@ the same error, on either path.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 from math import prod
-from operator import add, index, mul
+from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 if TYPE_CHECKING:
@@ -331,8 +337,9 @@ class _Layout:
     field carries into the next; ``e_i <= bound`` exactly when the top bit
     of field ``i`` is clear, so one mask tests the box; and integer order
     is glex order.  ``int64`` tells whether every key of the box is below
-    ``2^63``, so that numpy can pack and unpack them.  Instances are
-    shared between callers (``_layout``) and never change.
+    ``2^63``, which decides once per box how ``columns`` and ``keys_of``
+    convert keys to grid indices and back.  Instances are shared between
+    callers (``_layout``) and never change.
     """
 
     __slots__ = ("nvars", "bound", "cells", "shifts", "weights", "bias",
@@ -370,14 +377,6 @@ class _Layout:
                               f"[0, {self.bound}]^{self.nvars}")
         return sum(map(mul, entries, self.weights)) + self.bias
 
-    def pack(self, cols: list) -> list:
-        """The keys of the exponents whose ``i``-th entries are
-        ``cols[i]``, entries known to be in the box."""
-        acc = map(mul, cols[0], repeat(self.weights[0]))
-        for col, weight in zip(cols[1:], self.weights[1:]):
-            acc = map(add, acc, map(mul, col, repeat(weight)))
-        return list(map(add, acc, repeat(self.bias)))
-
     def unpack(self, keys: list) -> list:
         """One list per variable of the entries of the exponents of
         ``keys``."""
@@ -385,14 +384,29 @@ class _Layout:
         keys = [key - bias for key in keys]
         return [[(key >> s) & mask for key in keys] for s in self.shifts]
 
-    def unpack_int64(self, keys: Iterable, count: int) -> tuple:
+    def columns(self, keys: Iterable, count: int) -> tuple:
         """One int64 array per variable of the entries of the exponents
-        of the ``count`` keys ``keys``, on a box whose keys are all below
-        ``2^63`` (``int64``)."""
+        of the ``count`` keys ``keys``: their indices in the grid.
+
+        The keys are read into int64 when every key of the box is below
+        ``2^63`` (``int64``), and into an ``object`` array of Python ints
+        otherwise.
+        """
         import numpy as np
 
-        flat = np.fromiter(keys, np.int64, count) - self.bias
-        return tuple((flat >> s) & self.mask for s in self.shifts)
+        flat = np.fromiter(keys, np.int64 if self.int64 else object, count)
+        flat -= self.bias
+        return tuple(((flat >> s) & self.mask).astype(np.int64, copy=False)
+                     for s in self.shifts)
+
+    def keys_of(self, cols: list) -> list:
+        """The keys, as Python ints, of the exponents whose ``i``-th
+        entries are the int64 array ``cols[i]``: the inverse of
+        ``columns``, summed in int64 or in Python ints as it reads."""
+        dtype = "int64" if self.int64 else object
+        keys = sum(col.astype(dtype, copy=False) * weight
+                   for col, weight in zip(cols, self.weights))
+        return (keys + self.bias).tolist()
 
 
 # a process sees a few boxes, each many times
@@ -412,14 +426,8 @@ def _grid(keys: dict, layout: _Layout, floor: int = 0) -> np.ndarray:
     top = max(map(abs, values), default=0)
     arr = np.zeros((layout.bound + 1,) * layout.nvars,
                    dtype=_width(max(top, floor))[0])
-    if not values:
-        return arr
-    if layout.int64:
-        at = layout.unpack_int64(keys, len(values))
-    else:
-        at = tuple(np.array(col, np.int64)
-                   for col in layout.unpack(list(keys)))
-    arr[at] = values
+    if values:
+        arr[layout.columns(keys, len(values))] = values
     return arr
 
 
@@ -433,84 +441,8 @@ def _support(arr: np.ndarray) -> dict:
     layout = _layout(arr.ndim, arr.shape[0] - 1)
     idx, coords = _nonzero_cells(arr)
     order = sum(coords).argsort(kind="stable")
-    if layout.int64:
-        keys = sum(ax[order] * weight
-                   for ax, weight in zip(coords, layout.weights))
-        keys = (keys + layout.bias).tolist()
-    else:
-        keys = layout.pack([ax[order].tolist() for ax in coords])
+    keys = layout.keys_of([ax[order] for ax in coords])
     return dict(zip(keys, arr.reshape(-1)[idx[order]].tolist()))
-
-
-class _Terms:
-    """Sparse truncated series on a box, as its support of packed keys.
-
-    ``power`` multiplies only while the predicted number of dict updates
-    stays within ``max(cells, _MIN_GRID_CELLS) // _CELLS_PER_TERM``; past
-    it the caller scatters ``keys`` into the grid and goes on there.
-    """
-
-    __slots__ = ("keys", "layout")
-
-    def __init__(self, keys: dict, layout: _Layout):
-        self.keys = keys
-        self.layout = layout
-
-    def fits(self, updates: int) -> bool:
-        """Whether ``updates`` dict updates stay within ``max(cells,
-        _MIN_GRID_CELLS) // _CELLS_PER_TERM``."""
-        # for whole numbers, n > cells // C exactly when n * C > cells
-        return (updates * _CELLS_PER_TERM
-                <= max(self.layout.cells, _MIN_GRID_CELLS))
-
-    def lowest(self) -> list:
-        """The terms ``(m, c)`` of the lowest nonzero total degree.
-
-        That degree is the top field of the least key that is not the
-        origin's; the origin alone is below one unit of it.
-        """
-        keys = self.keys
-        unit = self.layout.unit
-        low = min(filter(unit.__le__, keys), default=0)
-        if not low:
-            return []
-        low -= low % unit
-        batch = [key for key in keys if low <= key < low + unit]
-        return list(zip(zip(*self.layout.unpack(batch)),
-                        map(keys.__getitem__, batch)))
-
-    def power(self, m, k: int) -> bool:
-        """Multiply by ``(1 - t^m)^k``; return False, changing nothing,
-        if that would take more than ``max(cells, _MIN_GRID_CELLS) //
-        _CELLS_PER_TERM`` updates.
-
-        Only the terms ``j <= bound // max(m)`` (and ``j <= k`` for a
-        positive power) of the binomial series can land in the box, and a
-        term ``c * t^e`` spreads over the steps that keep ``e + j*m`` in
-        it: those before the first that leaves the box.
-        """
-        layout = self.layout
-        bound = layout.bound
-        top = max(m)
-        if top > bound or k == 0:
-            return True
-        steps = bound // top if k < 0 else min(bound // top, k)
-        keys = self.keys
-        if not self.fits(len(keys) * steps):
-            return False
-        shift = sum(map(mul, m, layout.weights))
-        high = layout.high
-        coefs = _coefs(k, steps)[1:]
-        out = dict(keys)
-        get = out.get
-        for key, c in keys.items():
-            for a in coefs:
-                key += shift
-                if key & high:
-                    break
-                out[key] = get(key, 0) + a * c
-        self.keys = {key: c for key, c in out.items() if c}
-        return True
 
 
 def _nonzero_cells(arr: np.ndarray) -> tuple:
@@ -660,6 +592,104 @@ class _Kernel:
                     step = tuple(2 * s for s in step)
 
 
+class _Product:
+    """The working series of ``expand`` and ``factorize`` on a box: its
+    support of packed keys (``keys``) until a factor does not fit there
+    (``fits``), then a ``_Kernel`` on the dense grid (``kernel``), which
+    it never leaves.  A peel takes at least one step a term, so ``lowest`` sends a
+    support past the limit at one step to the grid before scanning it.
+    """
+
+    __slots__ = ("keys", "layout", "kernel")
+
+    def __init__(self, keys: dict, layout: _Layout):
+        self.keys = keys
+        self.layout = layout
+        self.kernel = None
+
+    def fits(self, updates: int) -> bool:
+        """Whether ``updates`` dict updates stay within ``max(cells,
+        _MIN_GRID_CELLS) // _CELLS_PER_TERM``."""
+        # for whole numbers, n > cells // C exactly when n * C > cells
+        return (updates * _CELLS_PER_TERM
+                <= max(self.layout.cells, _MIN_GRID_CELLS))
+
+    def sparse_power(self, m, k: int) -> bool:
+        """Multiply the support by ``(1 - t^m)^k``; return False, changing
+        nothing, if its predicted updates do not fit (``fits``).
+
+        Only the terms ``j <= bound // max(m)`` (and ``j <= k`` for a
+        positive power) of the binomial series can land in the box, and a
+        term ``c * t^e`` spreads over the steps that keep ``e + j*m`` in
+        it: those before the first that leaves the box.
+        """
+        layout = self.layout
+        bound = layout.bound
+        top = max(m)
+        if top > bound or k == 0:
+            return True
+        steps = bound // top if k < 0 else min(bound // top, k)
+        keys = self.keys
+        if not self.fits(len(keys) * steps):
+            return False
+        shift = sum(map(mul, m, layout.weights))
+        high = layout.high
+        coefs = _coefs(k, steps)[1:]
+        out = dict(keys)
+        get = out.get
+        for key, c in keys.items():
+            for a in coefs:
+                key += shift
+                if key & high:
+                    break
+                out[key] = get(key, 0) + a * c
+        self.keys = {key: c for key, c in out.items() if c}
+        return True
+
+    def _to_grid(self) -> None:
+        self.kernel = _Kernel(_grid(self.keys, self.layout))
+        self.keys = None
+
+    def power(self, m, k: int) -> None:
+        """Multiply by ``(1 - t^m)^k``."""
+        if self.kernel is None:
+            if self.sparse_power(m, k):
+                return
+            self._to_grid()
+        self.kernel.power(m, k)
+
+    def lowest(self) -> list:
+        """The terms ``(m, c)`` of the lowest total degree above 0.
+
+        On the support that degree is the top field of the least key that
+        is not the origin's; the origin alone is below one unit of it.
+        """
+        if self.kernel is None and not self.fits(len(self.keys)):
+            self._to_grid()
+        if self.kernel is None:
+            keys = self.keys
+            unit = self.layout.unit
+            low = min(filter(unit.__le__, keys), default=0)
+            if not low:
+                return []
+            low -= low % unit
+            batch = [key for key in keys if low <= key < low + unit]
+            return list(zip(zip(*self.layout.unpack(batch)),
+                            map(keys.__getitem__, batch)))
+        arr = self.kernel.arr
+        idx, coords = _nonzero_cells(arr)
+        deg = sum(coords)
+        if not deg.any():
+            return []
+        batch = deg == deg[deg > 0].min()
+        return list(zip(zip(*(ax[batch].tolist() for ax in coords)),
+                        arr.reshape(-1)[idx[batch]].tolist()))
+
+    def support(self) -> dict:
+        """The support, in key order if read off the grid."""
+        return self.keys if self.kernel is None else _support(self.kernel.arr)
+
+
 class TruncatedSeries:
     """Series truncated to the box ``[0, bound]^nvars``, held as its support.
 
@@ -761,16 +791,12 @@ def _multiply(keys: dict, layout: _Layout, factors) -> dict:
     ``(1 - t^m)^k``, in the order given, on the box.
 
     Factors run on the support until one would cost more than its limit;
-    that one and the rest run on the dense grid.
+    that one and the rest run on the dense grid (``_Product``).
     """
-    sparse = _Terms(keys, layout)
-    kernel = None
+    product = _Product(keys, layout)
     for m, k in factors:
-        if kernel is None and not sparse.power(m, k):
-            kernel = _Kernel(_grid(sparse.keys, layout))
-        if kernel is not None:
-            kernel.power(m, k)
-    return sparse.keys if kernel is None else _support(kernel.arr)
+        product.power(m, k)
+    return product.support()
 
 
 def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
@@ -796,44 +822,20 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
     within the bound.
 
     Peels run on the support of ``s`` until one would cost more than its
-    limit; from there the sweep goes on over the dense grid.
+    limit, or until the support is past it at one step a term; from there
+    the sweep goes on over the dense grid (``_Product``).
     """
     if s._keys.get(s._layout.bias) != 1:
         raise SeriesError("factorization needs constant term 1")
     factors: dict = {}
-    sparse = _Terms(s._keys, s._layout)
-    # a peel's exponent is in the box, so it takes at least one step per
-    # term: a support past the limit at one step goes to the grid without
-    # trying its first peel
-    if sparse.fits(len(s._keys)) and _peel_sparse(sparse, factors):
-        return FactoredSeries._from_valid(s.nvars, factors)
-    kernel = _Kernel(_grid(sparse.keys, s._layout))
-    while True:
-        # the origin comes first, and peeling keeps it at 1
-        idx, coords = _nonzero_cells(kernel.arr)
-        if idx.size == 1:
-            break
-        deg = sum(coords)
-        batch = deg == deg[1:].min()
-        exps = zip(*(ax[batch].tolist() for ax in coords))
-        values = kernel.arr.reshape(-1)[idx[batch]].tolist()
-        for m, c in zip(exps, values):
-            factors[m] = -c
-            kernel.power(m, c)
-    return FactoredSeries._from_valid(s.nvars, factors)
-
-
-def _peel_sparse(sparse: _Terms, factors: dict) -> bool:
-    """The degree sweep of ``factorize`` on the support, recording each
-    peeled factor; False at the first peel over the limit, which is left
-    undone.  Peels of one degree change only higher degrees, so the
-    batch read before them stays valid throughout."""
-    while batch := sparse.lowest():
+    product = _Product(s._keys, s._layout)
+    # peels of one degree change only higher degrees, so a batch read
+    # before them stays valid throughout
+    while batch := product.lowest():
         for m, c in batch:
-            if not sparse.power(m, c):
-                return False
             factors[m] = -c
-    return True
+            product.power(m, c)
+    return FactoredSeries._from_valid(s.nvars, factors)
 
 
 def divide_torus(p_prime: TruncatedSeries) -> TruncatedSeries:
@@ -877,7 +879,7 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
         if layout.int64 and len(keys) >= _TOKEN_LINES:
             # each column a list only while it is written
             cols = (col.tolist()
-                    for col in layout.unpack_int64(keys, len(keys)))
+                    for col in layout.columns(keys, len(keys)))
         else:
             cols = layout.unpack(keys)
         for i, col in enumerate(cols, 1):

@@ -60,12 +60,19 @@ def test_series_factored_and_expanded(tmp_path, capsys):
 
 
 def test_series_expand_requires_bound(tmp_path, capsys):
-    path = write(tmp_path, "g.json", graph_to_json(CUSP_DIV))
-    assert main(["series", path, "--expand"]) == 2
-    assert capsys.readouterr() == ("", "error: --expand requires --bound\n")
-    # and a bound without --expand would be ignored, so it is refused too
-    assert main(["series", path, "--bound", "5"]) == 2
-    assert capsys.readouterr() == ("", "error: --bound requires --expand\n")
+    # the flags are checked before the graph is read, so a missing file or
+    # an invalid graph reports the usage error too
+    for path in (write(tmp_path, "g.json", graph_to_json(CUSP_DIV)),
+                 str(tmp_path / "missing.json"),
+                 write(tmp_path, "bad.json", "{not json")):
+        assert main(["series", path, "--expand"]) == 2
+        assert capsys.readouterr() == ("",
+                                       "error: --expand requires --bound\n")
+        # and a bound without --expand would be ignored, so it is refused
+        # too
+        assert main(["series", path, "--bound", "5"]) == 2
+        assert capsys.readouterr() == ("",
+                                       "error: --bound requires --expand\n")
 
 
 def test_reconstruct_roundtrip_via_files(tmp_path, capsys):

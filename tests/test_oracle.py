@@ -23,7 +23,7 @@ from planevals import (Branch, Divisorial, DualGraph, OracleError,
                        multiplicity_matrix, multiplicity_sequence,
                        noether_contact, poincare_series, random_instance,
                        semigroup_series, series_to_text, valuation)
-from planevals.series import glex_key
+from planevals.series import MAX_CELLS, SeriesError, glex_key
 
 from conftest import (CUSP_CURVE, CUSP_DIV, NODE, SMOOTH, TACNODE,
                       TRANSVERSAL_CUSPS, ladder_graph, series_of,
@@ -566,3 +566,11 @@ def test_semigroup_series_four_six_thirteen():
 def test_semigroup_series_rejects_empty():
     with pytest.raises(OracleError):
         semigroup_series((), 5)
+
+
+@pytest.mark.parametrize("bound", [-1, MAX_CELLS, 10 ** 9])
+def test_semigroup_series_checks_its_bound_before_it_allocates(bound):
+    # the bound is refused as TruncatedSeries refuses it, before the
+    # reachability list of bound + 1 entries is built
+    with pytest.raises(SeriesError):
+        semigroup_series((2, 3), bound)

@@ -566,7 +566,7 @@ def test_tokenizer_hand_cases(body, certified, lines):
     assert assert_readers_agree(text, lines) == certified
 
 
-def test_tokenizer_leaves_keys_past_2_63_to_the_chunk_reader():
+def test_tokenizer_leaves_keys_past_2_63_to_the_per_line_reader():
     text = series_to_text(expand(FactoredSeries(20, {
         unit(20, i): -1 for i in range(3)}), 1))
     assert not series_module._layout(20, 1).int64
@@ -911,14 +911,14 @@ def record_steps(monkeypatch, cells_per_term):
     monkeypatch.setattr(series_module, "_CELLS_PER_TERM", cells_per_term)
     monkeypatch.setattr(series_module, "_MIN_GRID_CELLS", 0)
     log = []
-    power = series_module._Terms.power
+    power = series_module._Product.sparse_power
 
     def spy(self, m, k):
         ran = power(self, m, k)
         log.append((sum(m), ran, len(self.keys)))
         return ran
 
-    monkeypatch.setattr(series_module._Terms, "power", spy)
+    monkeypatch.setattr(series_module._Product, "sparse_power", spy)
     return log
 
 
@@ -983,7 +983,8 @@ def test_expand_hands_off_partway_through_the_product(monkeypatch):
 
 
 @pytest.mark.parametrize("ratio,done", [(10, [True, True, False]),
-                                        (2, [True, True, True, False])])
+                                        (2, [True, True, True, False]),
+                                        (30, [True, True])])
 def test_factorize_hands_off_partway_through_the_sweep(monkeypatch, ratio,
                                                        done):
     # 1 + t1 + t2 is no finite product: the peels go on through every
@@ -997,7 +998,9 @@ def test_factorize_hands_off_partway_through_the_sweep(monkeypatch, ratio,
     assert factorize(s) == f
     # at ratio 10 the hand-off comes at the first peel of degree 2, after
     # the whole degree-1 batch; at ratio 2 it comes inside the degree-2
-    # batch
+    # batch; at ratio 30 the 6 terms left after degree 1 are past the
+    # limit at one step a term (6 * 30 > 13 ** 2), so they go to the grid
+    # before degree 2 is scanned, and no peel fails on the support
     assert [r for _, r, _ in log] == done
     assert [d for d, _, _ in log] == [1, 1, 2, 2][:len(done)]
     assert expand(f, 12) == s
@@ -1041,14 +1044,14 @@ def test_factors_within_the_grid_floor_stay_on_the_support(monkeypatch):
     steps = series_module._MIN_GRID_CELLS // series_module._CELLS_PER_TERM
     assert steps + 2 < series_module._MIN_GRID_CELLS
     log = []
-    power = series_module._Terms.power
+    power = series_module._Product.sparse_power
 
     def spy(self, m, k):
         ran = power(self, m, k)
         log.append((ran, len(self.keys)))
         return ran
 
-    monkeypatch.setattr(series_module._Terms, "power", spy)
+    monkeypatch.setattr(series_module._Product, "sparse_power", spy)
     for bound, stays in ((steps, True), (steps + 1, False)):
         log.clear()
         s = expand(FactoredSeries(1, {(1,): -1}), bound)
@@ -1116,10 +1119,10 @@ def test_packed_kernel_matches_the_tuple_kernel(case):
     keys = pack(terms)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(series_module, "_CELLS_PER_TERM", ALL_SPARSE)
-        sparse = series_module._Terms(keys, layout)
+        sparse = series_module._Product(keys, layout)
         want = terms
         for m, k in factors:
-            assert sparse.power(m, k)
+            assert sparse.sparse_power(m, k)
             want = reference_power(want, bound, m, k)
             assert sparse.keys == pack(want)
     # the input is left as it was, and key order is glex order
