@@ -662,7 +662,9 @@ class _Product:
         """The terms ``(m, c)`` of the lowest total degree above 0.
 
         On the support that degree is the top field of the least key that
-        is not the origin's; the origin alone is below one unit of it.
+        is not the origin's; the origin alone is below one unit of it.  On
+        the grid the origin, whose term no factor changes and which
+        ``factorize`` requires to be 1, is the first nonzero cell.
         """
         if self.kernel is None and not self.fits(len(self.keys)):
             self._to_grid()
@@ -678,10 +680,10 @@ class _Product:
                             map(keys.__getitem__, batch)))
         arr = self.kernel.arr
         idx, coords = _nonzero_cells(arr)
-        deg = sum(coords)
-        if not deg.any():
+        if idx.size == 1:
             return []
-        batch = deg == deg[deg > 0].min()
+        deg = sum(coords)
+        batch = deg == deg[1:].min()
         return list(zip(zip(*(ax[batch].tolist() for ax in coords)),
                         arr.reshape(-1)[idx[batch]].tolist()))
 
