@@ -21,8 +21,8 @@ from .oracle import OracleError, definitional_poincare
 from .poincare import default_spec, poincare_series
 from .reconstruct import (DecodeError, VerificationError, reconstruct_curve,
                           reconstruct_divisorial)
-from .series import (FactoredSeries, SeriesError, TruncatedSeries, expand,
-                     factorize, series_from_text, series_to_text)
+from .series import (MAX_CELLS, FactoredSeries, SeriesError, TruncatedSeries,
+                     expand, factorize, series_from_text, series_to_text)
 
 OK, DIFFERENT, BAD_INPUT, VERIFY_FAILED, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -67,6 +67,11 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    # a bound that no box admits is refused before the series is read
+    if args.bound is not None and not 0 <= args.bound < MAX_CELLS:
+        print(f"error: --bound must be at least 0 and below {MAX_CELLS}, "
+              "the most cells of a grid", file=sys.stderr)
+        return BAD_INPUT
     s = series_from_text(_read(args.series))
     if isinstance(s, TruncatedSeries):
         f = factorize(s)
@@ -129,6 +134,9 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    # the oracle's own refusal, made before the graph is read
+    if args.bound < 1:
+        raise OracleError("bound must be positive")
     graph = graph_from_json(_read(args.graph))
     spec = default_spec(graph)
     r = len(spec)

@@ -606,7 +606,7 @@ def definitional_poincare(graph: DualGraph, spec: ValuationSpec,
     grid = sum((-1) ** sum(corner)
                * counts[tuple(slice(c, c + bound + 1) for c in corner)]
                for corner in product((0, 1), repeat=r))
-    return TruncatedSeries._from_keys(r, bound, _support(grid))
+    return TruncatedSeries._from_keys(r, bound, *_support(grid))
 
 
 def semigroup_series(generators: Sequence[int], bound: int) -> TruncatedSeries:

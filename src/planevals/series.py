@@ -86,6 +86,7 @@ the same error, on either path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import prod
 from operator import index, mul
@@ -413,36 +414,53 @@ class _Layout:
 _layout = lru_cache(maxsize=64)(_Layout)
 
 
-def _grid(keys: dict, layout: _Layout, floor: int = 0) -> np.ndarray:
-    """Scatter a support into a new dense grid, in the narrowest width
-    (``_width``) that holds every ``|c| <= max(max |c|, floor)``.
+def _ordered(terms: dict) -> tuple:
+    """The support ``{key: coef}`` as key-ordered lists ``(keys,
+    coefs)``."""
+    keys = sorted(terms)
+    return keys, list(map(terms.__getitem__, keys))
+
+
+def _grid(keys: Iterable, coefs: list, layout: _Layout,
+          floor: int = 0) -> np.ndarray:
+    """Scatter the support of ``keys`` and ``coefs`` into a new dense
+    grid, in the narrowest width (``_width``) that holds every ``|c| <=
+    max(max |c|, floor)``.
 
     ``floor = 2^31`` gives the grid of ``TruncatedSeries.coeffs``,
     ``int64`` exactly when every ``|c| < 2^63`` and ``object`` otherwise.
     """
     import numpy as np
 
-    values = list(keys.values())
-    top = max(map(abs, values), default=0)
-    arr = np.zeros((layout.bound + 1,) * layout.nvars,
-                   dtype=_width(max(top, floor))[0])
-    if values:
-        arr[layout.columns(keys, len(values))] = values
+    try:
+        values = np.array(coefs, np.int64)
+    except OverflowError:
+        # a coefficient past int64
+        values = np.array(coefs, object)
+        dtype = object
+    else:
+        dtype = _width(max(_magnitude(values) if coefs else 0, floor))[0]
+    arr = np.zeros((layout.bound + 1,) * layout.nvars, dtype)
+    if coefs:
+        arr[layout.columns(keys, len(coefs))] = values
     return arr
 
 
-def _support(arr: np.ndarray) -> dict:
-    """The nonzero cells of a grid as a support, key -> Python int, in
-    key order, which ``series_to_text`` then sorts as one presorted run.
+def _support(arr: np.ndarray) -> tuple:
+    """The nonzero cells of a grid as key-ordered lists ``(keys, coefs)``
+    of Python ints.
 
     Row-major order is lex order, so a stable sort of the cells on their
-    degree alone gives glex order, which is key order.
+    degree alone gives glex order, which is key order.  The degrees are
+    sorted in the narrowest width that holds ``nvars * bound``, where
+    numpy's stable sort of int16 is a radix sort.
     """
     layout = _layout(arr.ndim, arr.shape[0] - 1)
     idx, coords = _nonzero_cells(arr)
-    order = sum(coords).argsort(kind="stable")
+    deg = sum(coords).astype(_width(layout.nvars * layout.bound)[0])
+    order = deg.argsort(kind="stable")
     keys = layout.keys_of([ax[order] for ax in coords])
-    return dict(zip(keys, arr.reshape(-1)[idx[order]].tolist()))
+    return keys, arr.reshape(-1)[idx[order]].tolist()
 
 
 def _nonzero_cells(arr: np.ndarray) -> tuple:
@@ -594,10 +612,11 @@ class _Kernel:
 
 class _Product:
     """The working series of ``expand`` and ``factorize`` on a box: its
-    support of packed keys (``keys``) until a factor does not fit there
-    (``fits``), then a ``_Kernel`` on the dense grid (``kernel``), which
-    it never leaves.  A peel takes at least one step a term, so ``lowest`` sends a
-    support past the limit at one step to the grid before scanning it.
+    support as a dict of packed keys (``keys``) until a factor does not
+    fit there (``fits``), then a ``_Kernel`` on the dense grid
+    (``kernel``), which it never leaves.  A peel takes at least one step
+    a term, so ``lowest`` sends a support past the limit at one step to
+    the grid before scanning it, and ``of`` sends it there at once.
     """
 
     __slots__ = ("keys", "layout", "kernel")
@@ -606,6 +625,18 @@ class _Product:
         self.keys = keys
         self.layout = layout
         self.kernel = None
+
+    @classmethod
+    def of(cls, keys: list, coefs: list, layout: _Layout) -> "_Product":
+        """The product of a key-ordered support: on a dict when
+        ``fits(len(keys))``, and otherwise scattered straight to the
+        grid, where ``lowest`` would send it before its first scan."""
+        product = cls(None, layout)
+        if product.fits(len(keys)):
+            product.keys = dict(zip(keys, coefs))
+        else:
+            product.kernel = _Kernel(_grid(keys, coefs, layout))
+        return product
 
     def fits(self, updates: int) -> bool:
         """Whether ``updates`` dict updates stay within ``max(cells,
@@ -647,7 +678,8 @@ class _Product:
         return True
 
     def _to_grid(self) -> None:
-        self.kernel = _Kernel(_grid(self.keys, self.layout))
+        keys = self.keys
+        self.kernel = _Kernel(_grid(keys, list(keys.values()), self.layout))
         self.keys = None
 
     def power(self, m, k: int) -> None:
@@ -687,13 +719,17 @@ class _Product:
         return list(zip(zip(*(ax[batch].tolist() for ax in coords)),
                         arr.reshape(-1)[idx[batch]].tolist()))
 
-    def support(self) -> dict:
-        """The support, in key order if read off the grid."""
-        return self.keys if self.kernel is None else _support(self.kernel.arr)
+    def support(self) -> tuple:
+        """The support as key-ordered lists ``(keys, coefs)``."""
+        if self.kernel is None:
+            return _ordered(self.keys)
+        return _support(self.kernel.arr)
 
 
 class TruncatedSeries:
-    """Series truncated to the box ``[0, bound]^nvars``, held as its support.
+    """Series truncated to the box ``[0, bound]^nvars``, held as its support:
+    two lists of Python ints, the packed keys in increasing order
+    (``_keys``) and their nonzero coefficients (``_coefs``).
 
     ``terms`` maps exponent tuples inside the box to integers; each
     exponent is checked and packed into its key, and an exponent of the
@@ -701,14 +737,14 @@ class TruncatedSeries:
     coefficient is taken through ``operator.index``, so a numpy integer
     is stored as a Python int and anything that is no integer raises
     ``SeriesError``; zero coefficients are dropped.  Instances
-    are treated as immutable.  Indexing and ``nonzero_terms`` return
-    Python ints.  ``coeffs`` builds a read-only dense grid of the
+    are treated as immutable.  Indexing bisects the keys; it and
+    ``nonzero_terms`` return Python ints.  ``coeffs`` builds a read-only dense grid of the
     coefficients, ``int64`` exactly when every ``|c| < 2^63`` and
     ``object`` otherwise; it is kept for the benchmark, which compares
     grids.
     """
 
-    __slots__ = ("nvars", "bound", "_layout", "_keys")
+    __slots__ = ("nvars", "bound", "_layout", "_keys", "_coefs")
 
     def __init__(self, nvars: int, bound: int, terms: Mapping):
         _check_grid(nvars, bound)
@@ -721,34 +757,40 @@ class TruncatedSeries:
             coefs = list(map(index, keys.values()))
         except TypeError as exc:
             raise SeriesError(f"coefficient is not an integer: {exc}") from exc
-        self._keys = {k: c for k, c in zip(keys, coefs) if c}
+        self._keys, self._coefs = _ordered(
+            {k: c for k, c in zip(keys, coefs) if c})
 
     @classmethod
-    def _from_keys(cls, nvars: int, bound: int,
-                   keys: dict) -> "TruncatedSeries":
-        """Wrap a support of keys of the box, made by this module."""
+    def _from_keys(cls, nvars: int, bound: int, keys: list,
+                   coefs: list) -> "TruncatedSeries":
+        """Wrap a key-ordered support of keys of the box, made by this
+        module."""
         out = cls.__new__(cls)
         out.nvars = nvars
         out.bound = bound
         out._layout = _layout(nvars, bound)
         out._keys = keys
+        out._coefs = coefs
         return out
 
     @property
     def coeffs(self) -> np.ndarray:
         """A new read-only dense grid of the coefficients."""
-        arr = _grid(self._keys, self._layout, 2 ** 31)
+        arr = _grid(self._keys, self._coefs, self._layout, 2 ** 31)
         arr.flags.writeable = False
         return arr
 
     def __getitem__(self, m) -> int:
-        return self._keys.get(self._layout.key(m), 0)
+        key = self._layout.key(m)
+        keys = self._keys
+        i = bisect_left(keys, key)
+        return self._coefs[i] if i < len(keys) and keys[i] == key else 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.nvars == other.nvars and self.bound == other.bound
-                and self._keys == other._keys)
+                and self._keys == other._keys and self._coefs == other._coefs)
 
     def __repr__(self) -> str:
         terms = list(self.nonzero_terms())
@@ -759,9 +801,7 @@ class TruncatedSeries:
 
     def nonzero_terms(self) -> Iterator:
         """Yield ``(exponent, coefficient)`` in glex order."""
-        keys = sorted(self._keys)
-        return zip(zip(*self._layout.unpack(keys)),
-                   map(self._keys.__getitem__, keys))
+        return zip(zip(*self._layout.unpack(self._keys)), self._coefs)
 
 
 def project(f: FactoredSeries, keep) -> FactoredSeries:
@@ -788,27 +828,20 @@ def project(f: FactoredSeries, keep) -> FactoredSeries:
     return FactoredSeries._from_valid(len(keep), merged)
 
 
-def _multiply(keys: dict, layout: _Layout, factors) -> dict:
-    """Support of ``keys`` times the product of the ``(m, k)`` factors
-    ``(1 - t^m)^k``, in the order given, on the box.
+def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
+    """Expansion on ``[0, bound]^nvars``, exact within the box; factors
+    run in glex order.
 
     Factors run on the support until one would cost more than its limit;
     that one and the rest run on the dense grid (``_Product``).
     """
-    product = _Product(keys, layout)
-    for m, k in factors:
-        product.power(m, k)
-    return product.support()
-
-
-def expand(f: FactoredSeries, bound: int) -> TruncatedSeries:
-    """Expansion on ``[0, bound]^nvars``, exact within the box; factors
-    run in glex order."""
     _check_grid(f.nvars, bound)
     layout = _layout(f.nvars, bound)
     # the origin's key is the bias
-    keys = _multiply({layout.bias: 1}, layout, f.items())
-    return TruncatedSeries._from_keys(f.nvars, bound, keys)
+    product = _Product({layout.bias: 1}, layout)
+    for m, k in f.items():
+        product.power(m, k)
+    return TruncatedSeries._from_keys(f.nvars, bound, *product.support())
 
 
 def factorize(s: TruncatedSeries) -> FactoredSeries:
@@ -827,10 +860,11 @@ def factorize(s: TruncatedSeries) -> FactoredSeries:
     limit, or until the support is past it at one step a term; from there
     the sweep goes on over the dense grid (``_Product``).
     """
-    if s._keys.get(s._layout.bias) != 1:
+    # the origin's key, the bias, is the least key of the box
+    if s._keys[:1] != [s._layout.bias] or s._coefs[0] != 1:
         raise SeriesError("factorization needs constant term 1")
     factors: dict = {}
-    product = _Product(s._keys, s._layout)
+    product = _Product.of(s._keys, s._coefs, s._layout)
     # peels of one degree change only higher degrees, so a batch read
     # before them stays valid throughout
     while batch := product.lowest():
@@ -847,9 +881,10 @@ def divide_torus(p_prime: TruncatedSeries) -> TruncatedSeries:
     ``(1 - t^1)^-1`` followed by a sign flip of the Python ints.
     """
     r, bound = p_prime.nvars, p_prime.bound
-    keys = _multiply(p_prime._keys, p_prime._layout, [((1,) * r, -1)])
-    return TruncatedSeries._from_keys(r, bound,
-                                      {key: -c for key, c in keys.items()})
+    product = _Product.of(p_prime._keys, p_prime._coefs, p_prime._layout)
+    product.power((1,) * r, -1)
+    keys, coefs = product.support()
+    return TruncatedSeries._from_keys(r, bound, keys, [-c for c in coefs])
 
 
 def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
@@ -858,10 +893,10 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
     Header ``vars R mode {factored|expanded} bound B`` (bound 0 for the
     factored form), then one ``k e1 ... eR`` line per term in glex order.
     A factored series' exponents are sorted on (degree, exponent) and
-    flattened term by term.  An expanded series' keys are sorted, which
-    for a support read off the grid is one presorted run, and unpacked
-    one column per variable into the slots of the flattened terms by
-    slice assignment.  One ``%`` of a repeated row pattern writes them.
+    flattened term by term.  An expanded series' keys, already in key
+    order, which is glex order, are unpacked one column per variable
+    into the slots of the flattened terms by slice assignment.  One
+    ``%`` of a repeated row pattern writes them.
     """
     if isinstance(series, FactoredSeries):
         head = f"vars {series.nvars} mode factored bound 0\n"
@@ -872,11 +907,10 @@ def series_to_text(series: Union[FactoredSeries, TruncatedSeries]) -> str:
             flat.extend(m)
     elif isinstance(series, TruncatedSeries):
         head = f"vars {series.nvars} mode expanded bound {series.bound}\n"
-        terms = series._keys
-        keys = sorted(terms)
+        terms = keys = series._keys
         width = series.nvars + 1
         flat = [0] * (len(keys) * width)
-        flat[::width] = map(terms.__getitem__, keys)
+        flat[::width] = series._coefs
         layout = series._layout
         if layout.int64 and len(keys) >= _TOKEN_LINES:
             # each column a list only while it is written
@@ -905,8 +939,9 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     it in slices of at most ``_SLICE_LINES`` lines.  It certifies a slice
     only if the slice holds only digits, spaces, newlines and ``-``, and
     every line of it ``nvars + 1`` fields of an optional ``-`` and 1 to 18
-    digits, with its exponent in the box and not seen before (on a zero
-    line too).
+    digits, with its exponent in the box and its key above that of the
+    line before (on a zero line too): the text must be in key order, as
+    the writer leaves it.
 
     Every other text, and every text with a slice that the tokenizer does
     not certify, goes to the per-line reader (``_read_lines``).  It checks
@@ -924,9 +959,9 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     if end > 0 and head.isprintable() and line[:1] not in ("", "#"):
         nvars, bound, expanded = _read_header(line)
         if expanded:
-            keys = _read_tokens(text, end, _layout(nvars, bound))
-            if keys is not None:
-                return TruncatedSeries._from_keys(nvars, bound, keys)
+            support = _read_tokens(text, end, _layout(nvars, bound))
+            if support is not None:
+                return TruncatedSeries._from_keys(nvars, bound, *support)
 
     lines = text.splitlines()
     lines.reverse()
@@ -940,7 +975,7 @@ def series_from_text(text: str) -> Union[FactoredSeries, TruncatedSeries]:
     terms = _read_lines(lines, nvars + 1, layout)
     if not expanded:
         return FactoredSeries(nvars, terms)
-    return TruncatedSeries._from_keys(nvars, bound, terms)
+    return TruncatedSeries._from_keys(nvars, bound, *_ordered(terms))
 
 
 def _read_header(line: str) -> tuple:
@@ -968,13 +1003,26 @@ def _read_header(line: str) -> tuple:
     return nvars, bound, expanded
 
 
+@lru_cache(maxsize=1)
+def _byte_digits() -> np.ndarray:
+    """The int64 table, indexed by byte, of the bytes that the tokenizer
+    reads in a term line: a digit's value, 0 for a space, a newline and
+    ``-``, and -1 for every other byte."""
+    import numpy as np
+
+    table = np.full(256, -1, np.int64)
+    table[list(b" -\n")] = 0
+    table[48:58] = range(10)
+    return table
+
+
 def _read_tokens(text: str, start: int,
-                 layout: _Layout) -> Union[dict, None]:
-    """The support of the term lines that follow the newline at ``start``
-    of an expanded text on ``layout``; None if the text is not one the
-    tokenizer takes (fewer than ``_TOKEN_LINES`` lines, a box with keys
-    past ``2^63``, a character outside ASCII) or a slice of it is not
-    certified.
+                 layout: _Layout) -> Union[tuple, None]:
+    """The support, as key-ordered lists ``(keys, coefs)``, of the term
+    lines that follow the newline at ``start`` of an expanded text on
+    ``layout``; None if the text is not one the tokenizer takes (fewer
+    than ``_TOKEN_LINES`` lines, a box with keys past ``2^63``, a
+    character outside ASCII) or a slice of it is not certified.
 
     The text is taken in slices of at most ``_SLICE_LINES`` lines, each
     cut from a window of that many lines of the text's mean length, which
@@ -983,13 +1031,16 @@ def _read_tokens(text: str, start: int,
     fields, the runs of bytes other than space and newline, at ``nvars +
     1`` per line; a ``-`` only at the head of a field; 1 to 18 digits per
     field, so that every value and every partial sum of its digits is
-    below ``10^18``; the box.  A field's value is the sum of its digits
-    times their powers of ten, and a line's key is its exponents times
+    below ``10^18``; the box.  A field's value is read right-aligned, one
+    gather per digit place: place ``p`` is the byte ``p`` before the
+    field's end, or, once the field has no such digit, the separator
+    before it, whose digit is 0.  A line's key is its exponents times
     ``_Layout.weights`` plus the bias, all of which the layout certifies
-    below ``2^63``.  The keys and coefficients then go into the support
-    by one ``dict.update``, a repeated exponent shows as a dict that grew
-    by less than the slice, and zero lines are kept until the end, as in
-    ``_read_lines``.
+    below ``2^63``.  The keys must increase strictly, within a slice and
+    from the last key of the slice before, zero lines included: so no
+    exponent repeats, and a text in any other order, repeated exponents
+    or not, goes to ``_read_lines``.  The zero lines of a slice drop
+    before its keys and coefficients extend the two lists.
     """
     # the newlines after the header's, and one more for a last line
     # without a newline
@@ -1000,17 +1051,14 @@ def _read_tokens(text: str, start: int,
 
     if text[-1] != "\n":
         text += "\n"
-    # the bytes of a term line, the digit of a byte, powers of ten
-    allowed = np.zeros(256, bool)
-    allowed[list(b"0123456789 -\n")] = True
-    digit = np.zeros(256, np.int64)
-    digit[48:58] = range(10)
-    tens = np.array([10 ** i for i in range(19)], np.int64)
+    table = _byte_digits()
     weights = np.array(layout.weights, np.int64)
     width = layout.nvars + 1
     span = (len(text) // lines + 1) * _SLICE_LINES
-    terms: dict = {}
-    zero = False
+    keys: list = []
+    coefs: list = []
+    # below every key: the least, the origin's, is the bias
+    prev = -1
     # each slice starts at the newline before its first line
     last = len(text) - 1
     while start < last:
@@ -1023,7 +1071,9 @@ def _read_tokens(text: str, start: int,
             continue
         part = window[:ends[-1] + 1]
         start += int(ends[-1])
-        if not allowed[part].all():
+        # np.take gathers at about twice the speed of fancy indexing
+        digit = np.take(table, part)
+        if digit.min() < 0:
             return None
         # fields are the runs of bytes above the space
         inside = part > 32
@@ -1035,32 +1085,36 @@ def _read_tokens(text: str, start: int,
                 or (stop[width - 1::width] > ends).any()
                 or (first[width::width] < ends[:-1]).any()):
             return None
-        sizes = stop - first
-        minus = part[first] == 45
-        digits = sizes - minus
-        if (digits.min() < 1 or digits.max() > 18
+        minus = np.take(part, first) == 45
+        sizes = stop - first - minus
+        places = int(sizes.max())
+        if (sizes.min() < 1 or places > 18
                 or np.count_nonzero(part == 45) != np.count_nonzero(minus)):
             return None
-        # the place of each byte of a field, counted from its last
-        tail = np.cumsum(sizes)
-        place = np.repeat(tail - 1, sizes)
-        place -= np.arange(tail[-1])
-        shares = digit[part[inside]]
-        shares *= tens[place]
-        values = np.add.reduceat(shares, tail - sizes)
+        stop -= 1
+        # a slice starts at a newline, so every field has a byte before it
+        first -= 1
+        values = np.take(digit, stop)
+        for p in range(1, places):
+            at = stop - p
+            np.maximum(at, first, out=at)
+            values += np.take(digit, at) * 10 ** p
         np.negative(values, out=values, where=minus)
         values = values.reshape(-1, width)
         exps = values[:, 1:]
         if exps.min() < 0 or exps.max() > layout.bound:
             return None
-        coefs = values[:, 0]
-        zero = zero or not coefs.all()
-        size = len(terms) + len(coefs)
-        terms.update(zip((exps @ weights + layout.bias).tolist(),
-                         coefs.tolist()))
-        if len(terms) != size:
+        row = exps @ weights
+        row += layout.bias
+        if row[0] <= prev or (row[1:] <= row[:-1]).any():
             return None
-    return {m: c for m, c in terms.items() if c} if zero else terms
+        prev = row[-1]
+        col = values[:, 0]
+        if not col.all():
+            row, col = row[col != 0], col[col != 0]
+        keys += row.tolist()
+        coefs += col.tolist()
+    return keys, coefs
 
 
 def _read_lines(lines: list, width: int, layout: Union[_Layout, None]) -> dict:

@@ -19,6 +19,7 @@ from conftest import (CUSP_DIV, CUSP_MARKS3, CUSP_PAIR, TACNODE, series_of,
                       spy_on)
 from planevals import (FactoredSeries, default_spec, expand, factorize,
                        graph_to_json, random_instance, series_to_text)
+from planevals.oracle import OracleError, definitional_poincare
 from planevals.reconstruct import BranchData, graph_from_branch
 
 
@@ -194,6 +195,29 @@ def test_oracle_check_reports_match(tmp_path, capsys):
 def test_oracle_check_infeasible_bound(tmp_path, capsys):
     path = write(tmp_path, "g.json", graph_to_json(TACNODE))
     assert main(["oracle-check", path, "--bound", "500"]) == 2
+
+
+def test_bad_bounds_are_refused_before_the_input_is_read(tmp_path, capsys):
+    # a missing file, an invalid one and a valid one report the bound error
+    # alike: the bound is checked before the input is read
+    g = write(tmp_path, "g.json", graph_to_json(TACNODE))
+    p = write(tmp_path, "p.txt", series_to_text(series_of(TACNODE)))
+    bad = write(tmp_path, "bad.txt", "{not a series")
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(OracleError) as exc:
+        definitional_poincare(TACNODE, default_spec(TACNODE), 0)
+    oracle_error = f"error: {exc.value}\n"
+    bound_error = (f"error: --bound must be at least 0 and below {MAX_CELLS}"
+                   ", the most cells of a grid\n")
+    for path in (missing, bad, g):
+        for bound in ("0", "-1"):
+            assert main(["oracle-check", path, "--bound", bound]) == 2
+            assert capsys.readouterr() == ("", oracle_error)
+    for path in (missing, bad, p):
+        for bound in (-1, MAX_CELLS, 10 ** 30):
+            assert main(["reconstruct", path, "--mode", "div",
+                         "--bound", str(bound)]) == 2
+            assert capsys.readouterr() == ("", bound_error)
 
 
 def test_fig2_family(capsys):

@@ -527,6 +527,7 @@ TOKENIZER_CASES = [
     ("1000000000000000000 1 2\n", False),
     ("-1000000000000000000 1 2\n", False),
     ("7 0 0\n-0 1 1\n007 2 3\n-05 00 5\n", True),
+    ("7 0 0\n-0 1 1\n-05 00 5\n007 2 3\n", True),
     ("-0 -0 -0\n", True),
     ("1 -\n", False),
     ("- 1 2\n", False),
@@ -534,6 +535,7 @@ TOKENIZER_CASES = [
     ("--5 1 2\n", False),
     ("5- 1 2\n", False),
     ("1 5 5\n2 0 5\n", True),
+    ("2 0 5\n1 5 5\n", True),
     ("1 6 5\n", False),
     ("1 5 -1\n", False),
     ("0 1 2\n5 1 2\n", False),
@@ -563,6 +565,12 @@ def test_tokenizer_hand_cases(body, certified, lines):
     text = TWO + body
     if body.count("\n") + (body[-1] != "\n") < lines:
         certified = False
+    if certified:
+        # the tokenizer takes term lines in glex order only, each
+        # exponent above the one before
+        order = [glex_key(tuple(map(int, ln.split()[1:])))
+                 for ln in body.splitlines()]
+        certified = order == sorted(set(order))
     assert assert_readers_agree(text, lines) == certified
 
 
@@ -615,6 +623,34 @@ def test_long_texts_read_alike_with_defects_at_slice_ends(lines):
             assert tokenized == per_line, (name, at)
             assert isinstance(tokenized, str) == (name != "19 digits")
             assert not certified, (name, at)
+
+
+@pytest.mark.parametrize("case", ["reversed", "far duplicate", "zero line"])
+def test_long_texts_read_alike_in_and_out_of_key_order(case):
+    # the tokenizer takes a text only in key order, each key above the one
+    # before across slices too; any other order goes to the per-line reader
+    text = long_tokenized_text()
+    head, *body = text.splitlines()
+    lines = series_module._SLICE_LINES
+    at = lines + 5
+    e = tuple(map(int, body[at].split()[1:]))
+    assert len(body) > at > lines >= series_module._TOKEN_LINES
+    if case == "reversed":
+        body.reverse()
+        want = series_from_text(text)
+    elif case == "far duplicate":
+        # the exponent of the first line again, more than a slice after it
+        body[at] = "5 " + exponent_text(text, 0)
+        want = "SeriesError: duplicate exponent (0, 0)"
+    else:
+        # a zero line in key order drops
+        body[at] = "0 " + exponent_text(text, at)
+        want = TruncatedSeries(2, 60, {m: c for m, c in series_from_text(
+            text).nonzero_terms() if m != e})
+    bent = "\n".join([head] + body) + "\n"
+    tokenized, per_line, certified = read_each_way(bent, lines)
+    assert tokenized == per_line == want
+    assert certified == (case == "zero line")
 
 
 def assert_no_more_memory_than_per_line(text):
@@ -1017,6 +1053,9 @@ def test_support_becomes_int64_exactly_below_2_63(monkeypatch, c, dtype):
     assert s.coeffs.dtype == dtype
     assert cells(s) == {(0,): 1, (1,): c}
     assert factorize(s) == f
+    # and read back from its text
+    t = series_from_text(series_to_text(s))
+    assert t == s and t.coeffs.dtype == dtype and factorize(t) == f
 
 
 @pytest.mark.parametrize("ratio", [10, series_module._CELLS_PER_TERM])
@@ -1287,7 +1326,7 @@ def test_a_loose_bound_is_measured_again_before_a_promotion():
                                      (-2 ** 63, object)])
 def test_grid_takes_the_narrowest_width_and_coeffs_int64(c, dtype):
     s = TruncatedSeries(2, 3, {(0, 0): 1, (2, 1): c})
-    arr = series_module._grid(s._keys, s._layout)
+    arr = series_module._grid(s._keys, s._coefs, s._layout)
     assert arr.dtype == dtype and arr[2, 1] == c
     # the grid handed out keeps its contract
     assert s.coeffs.dtype == (np.int64 if abs(c) < 2 ** 63 else object)
