@@ -736,12 +736,12 @@ class TruncatedSeries:
     wrong arity or outside the box raises ``SeriesError``.  Each
     coefficient is taken through ``operator.index``, so a numpy integer
     is stored as a Python int and anything that is no integer raises
-    ``SeriesError``; zero coefficients are dropped.  Instances
-    are treated as immutable.  Indexing bisects the keys; it and
-    ``nonzero_terms`` return Python ints.  ``coeffs`` builds a read-only dense grid of the
-    coefficients, ``int64`` exactly when every ``|c| < 2^63`` and
-    ``object`` otherwise; it is kept for the benchmark, which compares
-    grids.
+    ``SeriesError``; zero coefficients are dropped.  Instances are
+    treated as immutable.  Indexing bisects the keys; it and
+    ``nonzero_terms`` return Python ints.  ``coeffs`` builds a read-only
+    dense grid of the coefficients, ``int64`` exactly when every ``|c| <
+    2^63`` and ``object`` otherwise; it is kept for the benchmark, which
+    compares grids.
     """
 
     __slots__ = ("nvars", "bound", "_layout", "_keys", "_coefs")
