@@ -3,15 +3,19 @@
 Two representations are used throughout the package: a factored form
 ``prod (1 - t^m)^k`` with integer exponent vectors ``m`` and integer powers
 ``k``, and a truncation to the box ``[0, bound]^nvars`` held as its
-support: a dict from packed exponent inside the box to nonzero Python int.
+support: two lists of Python ints, the packed exponents inside the box
+in increasing order and their nonzero coefficients.
 
 An exponent ``e`` is packed into one integer key with the total degree in
 the top field and one biased field per variable (``_Layout``, computed once
 per box): integer order is glex order, a step by ``t^m`` is one integer
 add, and the box test is one mask.  The key is the one form of a
 truncated support, from ``expand`` through the text format to
-``factorize``; exponent tuples exist only at the edge, where a caller
-builds a ``TruncatedSeries`` from them, indexes it or reads its terms.
+``factorize``, and key order the one order of its lists: the grid's
+support comes out in it, the writer writes it, the tokenizer requires
+it and indexing bisects it.  Exponent tuples exist only at the edge,
+where a caller builds a ``TruncatedSeries`` from them, indexes it or
+reads its terms.
 
 Two operations connect the forms: ``expand`` multiplies out a product, and
 ``factorize`` peels the product back off a unit series.  A third,
@@ -19,9 +23,10 @@ Two operations connect the forms: ``expand`` multiplies out a product, and
 package calls it any more, but the benchmark's tracer still wraps it.
 
 All three run on one working product, ``_Product``, which starts on the
-support.  Multiplying by ``(1 - t^m)^k`` adds ``coef_j * c`` at ``e +
-j*m`` for each term ``c * t^e`` and each step ``j`` that stays in the
-box, so a factor costs about ``terms * steps`` dict updates.  One rule
+support, held as a dict while the product works.  Multiplying by ``(1 -
+t^m)^k`` adds ``coef_j * c`` at ``e + j*m`` for each term ``c * t^e``
+and each step ``j`` that stays in the box, so a factor costs about
+``terms * steps`` dict updates.  One rule
 decides where the product is held: on the support while that prediction
 stays within ``max(cells, _MIN_GRID_CELLS) // _CELLS_PER_TERM``, where
 ``_CELLS_PER_TERM`` is the measured cost of one dict update in grid
@@ -30,9 +35,11 @@ of a trip through the grid.  The first factor past it and every one
 after run as in-place passes on a dense grid (``_Kernel``), into which
 the keys are scattered once; the product never goes back.  A peel of
 ``factorize`` takes at least one step a term, so the rule is also
-checked, at one step, before each degree of the support is scanned.
-The result is the support, or the grid's nonzero cells packed back into
-keys in key order.
+checked, at one step, before each degree of the support is scanned,
+and ``factorize`` scatters a series already past it straight to the
+grid, with no dict built.  The result is the support sorted into key
+order, or the grid's nonzero cells packed back into keys, which a
+stable sort of their degrees puts in key order.
 
 On the grid a unit of a pole ``(1 - t^m)^-1`` is one running sum, swept
 slab by slab along an axis that ``m`` moves, where the slabs hold at
@@ -66,22 +73,24 @@ that ``TruncatedSeries.coeffs`` hands out is ``int64`` exactly when every
 ``MAX_CELLS`` cells; larger ones are refused before any support or grid
 is built.
 
-The text format has one line per term, in glex order.  The writer sorts
-the keys, which a support read off the grid already holds in order,
-unpacks one column per variable (through ``_Layout.columns`` for a
-support of at least ``_TOKEN_LINES`` terms whose keys are below
-``2^63``, and in Python ints otherwise, where ``object`` columns are
-about 10% slower) and fills a repeated row pattern.  The reader has two
-paths.  An expanded text of at least ``_TOKEN_LINES`` term lines on such
-a box, whose header is its first line, goes to a numpy tokenizer, which
-reads it in slices of at most ``_SLICE_LINES`` lines and certifies each
-slice on arrays (only digits, spaces, newlines and ``-``; ``nvars + 1``
-fields a line of at most 18 digits; the box; no repeated exponent)
-before its keys are packed in int64.  Every other text, and every text
-with a slice that fails, goes to the per-line reader, which checks each
-term line in turn and raises the error of the first bad one in the same
-pass.  So every text reads to the same series, and every bad text raises
-the same error, on either path.
+The text format has one line per term, in glex order.  The writer takes
+the keys in the order it holds them, unpacks one column per variable
+(through ``_Layout.columns`` for a support of at least ``_TOKEN_LINES``
+terms whose keys are below ``2^63``, and in Python ints otherwise,
+where ``object`` columns are about 10% slower) and fills a repeated row
+pattern.  The reader has two paths.  An expanded text of at least
+``_TOKEN_LINES`` term lines on such a box, whose header is its first
+line, goes to a numpy tokenizer, which reads it in slices of at most
+``_SLICE_LINES`` lines and certifies each slice on arrays (only digits,
+spaces, newlines and ``-``; ``nvars + 1`` fields a line of at most 18
+digits; the box; keys packed in int64 that increase strictly, from the
+slice before too, so that no exponent repeats) before it extends the
+two lists.  Every other text, a text out of key order among them, and
+every text with a slice that fails, goes to the per-line reader, which
+checks each term line in turn and raises the error of the first bad one
+in the same pass, and sorts its terms into key order at the end.  So
+every text reads to the same series, and every bad text raises the same
+error, on either path.
 """
 
 from __future__ import annotations
@@ -1111,7 +1120,8 @@ def _read_tokens(text: str, start: int,
         prev = row[-1]
         col = values[:, 0]
         if not col.all():
-            row, col = row[col != 0], col[col != 0]
+            kept = col != 0
+            row, col = row[kept], col[kept]
         keys += row.tolist()
         coefs += col.tolist()
     return keys, coefs
