@@ -22,7 +22,7 @@ Two pure steps are cached per process, each in a bounded LRU cache.
 branch_from_univariate keeps the last _DECODED_SERIES decodes, keyed on
 (series, mode): a hit skips the decode and its self-check and returns the
 same frozen BranchData.  _branch_profile keeps the last _PROFILED_CHAINS
-chains, keyed on (BranchData, mode): a hit skips the Euclidean state
+chains, keyed on the BranchData alone: a hit skips the Euclidean state
 machine.  Neither cache stores a refusal, so a refused input raises the
 same error on every call.
 """
@@ -30,7 +30,7 @@ same error on every call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -77,44 +77,31 @@ class BranchData:
     """Numerical type of one branch or one divisorial valuation.
 
     generators are the minimal generators m_0 < ... < m_g of the value
-    semigroup; dead_values are the dead-end contact values
-    m_tau_i = (e_{i-1}/e_i) m_i; gcds holds e_i = gcd(m_0..m_i); c counts
-    free blowups past the last rupture (always 0 for curve branches);
-    top_value is the self-contact m_{g+1} = m_tau_g + c, with the
-    conventions e_{-1} = m_0 and m_tau_0 = m_0 when g = 0.  The package
-    makes instances only by from_generators, or from one of its results
-    by giving it a free tail.  The constructor refuses any instance whose
-    generators, dead values and top value are not positive ints or whose
-    c is not a nonnegative int, which univariate_series relies on.
+    semigroup; c counts free blowups past the last rupture (a curve
+    branch has none).  The rest is derived from them, and instances
+    compare and hash by (generators, c): dead_values are the dead-end
+    contact values m_tau_i = (e_{i-1}/e_i) m_i; gcds holds
+    e_i = gcd(m_0..m_i); top_value is the self-contact
+    m_{g+1} = m_tau_g + c, with the conventions e_{-1} = m_0 and
+    m_tau_0 = m_0 when g = 0.  The constructor takes only a tuple of
+    ints and an int c >= 0 that make such a semigroup, so every value
+    univariate_series wraps unchecked is a positive int.
     """
 
     generators: Tuple[int, ...]
-    dead_values: Tuple[int, ...]
-    gcds: Tuple[int, ...]
-    c: int
-    g: int
-    top_value: int
+    dead_values: Tuple[int, ...] = field(init=False, compare=False)
+    gcds: Tuple[int, ...] = field(init=False, compare=False)
+    c: int = 0
+    g: int = field(init=False, compare=False)
+    top_value: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        gens, dead, top, c = (self.generators, self.dead_values,
-                              self.top_value, self.c)
-        # univariate_series wraps these values unchecked
-        if (type(gens) is tuple and type(dead) is tuple and type(c) is int
-                and c >= 0):
-            for m in (*gens, *dead, top):
-                if type(m) is not int or m < 1:
-                    break
-            else:
-                return
-        raise DecodeError(
-            f"branch data needs positive int generators, dead values and "
-            f"top value and an int c >= 0, got generators {gens!r}, dead "
-            f"values {dead!r}, top value {top!r}, c {c!r}")
-
-    @classmethod
-    def from_generators(cls, generators, c: int = 0) -> "BranchData":
-        gens = tuple(map(int, generators))
-        c = int(c)
+        gens, c = self.generators, self.c
+        if not (type(gens) is tuple and type(c) is int
+                and all(type(m) is int for m in gens)):
+            raise DecodeError(
+                f"branch data needs a tuple of int generators and an int "
+                f"c, got generators {gens!r}, c {c!r}")
         if not gens or c < 0:
             raise DecodeError("need at least one generator and c >= 0")
         # once they strictly increase, the first is the least
@@ -135,7 +122,12 @@ class BranchData:
                     f"dead value {dead[i - 1]} not below next generator "
                     f"{gens[i + 1]}; not a plane valuation semigroup")
         top = (dead[-1] if g >= 1 else gens[0]) + c
-        return cls(gens, dead, e, c, g, top)
+        # the instance is frozen, so the derived fields skip __setattr__
+        vars(self).update(dead_values=dead, gcds=e, g=g, top_value=top)
+
+    @classmethod
+    def from_generators(cls, generators, c: int = 0) -> "BranchData":
+        return cls(tuple(map(int, generators)), int(c))
 
     def univariate_series(self, mode: str) -> FactoredSeries:
         """Factored series of this single valuation (the forward map)."""
@@ -213,9 +205,7 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
             raise DecodeError(
                 f"top exponent {denoms[-1]} not past the last dead value "
                 f"{base.top_value}")
-        # from_generators(gens, c) differs from base only in c and the
-        # top value
-        b = replace(base, c=c, top_value=denoms[-1])
+        b = BranchData(base.generators, c)
     if b.univariate_series(mode) != p:
         raise DecodeError(
             f"zeros {numers} disagree with dead values {b.dead_values}")
@@ -232,7 +222,7 @@ _PROFILED_CHAINS = 256
 
 
 @lru_cache(maxsize=_PROFILED_CHAINS)
-def _branch_profile(b: BranchData, mode: str):
+def _branch_profile(b: BranchData):
     """Blowup chain of the solo minimal resolution of one valuation.
 
     Returns (kinds, mu): kinds[d-1] describes the center blown to create
@@ -251,9 +241,9 @@ def _branch_profile(b: BranchData, mode: str):
     chain ends at a point of multiplicity 1.  A pair (a, w) takes as many
     steps as the quotients of Euclid's algorithm on it add up to, so the
     length of the chain is known first, and a chain longer than
-    MAX_VERTICES raises DecodeError before it is built.  Results are
-    cached per (b, mode), so the pairs of one decode share each branch's
-    chain.
+    MAX_VERTICES raises DecodeError before it is built.  The chain runs
+    on by b.c free points past the last rupture.  Results are cached per
+    b, so the pairs of one decode share each branch's chain.
     """
     gens, e, g, c = b.generators, b.gcds, b.g, b.c
     beta = list(gens[:2])
@@ -262,7 +252,7 @@ def _branch_profile(b: BranchData, mode: str):
     runs = [(beta[0], beta[1] if g else beta[0])]
     runs += [(e[i], beta[i + 1] - beta[i]) for i in range(1, g)]
 
-    length = c if mode == "divisorial" else 0
+    length = c
     for a, w in runs:
         while w:
             q, rem = divmod(a, w)
@@ -297,7 +287,7 @@ def _branch_profile(b: BranchData, mode: str):
                 la, w = depth, w - a
             else:
                 a, lw = a - w, depth
-    for _ in range(c if mode == "divisorial" else 0):
+    for _ in range(c):
         depth += 1
         kinds.append(("free", depth - 1))
         mu.append(1)
@@ -386,10 +376,12 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
     points are numbered by depth, then by chain.  The merge realizes
     every shared depth exactly when s[i][j] = min(share[i], s[src[i]][j])
     for each j < i, which holds for all i exactly when the depths form a
-    tree hierarchy (s[i][k] >= min(s[i][j], s[j][k])).  With ``expect``
-    given, the forward series of the result is compared against it.
+    tree hierarchy (s[i][k] >= min(s[i][j], s[j][k])).  A curve branch
+    has no free tail, so one with c > 0 is refused before any chain is
+    built.  With ``expect`` given, the forward series of the result is
+    compared against it.
 
-    Two facts follow and are not checked again.  The graph realizes
+    Three facts follow and are not checked again.  The graph realizes
     every contact: chain i's points carry its profile's kinds (the first
     share[i] from src[i], as _fit_pair matched), so a curvette of its
     last point has the profile's multiplicities, and 1 past it; two
@@ -397,7 +389,13 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
     formula (Casas-Alvero) gives the partial sum _fit_pair matched.  No
     satellite position is taken twice: of two satellite points on
     components s < d, the first in depth order removes s from d's
-    adjacency, and the replay refuses the second as a ContactError.
+    adjacency, and the replay refuses the second as a ContactError.  The
+    graph is minimal, so poincare_series accepts it: every point lies
+    under the last point of a chain, and a maximal vertex ends every
+    chain through it.  It is a marked divisor or, in curve mode, an
+    arrow vertex: the graph's one vertex, a point past a profile (shared
+    by two chains: two arrows and a parent) or a profile's last rupture
+    (two parents and an arrow).
     """
     branches = list(branches)
     r = len(branches)
@@ -407,6 +405,9 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
         raise ContactError(f"unknown mode {mode!r}")
     cm = [[int(contacts[i][j]) for j in range(r)] for i in range(r)]
     for i in range(r):
+        if mode == "curve" and branches[i].c:
+            raise ContactError(f"curve branch {i + 1} has free tail c = "
+                               f"{branches[i].c}; curve branches have none")
         if cm[i][i] != branches[i].top_value:
             raise ContactError(
                 f"diagonal contact {cm[i][i]} differs from top value "
@@ -418,7 +419,7 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
                     f"differs from contact {cm[j][i]} of chains {j + 1} "
                     f"and {i + 1}")
 
-    profiles = [_branch_profile(b, mode) for b in branches]
+    profiles = [_branch_profile(b) for b in branches]
     s = [[0] * r for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):
@@ -462,12 +463,7 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
                            f"{exc}") from exc
 
     if expect is not None:
-        try:
-            got = poincare_series(graph, default_spec(graph))
-        except GraphError as exc:
-            raise VerificationError(
-                f"assembled graph is not a minimal resolution: {exc}"
-            ) from exc
+        got = poincare_series(graph, default_spec(graph))
         if got != expect:
             raise VerificationError(_mismatch(got.factors(),
                                               expect.factors()))

@@ -8,7 +8,8 @@ level once, at the glex-first exponent of that level's series.  Either
 way the decode is equivalent to its source after exactly one assembly.
 On the census of at most 5 points, every contact of a decode, replaced
 by each partial sum of its two chains' multiplicity products, is either
-refused by assemble or merged into a graph that realizes the edit.
+refused by assemble or merged into a minimal graph, one whose series is
+defined, that realizes the edit.
 
 The series that the package builds without the constructor's check (the
 product formula, a branch's univariate series, a factor added, a branch
@@ -21,10 +22,11 @@ from itertools import accumulate, combinations, zip_longest
 
 import pytest
 
-from planevals import (DecodeError, FactoredSeries, assemble, equivalent,
-                       expand, factorize, multiplicity_matrix,
-                       projection_formula_curve, random_instance,
-                       reconstruct_curve, reconstruct_divisorial)
+from planevals import (DecodeError, FactoredSeries, assemble, default_spec,
+                       equivalent, expand, factorize, multiplicity_matrix,
+                       poincare_series, projection_formula_curve,
+                       random_instance, reconstruct_curve,
+                       reconstruct_divisorial)
 from planevals.reconstruct import _branch_profile
 from planevals.series import glex_key
 
@@ -104,7 +106,7 @@ def test_edited_contacts_are_refused_or_realized(bare, monkeypatch):
                 reconstruct_curve(series_of(h))
     edits = graphs = 0
     for branches, contacts, mode in assembled:
-        mu = [_branch_profile(b, mode)[1] for b in branches]
+        mu = [_branch_profile(b)[1] for b in branches]
         r = len(branches)
         for i, j in combinations(range(r), 2):
             for value in contact_values(mu[i], mu[j]):
@@ -116,6 +118,9 @@ def test_edited_contacts_are_refused_or_realized(bare, monkeypatch):
                 except DecodeError:  # ContactError is one
                     continue
                 graphs += 1
+                # assemble's docstring argues that the graph is minimal;
+                # poincare_series refuses one that is not
+                poincare_series(graph, default_spec(graph))
                 if mode == "divisorial":
                     refs = graph.marked_divisors
                 else:

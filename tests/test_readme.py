@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+from planevals import reconstruct
 from planevals.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -31,3 +32,10 @@ def test_command_line_examples_exit_zero(tmp_path, monkeypatch, capsys):
         argv = shlex.split(line)
         assert argv[0] == "planevals", line
         assert main(argv[1:]) == 0, (line, capsys.readouterr())
+
+
+def test_stated_cache_sizes_are_the_constants():
+    decodes, = re.findall(r"keeps its last (\d+) decodes", README)
+    chains, = re.findall(r"kept for its last (\d+) types", README)
+    assert (int(decodes), int(chains)) == (
+        reconstruct._DECODED_SERIES, reconstruct._PROFILED_CHAINS)

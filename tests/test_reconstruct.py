@@ -51,6 +51,14 @@ def test_branch_data_smooth_with_tail():
     assert bd.dead_values == ()
 
 
+def test_branch_data_is_its_generators_and_tail():
+    bd = BranchData((2, 3), 2)
+    same = BranchData.from_generators((2, 3), 2)
+    assert bd == same and hash(bd) == hash(same)
+    assert repr(bd) == ("BranchData(generators=(2, 3), dead_values=(6,), "
+                        "gcds=(2, 1), c=2, g=1, top_value=8)")
+
+
 @pytest.mark.parametrize("gens", [
     (), (0, 3), (3, 2), (2, 4), (3,), (2, 3, 5), (4, 6, 7),
 ])

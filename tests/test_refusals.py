@@ -237,26 +237,20 @@ REFUSALS = [
     ("order before gcd", lambda: BranchData.from_generators((6, 4)),
      DecodeError, "generators must strictly increase: (6, 4)"),
     # -- BranchData: its constructor ------------------------------------------
-    ("zero generator in branch data",
-     lambda: BranchData((0,), (), (0,), 0, 0, 0).univariate_series("curve"),
-     DecodeError, "branch data needs positive int generators, dead values "
-     "and top value and an int c >= 0, got generators (0,), dead values (), "
-     "top value 0, c 0"),
-    ("negative tail in branch data",
-     lambda: BranchData((1,), (), (1,), -1, 0, 1),
-     DecodeError, "branch data needs positive int generators, dead values "
-     "and top value and an int c >= 0, got generators (1,), dead values (), "
-     "top value 1, c -1"),
-    ("bool top value in branch data",
-     lambda: BranchData((2, 3), (6,), (2, 1), 0, 1, True),
-     DecodeError, "branch data needs positive int generators, dead values "
-     "and top value and an int c >= 0, got generators (2, 3), dead values "
-     "(6,), top value True, c 0"),
-    ("generator list in branch data",
-     lambda: BranchData([2, 3], (6,), (2, 1), 0, 1, 6),
-     DecodeError, "branch data needs positive int generators, dead values "
-     "and top value and an int c >= 0, got generators [2, 3], dead values "
-     "(6,), top value 6, c 0"),
+    # types first, unconverted; then the checks above, in their order
+    ("generator list in branch data", lambda: BranchData([2, 3]),
+     DecodeError, "branch data needs a tuple of int generators and an int "
+     "c, got generators [2, 3], c 0"),
+    ("bool generator in branch data", lambda: BranchData((2, True)),
+     DecodeError, "branch data needs a tuple of int generators and an int "
+     "c, got generators (2, True), c 0"),
+    ("bool tail in branch data", lambda: BranchData((2, 3), True),
+     DecodeError, "branch data needs a tuple of int generators and an int "
+     "c, got generators (2, 3), c True"),
+    ("negative tail in branch data", lambda: BranchData((2, 3), -1),
+     DecodeError, "need at least one generator and c >= 0"),
+    ("zero generator in branch data", lambda: BranchData((0,)),
+     DecodeError, "generators must strictly increase: (0,)"),
     # -- euler_smooth ---------------------------------------------------------
     ("unknown mode", lambda: euler_smooth(DualGraph(CUSP), "branch"),
      GraphError, "unknown mode 'branch'"),
@@ -296,6 +290,13 @@ REFUSALS = [
      ContactError, "no valuations to assemble"),
     ("unknown assembly mode", lambda: assemble([SMOOTH], [[1]], "branch"),
      ContactError, "unknown mode 'branch'"),
+    # its diagonal is the cusp's top value with the tail, 8: the tail is
+    # refused, not dropped
+    ("curve branch with a free tail",
+     lambda: assemble([BranchData.from_generators((2, 3), 2)], [[8]],
+                      "curve"),
+     ContactError, "curve branch 1 has free tail c = 2; curve branches "
+     "have none"),
     ("diagonal off the top value",
      lambda: assemble([SMOOTH, SMOOTH], [[2, 1], [1, 1]], "curve"),
      ContactError, "diagonal contact 2 differs from top value 1 of "
@@ -392,7 +393,7 @@ def test_assemble_accepts_the_hierarchy_of_three_smooth_branches():
 def test_pair_check_accepts_a_contact_at_the_vertex_limit():
     # two smooth branches with contact MAX_VERTICES share exactly that
     # many points; one more is refused (the row above)
-    smooth = _branch_profile(SMOOTH, "curve")
+    smooth = _branch_profile(SMOOTH)
     assert _fit_pair([smooth, smooth], 0, 1, MAX_VERTICES,
                      "curve") == MAX_VERTICES
 
