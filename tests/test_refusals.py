@@ -290,8 +290,8 @@ REFUSALS = [
      ContactError, "no valuations to assemble"),
     ("unknown assembly mode", lambda: assemble([SMOOTH], [[1]], "branch"),
      ContactError, "unknown mode 'branch'"),
-    # its diagonal is the cusp's top value with the tail, 8: the tail is
-    # refused, not dropped
+    # its diagonal is the cusp's top value with the tail, 8, so only the
+    # tail rule refuses it
     ("curve branch with a free tail",
      lambda: assemble([BranchData.from_generators((2, 3), 2)], [[8]],
                       "curve"),
