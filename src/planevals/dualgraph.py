@@ -14,7 +14,6 @@ import bisect
 import json
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
@@ -266,16 +265,6 @@ def _column(graph: DualGraph, c: int) -> Tuple[int, ...]:
     return tuple(x[1:])
 
 
-@lru_cache(maxsize=4096)
-def _columns(graph: DualGraph, cols: Tuple[int, ...]
-             ) -> Tuple[Tuple[int, ...], ...]:
-    done = {}
-    for c in cols:
-        if c not in done:
-            done[c] = _column(graph, c)
-    return tuple(done[c] for c in cols)
-
-
 def multiplicity_matrix(graph: DualGraph, cols: Optional[Iterable[int]] = None
                         ) -> Tuple[Tuple[int, ...], ...]:
     """Rows ``cols`` (all rows for None) of the inverse of minus the
@@ -287,7 +276,7 @@ def multiplicity_matrix(graph: DualGraph, cols: Optional[Iterable[int]] = None
     curvette's multiplicity at the center of u, taken from proximity along
     the chain to c; a row costs O(n + depth of c).  Each row is certified
     by (-I) x = e_c, positivity and growth along covers, so a corrupted
-    graph cannot pass silently.  Results are cached per (graph, cols).
+    graph cannot pass silently.
 
     ``oracle.multiplicity_sequence`` and ``oracle.noether_contact`` compute
     the same multiplicities and contacts by separate code, so the tests
@@ -300,7 +289,11 @@ def multiplicity_matrix(graph: DualGraph, cols: Optional[Iterable[int]] = None
     for c in cols:
         if not 1 <= c <= n:
             raise GraphError(f"no vertex {c} for a multiplicity row")
-    return _columns(graph, cols)
+    done = {}
+    for c in cols:
+        if c not in done:
+            done[c] = _column(graph, c)
+    return tuple(done[c] for c in cols)
 
 
 # -- Euler characteristics ------------------------------------------------

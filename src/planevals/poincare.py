@@ -5,11 +5,18 @@ ones named by marked vertices, branch ones by arrows), the series is the
 product over vertices of (1 - t^m_sigma)^(-chi), where m_sigma collects
 the multiplicity-matrix entries of sigma against the referenced vertices
 and chi is the Euler characteristic of the smooth part of E_sigma.
+
+The series is a pure function of the graph and the collection, so it is
+cached per process in a bounded LRU cache: poincare_series keeps the last
+_FORWARD_SERIES series, keyed on (graph, spec) with spec as a tuple, and a
+hit returns the very FactoredSeries of the first call.  A refusal is never
+cached, so a refused input raises the same error on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
 from .dualgraph import (DualGraph, GraphError, _under, euler_smooth,
@@ -54,6 +61,7 @@ def _reference_vertices(graph: DualGraph, spec: ValuationSpec
                         ) -> Tuple[int, ...]:
     if not spec:
         raise GraphError("empty valuation collection")
+    # poincare_series checked that each entry is a Divisorial or a Branch
     if len(set(spec)) != len(spec):
         raise GraphError("valuation entries must be distinct")
     cols = []
@@ -65,11 +73,9 @@ def _reference_vertices(graph: DualGraph, spec: ValuationSpec
             if not 1 <= v <= n:
                 raise GraphError(f"no vertex {v} for divisorial valuation")
             cols.append(v)
-        elif isinstance(entry, Branch):
+        else:
             cols.append(graph.arrow_vertex(entry.branch))
             branches_seen.add(entry.branch)
-        else:
-            raise GraphError(f"bad valuation entry {entry!r}")
     if branches_seen != {b for _, b in graph.arrows}:
         raise GraphError("spec must reference every arrow of the graph "
                          "exactly once (sub-collections need their own "
@@ -101,9 +107,25 @@ def poincare_series(graph: DualGraph, spec: ValuationSpec) -> FactoredSeries:
     The graph must be the minimal resolution of the collection: every
     vertex must lie under a referenced one and no vertex may be
     contractible.  Vertices with chi = 0 contribute no factor; equal
-    exponent vectors merge.
+    exponent vectors merge.  Each entry's type is checked before the
+    cache hashes the key; results are cached per (graph, tuple(spec)).
     """
     spec = tuple(spec)
+    for entry in spec:
+        if not isinstance(entry, (Divisorial, Branch)):
+            raise GraphError(f"bad valuation entry {entry!r}")
+    return _series(graph, spec)
+
+
+# 2000 campaign round trips ask for about 1720 distinct series, about 3150
+# in all; an entry (the key graph and spec, which the cache keeps alive,
+# and the series) holds about 1.9 KB there, and one of a 10^4-vertex graph
+# about 2.3 MB
+_FORWARD_SERIES = 1024
+
+
+@lru_cache(maxsize=_FORWARD_SERIES)
+def _series(graph: DualGraph, spec: tuple) -> FactoredSeries:
     cols = _reference_vertices(graph, spec)
     chi = euler_smooth(graph, "curve" if graph.arrows else "divisorial")
     _check_minimal(graph, spec, cols, chi)

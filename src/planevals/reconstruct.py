@@ -18,13 +18,16 @@ tried.  Either decode assembles its one graph once, and that graph has
 its forward series recomputed and compared with the input, so a wrong
 decode surfaces as an error instead of a wrong graph.
 
-Two pure steps are cached per process, each in a bounded LRU cache.
+A series determines its minimal resolution (Yamamoto;
+Campillo-Delgado-Gusein-Zade), so each decode is a pure function of its
+input, and three steps are cached per process, each in a bounded LRU
+cache.  reconstruct_divisorial and reconstruct_curve each keep the last
+_DECODED_GRAPHS graphs, keyed on the series: a hit returns the very
+DualGraph that assemble built and checked against an equal series.
 branch_from_univariate keeps the last _DECODED_SERIES decodes, keyed on
-(series, mode): a hit skips the decode and its self-check and returns the
-same frozen BranchData.  _branch_profile keeps the last _PROFILED_CHAINS
-chains, keyed on the BranchData alone: a hit skips the Euclidean state
-machine.  Neither cache stores a refusal, so a refused input raises the
-same error on every call.
+(series, mode), and _branch_profile the last _PROFILED_CHAINS chains,
+keyed on the BranchData alone.  No cache stores a refusal, so a refused
+input raises the same error on every call.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import ge, lt
+from operator import ge, index, lt
 from typing import List, Optional, Sequence, Tuple
 
 from .dualgraph import (MAX_VERTICES, DualGraph, GraphError,
@@ -127,14 +130,22 @@ class BranchData:
 
     @classmethod
     def from_generators(cls, generators, c: int = 0) -> "BranchData":
-        return cls(tuple(map(int, generators)), int(c))
+        """The constructor, on values converted with operator.index: numpy
+        ints are accepted, and a float or a string is refused with the
+        constructor's message, never truncated."""
+        gens = tuple(generators)
+        try:
+            gens, c = tuple(map(index, gens)), index(c)
+        except TypeError:
+            pass  # the constructor names the values that are not ints
+        return cls(gens, c)
 
     def univariate_series(self, mode: str) -> FactoredSeries:
         """Factored series of this single valuation (the forward map)."""
         if mode not in ("curve", "divisorial"):
             raise DecodeError(f"unknown mode {mode!r}")
-        if mode == "curve" and self.c != 0:
-            raise DecodeError("curve branches have no free tail")
+        if mode == "curve":
+            _refuse_curve_tail(self, 1)
         # the constructor certified every value a positive int
         factors = dict.fromkeys([(m,) for m in self.generators], -1)
         if mode == "divisorial":
@@ -148,10 +159,18 @@ class BranchData:
         return FactoredSeries._from_valid(1, factors)
 
 
-# 2000 campaign round trips decode about 175 distinct one-variable series,
-# about 2740 in all; an entry (the key series, which the cache keeps
-# alive, and its BranchData) holds about 0.9 KB there, so a full cache
-# holds about 1 MB
+def _refuse_curve_tail(b: BranchData, i: int) -> None:
+    """A curve branch has no free tail: refuse b, branch i, if it has one."""
+    if b.c:
+        raise ContactError(f"curve branch {i} has free tail c = {b.c}; "
+                           "curve branches have none")
+
+
+# the decodes of 2000 campaign round trips that miss the graph caches
+# look up about 175 distinct one-variable series, about 1840 times in
+# all; an entry (the key series, which the cache keeps alive, and its
+# BranchData) holds about 0.7 KB there, and no more for a chain of 10^4
+# points, so a full cache holds about 1 MB
 _DECODED_SERIES = 1024
 
 
@@ -215,9 +234,10 @@ def branch_from_univariate(p: FactoredSeries, mode: str) -> BranchData:
 # -- rebuilding one chain: the Euclidean state machine ---------------------
 
 
-# 2000 campaign round trips look up about 227 distinct chains, about 4500
-# times in all; a cached chain of a campaign graph holds about 2 KB, so a
-# full cache holds about 0.5 MB
+# the decodes of 2000 campaign round trips that miss the graph caches
+# look up about 181 distinct chains, about 3180 times in all; a cached
+# chain of a campaign graph holds about 0.7 KB, and one of 10^4 points
+# about 1 MB
 _PROFILED_CHAINS = 256
 
 
@@ -405,9 +425,8 @@ def assemble(branches: Sequence[BranchData], contacts, mode: str,
         raise ContactError(f"unknown mode {mode!r}")
     cm = [[int(contacts[i][j]) for j in range(r)] for i in range(r)]
     for i in range(r):
-        if mode == "curve" and branches[i].c:
-            raise ContactError(f"curve branch {i + 1} has free tail c = "
-                               f"{branches[i].c}; curve branches have none")
+        if mode == "curve":
+            _refuse_curve_tail(branches[i], i + 1)
         if cm[i][i] != branches[i].top_value:
             raise ContactError(
                 f"diagonal contact {cm[i][i]} differs from top value "
@@ -567,6 +586,14 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
     return c
 
 
+# 2000 campaign round trips decode about 1145 distinct series, 2000 in all,
+# half of them in each mode; an entry (the key series, which the cache
+# keeps alive, and the graph) holds about 1.6 KB there, and one of a
+# 10^4-vertex graph about 2.3 MB
+_DECODED_GRAPHS = 1024
+
+
+@lru_cache(maxsize=_DECODED_GRAPHS)
 def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a set of divisorial valuations from its series.
 
@@ -578,7 +605,8 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     series determines the minimal resolution, and its projection to two
     valuations is the series of the pair (Campillo-Delgado-Gusein-Zade),
     so the one check proves every pair's contact: a wrong choice ends in
-    an error, never in a graph.
+    an error, never in a graph.  Results are cached per p; a refusal is
+    not, and raises again.
     """
     r = p.nvars
     if r < 1:
@@ -704,12 +732,14 @@ def _solve_curve(p: FactoredSeries,
     return branches, cm
 
 
+@lru_cache(maxsize=_DECODED_GRAPHS)
 def reconstruct_curve(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a plane curve from its Poincare series.
 
     Peels each branch once, at the glex-first exponent, and assembles the
     one decomposition once; the graph is returned only if its series
-    reproduces the input exactly.
+    reproduces the input exactly.  Results are cached per p; a refusal is
+    not, and raises again.
     """
     if p.nvars < 1:
         raise DecodeError("need at least one variable")

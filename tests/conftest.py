@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from planevals import (DualGraph, default_spec, poincare_series,
+from planevals import (DualGraph, default_spec, poincare, poincare_series,
                        random_instance, reconstruct)
 
 settings.register_profile("suite", deadline=None,
@@ -112,8 +112,18 @@ def bareiss_det(rows) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
+def clear_memos():
+    """Forget every decoded graph and forward series, so that the next
+    decode of any series runs, and a spy sees its calls."""
+    reconstruct.reconstruct_divisorial.cache_clear()
+    reconstruct.reconstruct_curve.cache_clear()
+    poincare._series.cache_clear()
+
+
 def spy_on(monkeypatch, name):
-    """Record the arguments of every call of reconstruct.<name>."""
+    """Record the arguments of every call of reconstruct.<name>; the
+    memos are cleared, so every decode after this runs."""
+    clear_memos()
     calls = []
     real = getattr(reconstruct, name)
 

@@ -1,5 +1,6 @@
 """Command-line surface: flags, files, exit codes, report formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,8 +16,8 @@ from planevals.cli import main
 from planevals.dualgraph import MAX_VERTICES
 from planevals.series import _TOKEN_LINES, MAX_CELLS
 
-from conftest import (CUSP_DIV, CUSP_MARKS3, CUSP_PAIR, TACNODE, series_of,
-                      spy_on)
+from conftest import (CUSP_DIV, CUSP_MARKS3, CUSP_PAIR, TACNODE, clear_memos,
+                      series_of, spy_on)
 from planevals import (FactoredSeries, default_spec, expand, factorize,
                        graph_to_json, random_instance, series_to_text)
 from planevals.oracle import OracleError, definitional_poincare
@@ -163,6 +164,28 @@ def test_roundtrip_report_format(capsys):
         assert fields["seed"] == str(11 + k)
         assert fields["status"] == "ok"
     assert lines[4] == "total=4 failures=0"
+
+
+# sha256 of the standard output of `planevals roundtrip --mode M --trials
+# 400 --seed 1`, taken before the decodes and the forward series were
+# cached; about four in ten of these trials repeat a series
+ROUNDTRIP_DIGESTS = {
+    "div": "412859d10cc627a86b01e47110628ed3edef09fa764e66bfa89b92b86c978d26",
+    "curve":
+        "8b3cca41885874b091fcefa4dd8b8f7f1074cc53753cdaba833f99370fbfa4be",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ROUNDTRIP_DIGESTS))
+def test_cached_round_trips_print_what_uncached_ones_did(capsys, mode):
+    # once from empty caches, and once more with every series cached
+    clear_memos()
+    for _ in range(2):
+        assert main(["roundtrip", "--mode", mode, "--trials", "400",
+                     "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            ROUNDTRIP_DIGESTS[mode])
 
 
 def test_roundtrip_refuses_a_negative_trial_count(capsys):

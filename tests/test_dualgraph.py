@@ -259,8 +259,8 @@ def test_multiplicity_rows_match_full_matrix():
 
 def test_multiplicity_rows_are_certified():
     # Corrupted intersection data must be caught by the (-I) x = e_c
-    # certificate: the recursion itself reads only the parents.  The
-    # chains are used by no other test, so no cached row answers.
+    # certificate: the recursion itself reads only the parents.  Rows are
+    # not cached, so every call certifies the rows it returns.
     for n, field in ((41, "_selfint"), (43, "_adj")):
         g = free_chain(n, (n,))
         if field == "_selfint":

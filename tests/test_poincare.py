@@ -11,8 +11,8 @@ from planevals import (Branch, Divisorial, DualGraph, FactoredSeries,
 from planevals.dualgraph import euler_smooth
 from planevals.reconstruct import BranchData, graph_from_branch
 
-from conftest import (CUSP_CURVE, CUSP_DIV, FROZEN_SERIES, NAMED, NODE,
-                      TACNODE, TRANSVERSAL_CUSPS, series_of)
+from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, FROZEN_SERIES, NAMED,
+                      NODE, TACNODE, TRANSVERSAL_CUSPS, series_of)
 
 
 def test_frozen_examples(named_graph):
@@ -133,6 +133,17 @@ def test_curve_projection_agrees_with_direct_series(seed):
         assert q == series_of(sub)
 
 
+def test_list_and_tuple_specs_give_the_same_cached_series():
+    # the series is cached per (graph, tuple(spec)): an equal graph built
+    # as a new object, with the spec as a list, gets the very series
+    spec = default_spec(CUSP_PAIR)
+    first = poincare_series(CUSP_PAIR, spec)
+    again = poincare_series(DualGraph(CUSP_PAIR.parents,
+                                      CUSP_PAIR.marked_divisors),
+                            list(spec))
+    assert again is first
+
+
 def test_expansion_of_cusp_series_is_semigroup_indicator():
     s = expand(series_of(CUSP_CURVE), 12)
     gaps = [k for k in range(13) if s[(k,)] == 0]
@@ -142,7 +153,7 @@ def test_expansion_of_cusp_series_is_semigroup_indicator():
 
 def test_deep_chain_series_is_linear():
     # gens (2, 3997): a free chain of 1999 vertices and a satellite on its
-    # last edge, built here so that no cached multiplicity row answers
+    # last edge, built here so that no series cached by another test answers
     n = 2000
     parents = ((),) + tuple((v - 1,) for v in range(2, n)) + ((n - 2, n - 1),)
     b = BranchData.from_generators((2, 3997), 0)

@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from planevals import reconstruct
+from planevals import poincare, reconstruct
 from planevals.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -35,7 +35,10 @@ def test_command_line_examples_exit_zero(tmp_path, monkeypatch, capsys):
 
 
 def test_stated_cache_sizes_are_the_constants():
+    graphs, = re.findall(r"each keep their last\s+(\d+) graphs", README)
+    series, = re.findall(r"keeps its last\s+(\d+) series", README)
     decodes, = re.findall(r"keeps its last (\d+) decodes", README)
     chains, = re.findall(r"kept for its last (\d+) types", README)
-    assert (int(decodes), int(chains)) == (
+    assert tuple(map(int, (graphs, series, decodes, chains))) == (
+        reconstruct._DECODED_GRAPHS, poincare._FORWARD_SERIES,
         reconstruct._DECODED_SERIES, reconstruct._PROFILED_CHAINS)

@@ -22,7 +22,8 @@ from planevals.reconstruct import (_branch_of_values, _least_contact,
 from planevals.series import glex_key
 
 from conftest import (CUSP_CURVE, CUSP_DIV, CUSP_PAIR, NAMED, NODE, SINGLE,
-                      TACNODE, TRANSVERSAL_CUSPS, series_of, spy_on)
+                      TACNODE, TRANSVERSAL_CUSPS, clear_memos, series_of,
+                      spy_on)
 
 
 # -- numerical branch data -----------------------------------------------
@@ -163,6 +164,49 @@ def test_refused_decodes_are_not_cached(factors, mode, message):
         assert branch_from_univariate.cache_info().misses == misses + 1
         raised.append((type(info.value), str(info.value)))
     assert raised == [(DecodeError, message)] * 2
+
+
+def test_from_generators_takes_numpy_ints_as_ints():
+    np = pytest.importorskip("numpy")
+    b = BranchData.from_generators(np.array([2, 3]), np.int64(1))
+    assert b == BranchData((2, 3), 1)
+    assert [type(m) for m in b.generators] + [type(b.c)] == [int] * 3
+
+
+@pytest.mark.parametrize("decode,graph", [
+    (reconstruct_divisorial, CUSP_PAIR),
+    (reconstruct_curve, TRANSVERSAL_CUSPS),
+])
+def test_equal_series_decode_to_the_same_graph(decode, graph):
+    # the decode is cached per series: an equal series built as a new
+    # object gets the very graph of the first decode
+    p = series_of(graph)
+    first = decode(FactoredSeries(p.nvars, p.factors()))
+    again = decode(FactoredSeries(p.nvars, p.factors()))
+    assert equivalent(first, graph)
+    assert again is first
+
+
+@pytest.mark.parametrize("decode,nvars,factors", [
+    # the refusal rows "tampered pair series that repeats a satellite
+    # point" and, on the command line, the three-branch tampered series
+    (reconstruct_divisorial, 2,
+     {(3, 2): -1, (8, 5): -1, (14, 10): 1, (14, 11): -1}),
+    (reconstruct_curve, 3, {(1, 1, 1): 2}),
+])
+def test_refused_series_are_not_cached(decode, nvars, factors):
+    # a refused series is decoded again on every call, with the same
+    # class and message, and leaves no entry in the cache
+    clear_memos()
+    raised = []
+    for _ in range(2):
+        misses = decode.cache_info().misses
+        with pytest.raises((DecodeError, VerificationError)) as info:
+            decode(FactoredSeries(nvars, factors))
+        assert decode.cache_info().misses == misses + 1
+        assert decode.cache_info().currsize == 0
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
 
 
 def univariate_corpus(count):
@@ -380,6 +424,7 @@ def test_reversed_candidates_fail_after_one_assembly(
         return OTHER_CONTACT if args == ambiguous else _least_contact(*args)
 
     monkeypatch.setattr(reconstruct, "_least_contact", chooser)
+    clear_memos()
     error, message = WRONG_CONTACT_FAILURE[len(graph.marked_divisors)]
     with pytest.raises(error, match=message):
         reconstruct_divisorial(p)
@@ -394,6 +439,8 @@ def test_valid_decode_assembles_one_graph(assemble_calls, pairwise_calls):
               for s in range(200)]
     graphs += [graph for graph, _ in AMBIGUOUS]
     for graph in graphs:
+        # random graphs can repeat a series, whose decode must run again
+        clear_memos()
         assemble_calls.clear()
         assert equivalent(reconstruct_divisorial(series_of(graph)), graph)
         assert len(assemble_calls) == 1
@@ -593,6 +640,8 @@ def test_untampered_curve_series_decode_after_one_assembly(
     # name: each is decoded on its one pass, never refused
     for s in range(TAMPER_SEEDS):
         g = random_instance(1000 * r + s, 40, r, mode)
+        # random graphs can repeat a series, whose decode must run again
+        clear_memos()
         assemble_calls.clear()
         assert equivalent(DECODERS[mode](series_of(g)), g)
         assert len(assemble_calls) == 1

@@ -15,7 +15,8 @@ import pytest
 from planevals import (Branch, BranchData, ContactError, DecodeError,
                        Divisorial, DualGraph, FactoredSeries, GraphError,
                        SeriesError, assemble, branch_from_univariate,
-                       graph_from_json, multiplicity_matrix, poincare_series,
+                       graph_from_branch, graph_from_json,
+                       multiplicity_matrix, poincare_series,
                        reconstruct_curve, reconstruct_divisorial)
 from planevals.dualgraph import MAX_VERTICES, euler_smooth
 from planevals.reconstruct import _branch_of_values, _branch_profile, _fit_pair
@@ -236,6 +237,10 @@ REFUSALS = [
      DecodeError, "generators (4, 6, 8) have gcd 2 != 1"),
     ("order before gcd", lambda: BranchData.from_generators((6, 4)),
      DecodeError, "generators must strictly increase: (6, 4)"),
+    ("float generators and tail",
+     lambda: BranchData.from_generators((2.5, 3.9), 1.7),
+     DecodeError, "branch data needs a tuple of int generators and an int "
+     "c, got generators (2.5, 3.9), c 1.7"),
     # -- BranchData: its constructor ------------------------------------------
     # types first, unconverted; then the checks above, in their order
     ("generator list in branch data", lambda: BranchData([2, 3]),
@@ -285,6 +290,13 @@ REFUSALS = [
     ("empty valuation collection",
      lambda: poincare_series(DualGraph(CUSP, (3,)), ()),
      GraphError, "empty valuation collection"),
+    # each entry's type is checked before the cache hashes the spec
+    ("list valuation entry",
+     lambda: poincare_series(DualGraph(CUSP, (3,)), [[1]]),
+     GraphError, "bad valuation entry [1]"),
+    ("dict valuation entry",
+     lambda: poincare_series(DualGraph(CUSP, (3,)), [{1: 2}]),
+     GraphError, "bad valuation entry {1: 2}"),
     # -- assemble: contacts against the chains --------------------------------
     ("no valuations", lambda: assemble([], [], "curve"),
      ContactError, "no valuations to assemble"),
@@ -295,6 +307,17 @@ REFUSALS = [
     ("curve branch with a free tail",
      lambda: assemble([BranchData.from_generators((2, 3), 2)], [[8]],
                       "curve"),
+     ContactError, "curve branch 1 has free tail c = 2; curve branches "
+     "have none"),
+    # the same rule, the same class and message, on one branch's series
+    # and on its solo graph
+    ("curve series of a branch with a free tail",
+     lambda: BranchData.from_generators((2, 3), 2).univariate_series("curve"),
+     ContactError, "curve branch 1 has free tail c = 2; curve branches "
+     "have none"),
+    ("curve graph of a branch with a free tail",
+     lambda: graph_from_branch(BranchData.from_generators((2, 3), 2),
+                               "curve"),
      ContactError, "curve branch 1 has free tail c = 2; curve branches "
      "have none"),
     ("diagonal off the top value",
