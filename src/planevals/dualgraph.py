@@ -54,10 +54,15 @@ class DualGraph:
     vertex ids; arrows is a tuple of (vertex, branch) pairs whose branch
     indices are exactly 1..b.
 
-    Construction replays the sequence once, in O(n): one child count per
-    vertex gives its self-intersection (-1 minus the count) and maximality
-    (no child), and the parent links that no satellite replaced are the
-    edges, each vertex's listed in id order without a sort.
+    Construction replays the sequence in a single pass: one child count
+    per vertex gives its self-intersection (-1 minus the count) and
+    maximality (no child), and each vertex's adjacency list is built as the
+    replay goes, its parents first and then its children, each in id order
+    without a sort, so each list is sorted.  A satellite point cuts the
+    edge between its two parents from both their lists: the smaller parent
+    can sit in the larger one's list only as its parent, one of its first
+    two entries, and the larger is found in the smaller's list by
+    bisection.
     """
 
     parents: Tuple[Tuple[int, ...], ...] = ()
@@ -90,8 +95,9 @@ class DualGraph:
         if n and parents[0]:
             raise GraphError("vertex 1 cannot have parents")
         kids = [0] * (n + 1)
-        # up[v - 1]: the parents of v that no satellite has cut it from
-        up = list(map(list, parents))
+        # adj[v]: the parents of v that no satellite has cut it from, then
+        # its children, each in id order
+        adj: List[List[int]] = [[] for _ in range(n + 1)]
         for v in range(2, n + 1):
             ps = parents[v - 1]
             if len(ps) == 1:
@@ -99,24 +105,25 @@ class DualGraph:
                 if not 0 < s < v:
                     raise GraphError(f"vertex {v}: bad parent {s}")
                 kids[s] += 1
+                adj[s].append(v)
+                adj[v] = [s]
             elif len(ps) == 2:
                 s, d = ps
                 if not 0 < s < d < v:
                     raise GraphError(f"vertex {v}: bad parents {ps}")
-                if s not in up[d - 1]:
+                # s < d, so s can sit in adj[d] only as a parent of d
+                if s not in adj[d]:
                     raise GraphError(
                         f"vertex {v}: satellite parents {s},{d} not adjacent")
-                up[d - 1].remove(s)
+                adj[d].remove(s)
+                del adj[s][bisect.bisect_left(adj[s], d)]
                 kids[s] += 1
                 kids[d] += 1
+                adj[s].append(v)
+                adj[d].append(v)
+                adj[v] = [s, d]
             else:
                 raise GraphError(f"vertex {v}: needs 0, 1, or 2 parents")
-        # parents come before v and children after it, each in id order
-        adj: List[List[int]] = [[] for _ in range(n + 1)]
-        for v, ps in enumerate(up, 1):
-            for p in ps:
-                adj[p].append(v)
-                adj[v].append(p)
         object.__setattr__(self, "_adj",
                            dict(zip(range(1, n + 1), map(tuple, adj[1:]))))
         object.__setattr__(self, "_selfint",
@@ -240,9 +247,14 @@ def _column(graph: DualGraph, c: int) -> Tuple[int, ...]:
     for v in reversed(chain):
         for p in parents[v - 1]:
             x[p] += x[v]
+    # x[u] is final once it has added its parents' entries, which precede
+    # it, so positivity is checked as each is made.  Growth over the tree
+    # parent needs no check: x[u] is that parent's entry plus entries >= 0.
     for u, ps in enumerate(parents, 1):
         for p in ps:
             x[u] += x[p]
+        if x[u] <= 0:
+            raise GraphError("multiplicity matrix must be positive")
 
     # (-I) x must be the unit vector e_c, so x is column c of (-I)^-1
     selfint = graph._selfint
@@ -252,13 +264,7 @@ def _column(graph: DualGraph, c: int) -> Tuple[int, ...]:
             acc -= x[w]
         if acc != (1 if u == c else 0):
             raise GraphError("intersection matrix inversion failed")
-    if min(x[1:]) <= 0:
-        raise GraphError("multiplicity matrix must be positive")
-    # growth along covers of the partial order (each vertex over its tree
-    # parent): never decreasing, and strictly increasing along the chain
-    for v in range(2, n + 1):
-        if x[parents[v - 1][-1]] > x[v]:
-            raise GraphError("multiplicity rows must grow along covers")
+    # and the entries grow strictly along the chain
     for a, b in zip(chain, chain[1:]):
         if x[a] >= x[b]:
             raise GraphError("multiplicity rows must grow along covers")
@@ -275,8 +281,9 @@ def multiplicity_matrix(graph: DualGraph, cols: Optional[Iterable[int]] = None
     recursion x_u = sum of x over the parents of u + mu_u, where mu_u is the
     curvette's multiplicity at the center of u, taken from proximity along
     the chain to c; a row costs O(n + depth of c).  Each row is certified
-    by (-I) x = e_c, positivity and growth along covers, so a corrupted
-    graph cannot pass silently.
+    by (-I) x = e_c, positivity (checked as each entry is made) and strict
+    growth along the chain, so a corrupted graph cannot pass silently;
+    growth over every other cover follows from the recursion itself.
 
     ``oracle.multiplicity_sequence`` and ``oracle.noether_contact`` compute
     the same multiplicities and contacts by separate code, so the tests
@@ -482,8 +489,19 @@ def canonical_code(graph: DualGraph) -> str:
 
 
 def equivalent(g1: DualGraph, g2: DualGraph) -> bool:
-    """Combinatorial equivalence preserving marked/arrow index roles."""
-    return canonical_code(g1) == canonical_code(g2)
+    """Combinatorial equivalence preserving marked/arrow index roles.
+
+    Two graphs equal as stored (the same parents, marks in the same order
+    and the same numbered arrows) are equivalent through the identity map,
+    which preserves all three, so they are answered before any canonical
+    code is built; other pairs compare codes.  Both arguments must be
+    DualGraphs, checked first, since two equal objects of another type
+    would pass the equality test.
+    """
+    if not (isinstance(g1, DualGraph) and isinstance(g2, DualGraph)):
+        raise GraphError(f"equivalent needs two DualGraphs, got "
+                         f"{type(g1).__name__} and {type(g2).__name__}")
+    return g1 == g2 or canonical_code(g1) == canonical_code(g2)
 
 
 # -- random instances -----------------------------------------------------

@@ -107,9 +107,13 @@ def poincare_series(graph: DualGraph, spec: ValuationSpec) -> FactoredSeries:
     The graph must be the minimal resolution of the collection: every
     vertex must lie under a referenced one and no vertex may be
     contractible.  Vertices with chi = 0 contribute no factor; equal
-    exponent vectors merge.  Each entry's type is checked before the
-    cache hashes the key; results are cached per (graph, tuple(spec)).
+    exponent vectors merge.  The graph's type and each entry's are
+    checked before the cache hashes the key; results are cached per
+    (graph, tuple(spec)).
     """
+    if not isinstance(graph, DualGraph):
+        raise GraphError(f"poincare_series needs a DualGraph, got "
+                         f"{type(graph).__name__}")
     spec = tuple(spec)
     for entry in spec:
         if not isinstance(entry, (Divisorial, Branch)):

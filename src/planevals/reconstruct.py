@@ -22,8 +22,10 @@ A series determines its minimal resolution (Yamamoto;
 Campillo-Delgado-Gusein-Zade), so each decode is a pure function of its
 input, and three steps are cached per process, each in a bounded LRU
 cache.  reconstruct_divisorial and reconstruct_curve each keep the last
-_DECODED_GRAPHS graphs, keyed on the series: a hit returns the very
-DualGraph that assemble built and checked against an equal series.
+_DECODED_GRAPHS graphs, keyed on the series, in the helpers
+_reconstruct_divisorial and _reconstruct_curve behind a type check: a
+hit returns the very DualGraph that assemble built and checked against
+an equal series.
 branch_from_univariate keeps the last _DECODED_SERIES decodes, keyed on
 (series, mode), and _branch_profile the last _PROFILED_CHAINS chains,
 keyed on the BranchData alone.  No cache stores a refusal, so a refused
@@ -593,7 +595,13 @@ def pairwise_contact(p2: FactoredSeries, b1: BranchData,
 _DECODED_GRAPHS = 1024
 
 
-@lru_cache(maxsize=_DECODED_GRAPHS)
+def _check_series(p, name: str) -> None:
+    # before a decode cache hashes p
+    if not isinstance(p, FactoredSeries):
+        raise DecodeError(f"{name} needs a FactoredSeries, got "
+                          f"{type(p).__name__}")
+
+
 def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a set of divisorial valuations from its series.
 
@@ -606,8 +614,15 @@ def reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     valuations is the series of the pair (Campillo-Delgado-Gusein-Zade),
     so the one check proves every pair's contact: a wrong choice ends in
     an error, never in a graph.  Results are cached per p; a refusal is
-    not, and raises again.
+    not, and raises again.  An argument that is not a FactoredSeries is
+    refused before the cache hashes it.
     """
+    _check_series(p, "reconstruct_divisorial")
+    return _reconstruct_divisorial(p)
+
+
+@lru_cache(maxsize=_DECODED_GRAPHS)
+def _reconstruct_divisorial(p: FactoredSeries) -> DualGraph:
     r = p.nvars
     if r < 1:
         raise DecodeError("need at least one variable")
@@ -732,15 +747,21 @@ def _solve_curve(p: FactoredSeries,
     return branches, cm
 
 
-@lru_cache(maxsize=_DECODED_GRAPHS)
 def reconstruct_curve(p: FactoredSeries) -> DualGraph:
     """Minimal resolution of a plane curve from its Poincare series.
 
     Peels each branch once, at the glex-first exponent, and assembles the
     one decomposition once; the graph is returned only if its series
     reproduces the input exactly.  Results are cached per p; a refusal is
-    not, and raises again.
+    not, and raises again.  An argument that is not a FactoredSeries is
+    refused before the cache hashes it.
     """
+    _check_series(p, "reconstruct_curve")
+    return _reconstruct_curve(p)
+
+
+@lru_cache(maxsize=_DECODED_GRAPHS)
+def _reconstruct_curve(p: FactoredSeries) -> DualGraph:
     if p.nvars < 1:
         raise DecodeError("need at least one variable")
     branches, cm = _solve_curve(p)

@@ -115,8 +115,8 @@ def bareiss_det(rows) -> int:
 def clear_memos():
     """Forget every decoded graph and forward series, so that the next
     decode of any series runs, and a spy sees its calls."""
-    reconstruct.reconstruct_divisorial.cache_clear()
-    reconstruct.reconstruct_curve.cache_clear()
+    reconstruct._reconstruct_divisorial.cache_clear()
+    reconstruct._reconstruct_curve.cache_clear()
     poincare._series.cache_clear()
 
 

@@ -16,17 +16,22 @@ product formula, a branch's univariate series, a factor added, a branch
 removed, a factorized expansion) are, over that census and the campaign
 items of the golden digest, exactly what the checked constructor makes
 of their factors.
+
+equivalent, which answers graphs equal as stored without building their
+canonical codes, agrees with the comparison of codes over the census and
+the round trips of the first 2000 seed-1 campaign items.
 """
 
 from itertools import accumulate, combinations, zip_longest
 
 import pytest
 
-from planevals import (DecodeError, FactoredSeries, assemble, default_spec,
-                       equivalent, expand, factorize, multiplicity_matrix,
-                       poincare_series, projection_formula_curve,
-                       random_instance, reconstruct_curve,
-                       reconstruct_divisorial)
+from planevals import (DecodeError, DualGraph, FactoredSeries, assemble,
+                       canonical_code, default_spec, equivalent, expand,
+                       factorize, graph_from_json, graph_to_json,
+                       multiplicity_matrix, poincare_series,
+                       projection_formula_curve, random_instance,
+                       reconstruct_curve, reconstruct_divisorial)
 from planevals.reconstruct import _branch_profile
 from planevals.series import glex_key
 
@@ -152,9 +157,10 @@ def assert_checked(q):
                for m, k in facs.items())
 
 
-def campaign_graphs():
-    """The graphs of the campaign golden digest (test_reconstruct.py)."""
-    for k in range(1000):
+def campaign_graphs(count=1000):
+    """The graphs of the first ``count`` seed-1 campaign items; the first
+    1000 are those of the campaign golden digest (test_reconstruct.py)."""
+    for k in range(count):
         mode, j = ("divisorial", "curve")[k % 2], k // 2
         r = j % 3 + 1 if mode == "divisorial" else j % 4 + 1
         yield random_instance(4 * (10 ** 6 + k), 30, r, mode)
@@ -190,3 +196,36 @@ def test_unchecked_series_match_the_checked_constructor(bare, monkeypatch):
             assert_checked(q)
         outputs += len(made)
     assert (len(graphs), outputs) == (3129, 22383)
+
+
+def agrees_with_codes(a, b) -> bool:
+    """equivalent(a, b), asserted equal to the comparison of codes."""
+    same = equivalent(a, b)
+    assert same == (canonical_code(a) == canonical_code(b)), (a, b)
+    return same
+
+
+def test_equivalent_agrees_with_codes_on_the_census(bare):
+    graphs = [h for g in bare for h in divisorial_collections(g, R_MAX)
+              + curve_collections(g, R_MAX)]
+    assert len(graphs) == DIVISORIAL_GRAPHS + CURVE_GRAPHS
+    # each graph against an equal copy, and against the graph before it,
+    # often the same points marked or numbered in another order
+    for a, b in zip(graphs, graphs[1:]):
+        assert agrees_with_codes(
+            b, DualGraph(b.parents, b.marked_divisors, b.arrows))
+        assert not agrees_with_codes(a, b)
+
+
+def test_equivalent_agrees_with_codes_on_campaign_round_trips():
+    # the check of a campaign op: the decode, through its JSON text,
+    # against the graph drawn
+    equal = {"divisorial": 0, "curve": 0}
+    for g in campaign_graphs(2000):
+        p = series_of(g)
+        mode = "curve" if g.arrows else "divisorial"
+        back = (reconstruct_curve if g.arrows else reconstruct_divisorial)(p)
+        back = graph_from_json(graph_to_json(back))
+        assert agrees_with_codes(back, g)
+        equal[mode] += back == g
+    assert equal == {"divisorial": 615, "curve": 788}

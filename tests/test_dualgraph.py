@@ -269,8 +269,34 @@ def test_multiplicity_rows_are_certified():
             bad = dict(g._adj)
             bad[n] = bad[n] + (1,)
         object.__setattr__(g, field, bad)
-        with pytest.raises(GraphError, match="inversion"):
+        with pytest.raises(GraphError,
+                           match="^intersection matrix inversion failed$"):
             multiplicity_matrix(g, (n,))
+
+
+def with_parents(parents, bad):
+    """The graph of ``parents``, its stored parents then replaced by bad."""
+    g = DualGraph(parents)
+    object.__setattr__(g, "parents", bad)
+    return g
+
+
+# corrupted parents, which the recursion reads, reach the other two
+# certificates
+@pytest.mark.parametrize("g, c, message", [
+    # a second root gets entry 0
+    (with_parents(((), (1,)), ((), ())), 1,
+     "multiplicity matrix must be positive"),
+    # a free chain 1-2-3 with its parents relabeled so that vertex 2 hangs
+    # off vertex 3: the row (1, 2, 2) inverts the chain's intersection
+    # form, but along the chain (1, 3, 2) it stalls at 2
+    (with_parents(((), (1,), (2,)), ((), (3,), (1,))), 2,
+     "multiplicity rows must grow along covers"),
+])
+def test_corrupted_parents_fail_their_row_certificate(g, c, message):
+    with pytest.raises(GraphError) as info:
+        multiplicity_matrix(g, (c,))
+    assert str(info.value) == message
 
 
 def test_bareiss_det_examples():
@@ -323,6 +349,41 @@ def test_minimize_keeps_rupture_vertices():
 
 
 # -- equivalence and canonical codes ----------------------------------------
+
+
+def code_spy(monkeypatch):
+    """Record the graphs whose canonical code equivalent builds."""
+    from planevals import dualgraph
+    calls = []
+    real = dualgraph.canonical_code
+
+    def spy(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(dualgraph, "canonical_code", spy)
+    return calls
+
+
+def test_equal_graphs_are_equivalent_without_codes(monkeypatch):
+    codes = code_spy(monkeypatch)
+    for g in small_corpus():
+        assert equivalent(g, DualGraph(g.parents, g.marked_divisors,
+                                       g.arrows))
+    assert codes == []
+
+
+def test_unequal_graphs_are_judged_by_their_codes(monkeypatch):
+    codes = code_spy(monkeypatch)
+    # the same tree hung two ways: vertex 4 blown up on vertex 2 or on 3
+    a = DualGraph(((), (1,), (1,), (2,)), (4, 3), ())
+    b = DualGraph(((), (1,), (1,), (3,)), (4, 2), ())
+    assert a != b
+    assert equivalent(a, b)
+    assert codes == [a, b]
+    # the cusp's satellite and free point, marked in either order
+    assert not equivalent(DualGraph(((), (1,), (1, 2)), (3, 2), ()),
+                          DualGraph(((), (1,), (1, 2)), (2, 3), ()))
 
 
 def test_equivalence_ignores_creation_order():

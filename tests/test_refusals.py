@@ -15,7 +15,7 @@ import pytest
 from planevals import (Branch, BranchData, ContactError, DecodeError,
                        Divisorial, DualGraph, FactoredSeries, GraphError,
                        SeriesError, assemble, branch_from_univariate,
-                       graph_from_branch, graph_from_json,
+                       equivalent, graph_from_branch, graph_from_json,
                        multiplicity_matrix, poincare_series,
                        reconstruct_curve, reconstruct_divisorial)
 from planevals.dualgraph import MAX_VERTICES, euler_smooth
@@ -297,6 +297,17 @@ REFUSALS = [
     ("dict valuation entry",
      lambda: poincare_series(DualGraph(CUSP, (3,)), [{1: 2}]),
      GraphError, "bad valuation entry {1: 2}"),
+    # the argument's type is checked before the cache hashes it
+    ("graph that is not a DualGraph",
+     lambda: poincare_series([], [Divisorial(1)]),
+     GraphError, "poincare_series needs a DualGraph, got list"),
+    # -- equivalent -------------------------------------------------------------
+    # checked before the equality test, which two equal lists would pass
+    ("equivalence of two lists", lambda: equivalent([], []),
+     GraphError, "equivalent needs two DualGraphs, got list and list"),
+    ("equivalence of a graph and a tuple",
+     lambda: equivalent(DualGraph(CUSP), CUSP),
+     GraphError, "equivalent needs two DualGraphs, got DualGraph and tuple"),
     # -- assemble: contacts against the chains --------------------------------
     ("no valuations", lambda: assemble([], [], "curve"),
      ContactError, "no valuations to assemble"),
@@ -376,6 +387,11 @@ REFUSALS = [
      ContactError, "merged chains are not a blowup sequence: vertex 5: "
      "satellite parents 2,3 not adjacent"),
     # -- decoders -------------------------------------------------------------
+    # the argument's type is checked before the decode cache hashes it
+    ("divisorial decode of a dict", lambda: reconstruct_divisorial({}),
+     DecodeError, "reconstruct_divisorial needs a FactoredSeries, got dict"),
+    ("curve decode of a list", lambda: reconstruct_curve([]),
+     DecodeError, "reconstruct_curve needs a FactoredSeries, got list"),
     ("curve series of three branches with no factor",
      lambda: reconstruct_curve(FactoredSeries(3, {})),
      DecodeError, "series does not decompose into plane curve branches: no "
